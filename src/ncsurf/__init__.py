@@ -67,7 +67,6 @@ from .sections import (
     hilb_dim,
     hom_dims,
     leaf_dim_disjoint,
-    moduli_formula,
     rank1_bound,
 )
 from .presets import PRESETS, get_preset

@@ -6,10 +6,11 @@ with subtraction of effective classes (components, effective roots, the
 terminal -1-classes e_m and f-e_1) that pair negatively; acceptance is the
 dual-monoid condition in the fundamental chamber."""
 
+from functools import lru_cache
+
 from .lattice import (
     DivClass,
     anticanonical_class,
-    basis_e,
     basis_f,
     basis_s,
     canonical_class,
@@ -92,9 +93,6 @@ def is_nef(S, D):
     return nef_witness(S, D)[0]
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _grading_class(S):
     """An integer class pairing >= 1 with every simple root, terminal
@@ -144,6 +142,24 @@ def _blocked_subtraction(cur_S, cur_D, alpha):
     return alpha
 
 
+def _effective_classes(S, Da, t, against=None):
+    """The formal -1-classes, then the effective roots, with pairing t
+    against Da; with `against`, only those pairing negatively with it (tested
+    before the costlier effectiveness test)."""
+    sig = S.sig
+    K = canonical_class(sig)
+
+    def keep(x):
+        return against is None or intersect(against, x) < 0
+
+    for x in latenum.classes_with_pairing(sig, Da, t, -1):
+        if intersect(x, K) == -1 and keep(x) and in_neg1_orbit(sig, x):
+            yield x
+    for x in latenum.classes_with_pairing(sig, Da, t, -2):
+        if intersect(x, K) == 0 and keep(x) and is_root_effective(S, x)[0]:
+            yield x
+
+
 def _negative_witness(S, D):
     """An effective class pairing negatively with D, for nef counterexamples
     discovered by the ineffectivity cut (where the loop has no subtraction
@@ -155,15 +171,10 @@ def _negative_witness(S, D):
         if intersect(D, x) < 0:
             return x
     rho = latenum.chamber_interior_class(sig)
-    K = canonical_class(sig)
     bound = 4 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
     for t in range(1, bound + 1):
-        for x in latenum.classes_with_pairing(sig, rho, t, -1):
-            if intersect(x, K) == -1 and intersect(D, x) < 0 and in_neg1_orbit(sig, x):
-                return x
-        for x in latenum.classes_with_pairing(sig, rho, t, -2):
-            if intersect(x, K) == 0 and intersect(D, x) < 0 and is_root_effective(S, x)[0]:
-                return x
+        for x in _effective_classes(S, rho, t, against=D):
+            return x
     return None
 
 
@@ -212,11 +223,7 @@ def _cone_loop(S, D, stop_on_subtract):
     cur_D, cur_S = D, S
     word = []
     subtracted = []
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("cone membership loop exceeded its step budget")
+    for _ in range(budget):
         if intersect(cur_D, f) < 0:
             return False, None, f
         tr = reduce_to_chamber(cur_S, cur_D, stop_below=rho)
@@ -228,51 +235,32 @@ def _cone_loop(S, D, stop_on_subtract):
         if tr.blocked:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
-            x = _blocked_subtraction(cur_S, cur_D, tr.blocking)
-            if stop_on_subtract:
-                return False, None, _pull_back(x, word)
-            x_in = _pull_back(x, word)
-            drop = intersect(x_in, A)
-            assert drop >= 1, "subtracted class escaped the effective grading"
-            grade -= drop
-            if grade < 0:
-                return False, None, None
-            subtracted.append(x_in)
-            cur_D = cur_D - x
-            continue
-        # terminal -1-classes of the chamber
-        extras = [basis_e(cur_S.sig, sig.m)]
-        if sig.m == 1:
-            extras.append(f - basis_e(cur_S.sig, 1))
-        sub = None
-        for x in extras:
-            if intersect(cur_D, x) < 0:
-                sub = x
-                break
+            sub = _blocked_subtraction(cur_S, cur_D, tr.blocking)
+        else:
+            # the terminal -1-classes of the chamber, then the components
+            pieces = simple_roots(sig)[1] + [comp.cls for comp in cur_S.components]
+            sub = next((x for x in pieces if intersect(cur_D, x) < 0), None)
         if sub is None:
-            for comp in cur_S.components:
-                if intersect(cur_D, comp.cls) < 0:
-                    sub = comp.cls
-                    break
-        if sub is not None:
-            if stop_on_subtract:
-                return False, None, _pull_back(sub, word)
-            x_in = _pull_back(sub, word)
-            drop = intersect(x_in, A)
-            assert drop >= 1, "subtracted class escaped the effective grading"
-            grade -= drop
-            if grade < 0:
-                return False, None, None
-            subtracted.append(x_in)
-            cur_D = cur_D - sub
-            continue
-        # in the chamber, nonnegative on extras and all components: accept
-        residue = _pull_back(cur_D, word)
-        total = residue
-        for x in subtracted:
-            total = total + x
-        assert total == D, "effectiveness certificate failed its sum check"
-        return True, {"subtracted": subtracted, "residue": residue}, None
+            break
+        x_in = _pull_back(sub, word)
+        if stop_on_subtract:
+            return False, None, x_in
+        drop = intersect(x_in, A)
+        assert drop >= 1, "subtracted class escaped the effective grading"
+        grade -= drop
+        if grade < 0:
+            return False, None, None
+        subtracted.append(x_in)
+        cur_D = cur_D - sub
+    else:
+        raise RuntimeError("cone membership loop exceeded its step budget")
+    # in the chamber, nonnegative on extras and all components: accept
+    residue = _pull_back(cur_D, word)
+    total = residue
+    for x in subtracted:
+        total = total + x
+    assert total == D, "effectiveness certificate failed its sum check"
+    return True, {"subtracted": subtracted, "residue": residue}, None
 
 
 def is_ample(S, D):
@@ -290,14 +278,7 @@ def is_ample(S, D):
     if sig.m == 0:
         sprime, _, _ = minimal_section(S)
         return intersect(D, basis_f(sig)) > 0 and intersect(D, sprime) > 0
-    K = canonical_class(sig)
-    for x in latenum.classes_with_pairing(sig, D, 0, -2):
-        if intersect(x, K) == 0 and is_root_effective(S, x)[0]:
-            return False
-    for x in latenum.classes_with_pairing(sig, D, 0, -1):
-        if intersect(x, K) == -1 and in_neg1_orbit(sig, x):
-            return False
-    return True
+    return next(_effective_classes(S, D, 0), None) is None
 
 
 def is_strongly_ample(S, D):
@@ -335,12 +316,7 @@ def effective_generators(S, Da, bound):
         push(sprime)
         push(basis_f(sig))
         return out
-    K = canonical_class(sig)
     for t in range(1, bound + 1):
-        for x in latenum.classes_with_pairing(sig, Da, t, -1):
-            if intersect(x, K) == -1 and in_neg1_orbit(sig, x):
-                push(x)
-        for x in latenum.classes_with_pairing(sig, Da, t, -2):
-            if intersect(x, K) == 0 and is_root_effective(S, x)[0]:
-                push(x)
+        for x in _effective_classes(S, Da, t):
+            push(x)
     return out

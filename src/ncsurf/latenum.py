@@ -4,6 +4,7 @@ negative definite once Da^2 > 0, so the fibers of the quadratic form are
 finite and can be walked recursively (Fincke-Pohst style) with exact rational
 arithmetic."""
 
+import math
 from fractions import Fraction
 
 from . import snf
@@ -38,13 +39,8 @@ def _isqrt_floor(fr):
     """floor(sqrt(fr)) for a nonnegative Fraction."""
     if fr < 0:
         raise ValueError
-    num, den = fr.numerator, fr.denominator
-    lo = int((num / den) ** 0.5)
-    while lo * lo * den > num:
-        lo -= 1
-    while (lo + 1) * (lo + 1) * den <= num:
-        lo += 1
-    return lo
+    # floor(sqrt(x)) = isqrt(floor(x)) for x >= 0
+    return math.isqrt(fr.numerator // fr.denominator)
 
 
 def qf_solutions(M, h, target):

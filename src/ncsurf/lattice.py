@@ -90,9 +90,6 @@ class DivClass:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def dot(self, other):
-        return intersect(self, other)
-
     def __repr__(self):
         return "DivClass(%s)" % (render_div(self),)
 

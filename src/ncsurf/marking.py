@@ -130,9 +130,6 @@ class SurfaceData:
                 out = P.add(out, P.smul(c, v))
         return out
 
-    def component_degrees(self, D):
-        return tuple(intersect(D, c.cls) for c in self.components)
-
 
 def validate(S):
     """Check the structural invariants; returns a list of violation strings."""

@@ -36,10 +36,8 @@ class Report:
         return "<2^-40" if self.p_fail < 2 ** -40 else "%g" % self.p_fail
 
     def summary(self):
-        return "%s  p_fail%s" % (
-            self.verdict,
-            "=0" if self.p_fail == 0.0 else "<2^-40",
-        )
+        p = self.p_fail_str
+        return "%s  p_fail%s" % (self.verdict, p if p.startswith("<") else "=" + p)
 
 
 def _fr_eq(a, b):

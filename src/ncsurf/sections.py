@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .lattice import (
     anticanonical_class,
-    basis_e,
     basis_f,
     canonical_class,
     chi_structure,
@@ -18,7 +17,7 @@ from .lattice import (
 )
 from .cones import is_effective, is_nef
 from .marking import cyclic_membership, is_root_effective, ord_q
-from .weyl import reflect, reflect_surface, simple_roots
+from .weyl import _first_negative_root, _walk_budget, reflect, reflect_surface, simple_roots
 
 
 class UnclassifiedState(RuntimeError):
@@ -65,54 +64,34 @@ def dim_gamma(S, D, trace=None):
         raise ValueError("section dimensions are computed for rational surfaces only")
     K = canonical_class(sig)
     Q = anticanonical_class(sig)
-    f = basis_f(sig)
-    budget = 64 * (sig.m + 2) * (4 + max(abs(c) for c in D.coeffs))
+    roots, extras = simple_roots(sig)  # reflections keep the signature
     cur_S, cur_D = S, D
-    steps = 0
 
     def note(msg):
         if trace is not None:
             trace.append(msg)
 
-    while True:
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("section dimension loop exceeded its step budget")
+    for _ in range(_walk_budget(D, slack=4)):
         if cur_D.is_zero():
             return 1
         if not is_effective(cur_S, cur_D):
             return 0
-        # components pairing negatively restrict trivially
-        sub = None
-        for comp in cur_S.components:
-            if intersect(cur_D, comp.cls) < 0:
-                sub = comp.cls
-                break
-        if sub is None and sig.m >= 1:
-            if intersect(cur_D, basis_e(sig, sig.m)) < 0:
-                sub = basis_e(sig, sig.m)
-            elif sig.m == 1 and intersect(cur_D, f - basis_e(sig, 1)) < 0:
-                sub = f - basis_e(sig, 1)
+        # components pairing negatively restrict trivially; then the
+        # terminal -1-classes
+        pieces = [comp.cls for comp in cur_S.components] + extras
+        sub = next((x for x in pieces if intersect(cur_D, x) < 0), None)
         if sub is not None:
             note("subtract %s" % render_div(sub))
             cur_D = cur_D - sub
             continue
-        # simple roots
-        moved = False
-        roots, _ = simple_roots(sig)
-        for alpha in roots:
-            if intersect(alpha, K) != 0:
-                continue
-            t = intersect(cur_D, alpha)
-            if t >= 0:
-                continue
+        alpha, t = _first_negative_root(roots, K, cur_D)
+        if alpha is not None:
             eff, wit = is_root_effective(cur_S, alpha)
             if not eff:
                 note("reflect %s" % render_div(alpha))
                 cur_D = reflect(cur_D, alpha)
                 cur_S = reflect_surface(cur_S, alpha)
-                moved = True
-                break
+                continue
             # effective root: twist-aware case split
             if any(wit["components"]):
                 raise UnclassifiedState(
@@ -141,9 +120,6 @@ def dim_gamma(S, D, trace=None):
                 note("reflect %s (effective, twist %d)" % (render_div(alpha), l))
                 cur_D = reflect(cur_D, alpha)
                 cur_S = reflect_surface(cur_S, alpha)
-            moved = True
-            break
-        if moved:
             continue
         # in the chamber: terminal cases
         dQ = intersect(cur_D, Q)
@@ -175,6 +151,7 @@ def dim_gamma(S, D, trace=None):
                 "m": sig.m,
             }
         )
+    raise RuntimeError("section dimension loop exceeded its step budget")
 
 
 def _multiple_of(D, Q):
@@ -248,13 +225,3 @@ def leaf_dim_disjoint(S, M):
     if any(intersect(M.c1, comp.cls) != 0 for comp in S.components):
         raise ValueError("c1 must have degree 0 on every component of Q")
     return 2 - mukai_pairing(M, M)
-
-
-def moduli_formula(S, kind, **kw):
-    if kind == "hilb":
-        return hilb_dim(kw["n"], kw.get("g", S.sig.genera[0]))
-    if kind == "rank1":
-        return rank1_bound(S, kw["I"])
-    if kind == "leaf":
-        return leaf_dim_disjoint(S, kw["M"])
-    raise ValueError("unknown moduli formula kind %r" % (kind,))

@@ -3,6 +3,7 @@ elementary transformations, chamber reduction, blowdown search for formal
 -1-classes, and bounded orbit enumeration."""
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .lattice import (
     DivClass,
@@ -38,7 +39,6 @@ class ReductionTrace:
     blocking: object = None
     cut: bool = False  # stopped because the class left the effective range
     terminal: str = None
-    notes: list = field(default_factory=list)
 
     def word(self):
         return [mv.kind if mv.kind != "reflect" else render_div(mv.cls) for mv in self.moves]
@@ -47,6 +47,14 @@ class ReductionTrace:
 def simple_roots(sig):
     """(roots, extras): the simple roots in reduction order and the extra
     chamber-defining classes (e_m, and f-e_1 when m = 1)."""
+    roots, extras = _simple_roots(sig)
+    return list(roots), list(extras)
+
+
+@lru_cache(maxsize=None)
+def _simple_roots(sig):
+    # cached: the roots depend only on the signature, and every walk step
+    # of every query asks for them
     m = sig.m
     rational = sig.genera == (0, 0)
     roots = []
@@ -65,7 +73,7 @@ def simple_roots(sig):
         extras.append(basis_e(sig, m))
         if m == 1:
             extras.append(basis_f(sig) - basis_e(sig, 1))
-    return roots, extras
+    return tuple(roots), tuple(extras)
 
 
 def reflect(D, alpha):
@@ -130,6 +138,23 @@ def et_surface(S):
     return SurfaceData(sig2, new_comps, P, S.q, tuple(new_lam))
 
 
+def _walk_budget(D, slack=1):
+    """Step budget of a chamber walk starting at D."""
+    return 64 * (D.sig.m + 2) * (slack + max(abs(c) for c in D.coeffs))
+
+
+def _first_negative_root(roots, K, D):
+    """(alpha, D.alpha) for the first K-fixing root of roots that pairs
+    negatively with D, or (None, 0) when D is in the chamber."""
+    for alpha in roots:
+        if intersect(alpha, K) != 0:
+            continue  # not a K-fixing root (even m=0 ruling class for g>0)
+        t = intersect(D, alpha)
+        if t < 0:
+            return alpha, t
+    return None, 0
+
+
 def reduce_to_chamber(S, D, stop_below=None):
     """Reflect D (and the surface) at ineffective simple roots, first violation
     first, until D pairs >= 0 with every simple root; stops blocked when an
@@ -141,57 +166,101 @@ def reduce_to_chamber(S, D, stop_below=None):
     so this bounds the walk on the infinite (m >= 8) reflection groups."""
     sig = S.sig
     K = canonical_class(sig)
-    budget = 64 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
+    f = basis_f(sig)
+    roots, _ = simple_roots(sig)  # reflections keep the signature
     trace = ReductionTrace(start=D)
     cur_D, cur_S = D, S
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("chamber reduction exceeded its step budget")
+    for _ in range(_walk_budget(D)):
         # the fiber class is nef on every marked surface, so a negative
         # D.f certifies ineffectivity; only the ruling reflection changes
         # D.f (strictly downward), and the remaining simple roots generate
         # a finite D_m group, so this cut also makes the walk finite
-        if intersect(cur_D, basis_f(sig)) < 0:
+        if intersect(cur_D, f) < 0 or (
+            stop_below is not None and intersect(cur_D, stop_below) < 0
+        ):
             trace.cut = True
-            trace.end = cur_D
-            trace.surface = cur_S
-            return trace
-        if stop_below is not None and intersect(cur_D, stop_below) < 0:
-            trace.cut = True
-            trace.end = cur_D
-            trace.surface = cur_S
-            return trace
-        roots, _ = simple_roots(cur_S.sig)
-        moved = False
-        for alpha in roots:
-            if intersect(alpha, K) != 0:
-                continue  # not a K-fixing root (even m=0 ruling class for g>0)
-            if intersect(cur_D, alpha) < 0:
-                eff, _ = is_root_effective(cur_S, alpha)
-                if eff:
-                    trace.blocked = True
-                    trace.blocking = alpha
-                    trace.end = cur_D
-                    trace.surface = cur_S
-                    return trace
-                cur_D = reflect(cur_D, alpha)
-                cur_S = reflect_surface(cur_S, alpha)
-                trace.moves.append(Move("reflect", alpha, cur_D))
-                moved = True
-                break
-        if not moved:
-            trace.end = cur_D
-            trace.surface = cur_S
-            return trace
+            break
+        alpha, _ = _first_negative_root(roots, K, cur_D)
+        if alpha is None:
+            break
+        if is_root_effective(cur_S, alpha)[0]:
+            trace.blocked = True
+            trace.blocking = alpha
+            break
+        cur_D = reflect(cur_D, alpha)
+        cur_S = reflect_surface(cur_S, alpha)
+        trace.moves.append(Move("reflect", alpha, cur_D))
+    else:
+        raise RuntimeError("chamber reduction exceeded its step budget")
+    trace.end = cur_D
+    trace.surface = cur_S
+    return trace
 
 
-def _decomposes_msg(e, alpha, t):
+def _decomposes_msg(e, alpha):
     other = reflect(e, alpha)
-    mult = -t
+    mult = -intersect(e, alpha)
     head = "(%s)" % render_div(alpha) if mult == 1 else "%d(%s)" % (mult, render_div(alpha))
     return "class decomposes: %s = %s + %s" % (render_div(e), head, render_div(other))
+
+
+def _blowdown_walk(e, S=None):
+    """Move the formal -1-class e to e_m (or the plane terminal) by
+    interchanges, ruling reflections and elementary transformations.
+
+    With a surface S, every reflection root is first checked for
+    effectiveness (an effective one decomposes the class) and the surface is
+    carried along; with S None the walk is purely numeric.  Raises
+    BlowdownError when no move reaches a terminal."""
+    rational = e.sig.genera == (0, 0)
+    trace = ReductionTrace(start=e)
+    m = e.sig.m
+    cur_e, cur_S = e, S
+    for _ in range(_walk_budget(e)):
+        csig = cur_e.sig
+        roots, extras = simple_roots(csig)
+        if m == 0:
+            if rational and csig.parity == "odd" and cur_e == basis_s(csig):
+                trace.terminal = "plane"
+                break
+            raise BlowdownError("not a formal -1-curve: stuck at %s with m = 0" % render_div(cur_e))
+        if cur_e == extras[0]:
+            trace.terminal = "e_m"
+            break
+        # interchanges of commuting blowups e_i - e_{i+1}, which simple_roots
+        # lists last
+        alpha = next((a for a in roots[len(roots) - (m - 1):] if intersect(cur_e, a) < 0), None)
+        if alpha is None:
+            if intersect(cur_e, extras[0]) < 0:
+                raise BlowdownError(
+                    "not a formal -1-curve: %s pairs negatively with %s but differs from it"
+                    % (render_div(cur_e), render_div(extras[0]))
+                )
+            # ruling reflection (rational surfaces), listed first
+            if rational and intersect(cur_e, roots[0]) < 0:
+                alpha = roots[0]
+        if alpha is not None:
+            if cur_S is not None:
+                if is_root_effective(cur_S, alpha)[0]:
+                    raise BlowdownError(_decomposes_msg(cur_e, alpha))
+                cur_S = reflect_surface(cur_S, alpha)
+            cur_e = reflect(cur_e, alpha)
+            trace.moves.append(Move("reflect", alpha, cur_e))
+        # elementary transformation when it lowers the e_1 pairing
+        elif 2 * intersect(cur_e, basis_e(csig, 1)) > intersect(cur_e, basis_f(csig)):
+            cur_e = elementary_transformation(cur_e)
+            if cur_S is not None:
+                cur_S = et_surface(cur_S)
+            trace.moves.append(Move("elementary_transformation", None, cur_e))
+        else:
+            raise BlowdownError(
+                "not a formal -1-curve: no move applies to %s" % render_div(cur_e)
+            )
+    else:
+        raise RuntimeError("blowdown search exceeded its step budget")
+    trace.end = cur_e
+    trace.surface = cur_S
+    return trace
 
 
 def find_blowdown(S, e):
@@ -199,125 +268,24 @@ def find_blowdown(S, e):
     transformations and ruling reflections until e becomes e_m (or the plane
     terminal is reached); raises BlowdownError with a decomposition witness
     when an effective class obstructs irreducibility."""
-    sig = S.sig
-    K = canonical_class(sig)
-    if intersect(e, e) != -1 or intersect(e, K) != -1:
+    if intersect(e, e) != -1 or intersect(e, canonical_class(S.sig)) != -1:
         raise ValueError(
             "%s is not a formal -1-class (need e^2 = e.K = -1)" % render_div(e)
         )
-    rational = sig.genera == (0, 0)
-    trace = ReductionTrace(start=e)
-    cur_e, cur_S = e, S
-    budget = 64 * (sig.m + 2) * (1 + max(abs(c) for c in e.coeffs))
-    steps = 0
-    while True:
-        steps += 1
-        if steps > budget:
-            raise RuntimeError("blowdown search exceeded its step budget")
-        csig = cur_S.sig
-        m = csig.m
-        if m >= 1 and cur_e == basis_e(csig, m):
-            trace.end = cur_e
-            trace.surface = cur_S
-            trace.terminal = "e_m"
-            return trace
-        if m == 0:
-            if rational and csig.parity == "odd" and cur_e == basis_s(csig):
-                trace.end = cur_e
-                trace.surface = cur_S
-                trace.terminal = "plane"
-                return trace
-            raise BlowdownError("not a formal -1-curve: stuck at %s with m = 0" % render_div(cur_e))
-        # interchanges of commuting blowups
-        moved = False
-        for i in range(1, m):
-            alpha = basis_e(csig, i) - basis_e(csig, i + 1)
-            t = intersect(cur_e, alpha)
-            if t < 0:
-                eff, _ = is_root_effective(cur_S, alpha)
-                if eff:
-                    raise BlowdownError(_decomposes_msg(cur_e, alpha, t))
-                cur_e = reflect(cur_e, alpha)
-                cur_S = reflect_surface(cur_S, alpha)
-                trace.moves.append(Move("reflect", alpha, cur_e))
-                moved = True
-                break
-        if moved:
-            continue
-        if intersect(cur_e, basis_e(csig, m)) < 0:
-            raise BlowdownError(
-                "not a formal -1-curve: %s pairs negatively with %s but differs from it"
-                % (render_div(cur_e), render_div(basis_e(csig, m)))
-            )
-        # ruling reflection (rational surfaces)
-        if rational:
-            alpha = (
-                basis_s(csig) - basis_f(csig)
-                if csig.parity == "even"
-                else basis_s(csig) - basis_e(csig, 1)
-            )
-            t = intersect(cur_e, alpha)
-            if t < 0:
-                eff, _ = is_root_effective(cur_S, alpha)
-                if eff:
-                    raise BlowdownError(_decomposes_msg(cur_e, alpha, t))
-                cur_e = reflect(cur_e, alpha)
-                cur_S = reflect_surface(cur_S, alpha)
-                trace.moves.append(Move("reflect", alpha, cur_e))
-                continue
-        # elementary transformation when it lowers the e_1 pairing
-        if 2 * intersect(cur_e, basis_e(csig, 1)) > intersect(cur_e, basis_f(csig)):
-            cur_e = elementary_transformation(cur_e)
-            cur_S = et_surface(cur_S)
-            trace.moves.append(Move("elementary_transformation", None, cur_e))
-            continue
-        raise BlowdownError(
-            "not a formal -1-curve: no move applies to %s" % render_div(cur_e)
-        )
+    return _blowdown_walk(e, S)
 
 
 def in_neg1_orbit(sig, e):
     """Purely numeric test that e lies in the reflection-group orbit of e_m
-    (or reaches the plane terminal): the blowdown loop without effectiveness
+    (or reaches the plane terminal): find_blowdown without effectiveness
     guards."""
     if intersect(e, e) != -1 or intersect(e, canonical_class(sig)) != -1:
         return False
-    rational = sig.genera == (0, 0)
-    cur = e
-    csig = sig
-    budget = 64 * (sig.m + 2) * (1 + max(abs(c) for c in e.coeffs))
-    for _ in range(budget):
-        m = csig.m
-        if m >= 1 and cur == basis_e(csig, m):
-            return True
-        if m == 0:
-            return rational and csig.parity == "odd" and cur == basis_s(csig)
-        moved = False
-        for i in range(1, m):
-            alpha = basis_e(csig, i) - basis_e(csig, i + 1)
-            if intersect(cur, alpha) < 0:
-                cur = reflect(cur, alpha)
-                moved = True
-                break
-        if moved:
-            continue
-        if intersect(cur, basis_e(csig, m)) < 0:
-            return False
-        if rational:
-            alpha = (
-                basis_s(csig) - basis_f(csig)
-                if csig.parity == "even"
-                else basis_s(csig) - basis_e(csig, 1)
-            )
-            if intersect(cur, alpha) < 0:
-                cur = reflect(cur, alpha)
-                continue
-        if 2 * intersect(cur, basis_e(csig, 1)) > intersect(cur, basis_f(csig)):
-            cur = elementary_transformation(cur)
-            csig = cur.sig
-            continue
+    try:
+        _blowdown_walk(e)
+    except BlowdownError:
         return False
-    return False
+    return True
 
 
 def enumerate_orbit(sig, seed, Da, bound, budget=200000):

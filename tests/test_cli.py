@@ -35,6 +35,17 @@ def test_opcheck_golden(capsys):
     assert rc == 0 and out == "equal  p_fail<2^-40\n"
 
 
+def test_opcheck_zero_trials_reports_one_p_fail(capsys):
+    # with no evaluation run the failure probability is 1, and the plain
+    # summary must say the same as the JSON field
+    rc, plain, _ = run(capsys, "opcheck", "run", "weyl", "--trials", "0")
+    assert rc == 0
+    rc, out, _ = run(capsys, "opcheck", "run", "weyl", "--trials", "0", "--json")
+    p_fail = json.loads(out)["p_fail"]
+    assert rc == 0 and p_fail == "1"
+    assert plain == "equal  p_fail=%s\n" % p_fail
+
+
 def test_canonical_golden(capsys):
     rc, out, _ = run(capsys, "canonical", "--surface", "f0_generic")
     assert rc == 0 and out == "-2s-2f\n"

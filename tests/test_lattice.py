@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from ncsurf.latenum import _isqrt_floor
 from ncsurf.lattice import (
     DivClass,
     K0Class,
@@ -186,3 +188,12 @@ def test_render_and_parse_names():
     assert render_div(div(EVEN3, 2, 3, -1, -1, 0)) == "2s+3f-e1-e2"
     assert render_div(zero_class(EVEN0)) == "0"
     assert render_div(div(EVEN0, -1, 0)) == "-s"
+
+
+def test_isqrt_floor_is_exact_beyond_float_range():
+    big = Fraction(10**400 + 1, 3)
+    r = _isqrt_floor(big)
+    assert r * r <= big < (r + 1) * (r + 1)
+    for x in (Fraction(n, d) for n in range(0, 60) for d in (1, 3, 4, 7)):
+        r = _isqrt_floor(x)
+        assert r * r <= x < (r + 1) * (r + 1)

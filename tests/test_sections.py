@@ -26,7 +26,6 @@ from ncsurf.sections import (
     hilb_dim,
     hom_dims,
     leaf_dim_disjoint,
-    moduli_formula,
     rank1_bound,
 )
 
@@ -191,15 +190,6 @@ def test_leaf_dim_disjoint():
     assert leaf_dim_disjoint(S, M) == 2
     with pytest.raises(ValueError):
         leaf_dim_disjoint(S, K0Class(0, basis_f(sig), 1))
-
-
-def test_moduli_formula_dispatch():
-    S = f0_generic()
-    assert moduli_formula(S, "hilb", n=3, g=2) == 8
-    L = line_bundle_class(zero_class(S.sig))
-    assert moduli_formula(S, "rank1", I=L) == (1, True)
-    with pytest.raises(ValueError):
-        moduli_formula(S, "nope")
 
 
 def test_unclassified_state_carries_report():

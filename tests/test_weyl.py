@@ -13,8 +13,10 @@ from ncsurf.lattice import (
     intersect,
     render_div,
 )
-from ncsurf.marking import SurfaceData, validate
-from ncsurf.presets import f0_generic, m1_generic, m2_generic, m3_generic
+from ncsurf import weyl
+from ncsurf.latenum import chamber_interior_class, classes_with_pairing
+from ncsurf.marking import SurfaceData, blow_up, validate
+from ncsurf.presets import f0_generic, get_preset, m1_generic, m2_generic, m3_generic
 from ncsurf.weyl import (
     BlowdownError,
     elementary_transformation,
@@ -195,6 +197,48 @@ def test_in_neg1_orbit():
     assert in_neg1_orbit(sig, basis_f(sig) - basis_e(sig, 2))
     assert in_neg1_orbit(sig, div(sig, 1, 1, -1, -1, -1))
     assert not in_neg1_orbit(sig, basis_f(sig))
+
+
+def test_in_neg1_orbit_matches_find_blowdown():
+    # on generic surfaces no root is effective, so the guarded walk succeeds
+    # exactly when the numeric one does
+    for k in (1, 2, 3, 4):
+        S = get_preset("m%d_generic" % k)
+        sig = S.sig
+        K = canonical_class(sig)
+        rho = chamber_interior_class(sig)
+        seen = 0
+        for t in range(-1, 5):
+            for x in classes_with_pairing(sig, rho, t, -1):
+                if intersect(x, K) != -1:
+                    continue
+                try:
+                    find_blowdown(S, x)
+                    found = True
+                except BlowdownError:
+                    found = False
+                assert in_neg1_orbit(sig, x) == found, render_div(x)
+                seen += found
+        assert seen >= sig.m
+    # two blowups at one marked point make e1 - e2 effective: e1 is in the
+    # orbit numerically, but its blowdown is obstructed
+    S = f0_generic()
+    S = blow_up(S, 0, [1], (5, 7))
+    S = blow_up(S, 0, [1], (5, 7))
+    e1 = basis_e(S.sig, 1)
+    assert in_neg1_orbit(S.sig, e1)
+    with pytest.raises(BlowdownError):
+        find_blowdown(S, e1)
+
+
+def test_blowdown_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(weyl, "_walk_budget", lambda D, slack=1: 0)
+    S = m2_generic()
+    e = basis_f(S.sig) - basis_e(S.sig, 1)
+    with pytest.raises(RuntimeError):
+        find_blowdown(S, e)
+    with pytest.raises(RuntimeError):
+        in_neg1_orbit(S.sig, e)
 
 
 def test_enumerate_orbit():
