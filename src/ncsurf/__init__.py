@@ -3,7 +3,9 @@ NS lattice, effective/nef/ample tests, section dimensions, blowdown search,
 and an operator-identity checker."""
 
 from .lattice import (
+    BudgetExhausted,
     DivClass,
+    InvariantViolation,
     K0Class,
     LatticeSignature,
     SignatureMismatch,

@@ -7,9 +7,16 @@ terminal -1-classes e_m and f-e_1) that pair negatively; acceptance is the
 dual-monoid condition in the fundamental chamber."""
 
 from functools import lru_cache
+from operator import add, sub
 
 from .lattice import (
-    DivClass,
+    BudgetExhausted,
+    InvariantViolation,
+    _coeffs,
+    _dot,
+    _new,
+    _pair,
+    _row,
     anticanonical_class,
     basis_f,
     basis_s,
@@ -20,14 +27,15 @@ from .lattice import (
 )
 from . import latenum
 from .marking import is_root_effective
-from .weyl import in_neg1_orbit, reduce_to_chamber, reflect, simple_roots
+from .weyl import _chamber_walk, _reflect, _root_rows, in_neg1_orbit
 
 
 def _pull_back(x, word):
-    # word is the list of reflections applied so far (first applied first);
-    # map a current-frame class back to the input frame
-    for alpha in reversed(word):
-        x = reflect(x, alpha)
+    # word is the list of (root, Gram row) pairs reflected at so far (first
+    # applied first); map a current-frame coefficient tuple back to the
+    # input frame
+    for root in reversed(word):
+        x = _reflect(x, root)
     return x
 
 
@@ -113,14 +121,11 @@ def _grading_class(S):
         if intersect(comp.cls, basis_f(sig)) != 0:
             drop = max(drop, -comp.cls.coeffs[1])
     b = a * (1 + drop) + 1 + total_c
-    A = DivClass((a, b) + tuple(-c for c in cs), sig)
-    K = canonical_class(sig)
-    roots, extras = simple_roots(sig)
-    gens = [x for x in roots if intersect(x, K) == 0] + extras
-    gens += [comp.cls for comp in S.components]
-    assert all(intersect(A, x) >= 1 for x in gens), (
-        "grading class fails to dominate the effective generators"
-    )
+    A = _new((a, b) + tuple(-c for c in cs), sig)
+    _, roots, extras = _root_rows(sig)
+    gens = [x for x, _ in roots + extras] + [comp.cls for comp in S.components]
+    if not all(intersect(A, x) >= 1 for x in gens):
+        raise InvariantViolation("grading class fails to dominate the effective generators")
     return A
 
 
@@ -129,7 +134,8 @@ def _blocked_subtraction(cur_S, cur_D, alpha):
     irreducible piece of alpha's decomposition that itself pairs negatively
     (subtracting a reducible root whole would over-subtract)."""
     eff, wit = is_root_effective(cur_S, alpha)
-    assert eff, "blocked root is not effective"
+    if not eff:
+        raise InvariantViolation("blocked root is not effective")
     pieces = wit.get("pieces") or ()
     if not pieces:
         return alpha
@@ -179,88 +185,94 @@ def _negative_witness(S, D):
 
 
 def _cone_loop(S, D, stop_on_subtract):
-    """Shared effectiveness/nef loop for m >= 1.
+    """Shared effectiveness/nef loop for m >= 1, on coefficient tuples.
 
     Returns (ok, certificate, witness); with stop_on_subtract the first needed
     subtraction returns ok = False and the subtracted class as witness."""
     sig = S.sig
+    x = _coeffs(D, sig)
     f = basis_f(sig)
     Q = anticanonical_class(sig)
+    Q_row = _row(sig, Q.coeffs)
+    comps = S.components
     # Q is fixed by every root reflection, and when Q is nef it pairs >= 0
     # with every effective-cone generator; then D.Q < 0 forces D ineffective
     # (with Q itself as a nef witness).  This bounds the walk on the infinite
     # (m >= 8) reflection groups for negative anticanonical degree.
-    q_nef = all(intersect(Q, comp.cls) >= 0 for comp in S.components)
-    irreducible_q = (
-        len(S.components) == 1
-        and S.components[0].mult == 1
-        and S.components[0].cls == Q
-    )
-    level = intersect(D, Q)
+    q_nef = all(_dot(Q_row, comp.cls.coeffs) >= 0 for comp in comps)
+    irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls == Q
+    level = _dot(Q_row, x)
     if q_nef and level < 0:
         return False, None, Q if stop_on_subtract else None
     # at anticanonical degree 0 with irreducible Q of square 0 the chamber
     # walk acts through the level-0 affine action and only multiples of Q
     # (plus effective roots, which block the walk) ever reach the chamber
-    rho = None
-    if irreducible_q and intersect(Q, Q) == 0 and level == 0:
-        if D.coeffs[0] % Q.coeffs[0] == 0:
-            c = D.coeffs[0] // Q.coeffs[0]
+    rho_row = None
+    if irreducible_q and _dot(Q_row, Q.coeffs) == 0 and level == 0:
+        if x[0] % Q.coeffs[0] == 0:
+            c = x[0] // Q.coeffs[0]
             if D == c * Q:
                 if c < 0:
                     return False, None, f if stop_on_subtract else None
                 cert = {"subtracted": [Q] * c, "residue": zero_class(sig)}
                 return True, cert, None
-        rho = latenum.chamber_interior_class(sig)
+        rho_row = _row(sig, latenum.chamber_interior_class(sig).coeffs)
     # grade by a dual-interior class: every nonzero effective class has
     # grade >= 1, so the residue grade drops by >= 1 per subtraction and a
     # negative grade certifies ineffectivity
-    A = _grading_class(S)
-    grade = intersect(D, A)
+    A_row = _row(sig, _grading_class(S).coeffs)
+    grade = _dot(A_row, x)
     if grade < 0:
         return False, None, _negative_witness(S, D) if stop_on_subtract else None
     budget = grade + sig.m + 8
-    cur_D, cur_S = D, S
+    extras = _root_rows(sig)[2]
+    cur_S = S
     word = []
     subtracted = []
     for _ in range(budget):
-        if intersect(cur_D, f) < 0:
+        if x[0] < 0:  # D.f < 0
             return False, None, f
-        tr = reduce_to_chamber(cur_S, cur_D, stop_below=rho)
-        word.extend(mv.cls for mv in tr.moves)
-        cur_D, cur_S = tr.end, tr.surface
-        if tr.cut:
+        x, cur_S, moves, cut, blocking = _chamber_walk(cur_S, x, rho_row)
+        word += moves
+        if cut:
             witness = _negative_witness(S, D) if stop_on_subtract else None
             return False, None, witness
-        if tr.blocked:
+        if blocking is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
-            sub = _blocked_subtraction(cur_S, cur_D, tr.blocking)
+            y = _blocked_subtraction(cur_S, _new(x, sig), blocking).coeffs
         else:
             # the terminal -1-classes of the chamber, then the components
-            pieces = simple_roots(sig)[1] + [comp.cls for comp in cur_S.components]
-            sub = next((x for x in pieces if intersect(cur_D, x) < 0), None)
-        if sub is None:
+            y = next((e.coeffs for e, row in extras if _dot(row, x) < 0), None)
+            if y is None:
+                y = next(
+                    (c.cls.coeffs for c in cur_S.components if _pair(sig, x, c.cls.coeffs) < 0),
+                    None,
+                )
+        if y is None:
             break
-        x_in = _pull_back(sub, word)
+        y_in = _pull_back(y, word)
         if stop_on_subtract:
-            return False, None, x_in
-        drop = intersect(x_in, A)
-        assert drop >= 1, "subtracted class escaped the effective grading"
+            return False, None, _new(y_in, sig)
+        drop = _dot(A_row, y_in)
+        if drop < 1:
+            raise InvariantViolation("subtracted class escaped the effective grading")
         grade -= drop
         if grade < 0:
             return False, None, None
-        subtracted.append(x_in)
-        cur_D = cur_D - sub
+        subtracted.append(y_in)
+        x = tuple(map(sub, x, y))
     else:
-        raise RuntimeError("cone membership loop exceeded its step budget")
+        raise BudgetExhausted("cone membership loop", _new(x, sig), budget, budget)
     # in the chamber, nonnegative on extras and all components: accept
-    residue = _pull_back(cur_D, word)
+    residue = _pull_back(x, word)
     total = residue
-    for x in subtracted:
-        total = total + x
-    assert total == D, "effectiveness certificate failed its sum check"
-    return True, {"subtracted": subtracted, "residue": residue}, None
+    for y in subtracted:
+        total = tuple(map(add, total, y))
+    if total != D.coeffs:
+        raise InvariantViolation("effectiveness certificate failed its sum check")
+    cert = {"subtracted": [_new(y, sig) for y in subtracted], "residue": _new(residue, sig)}
+    return True, cert, None
 
 
 def is_ample(S, D):

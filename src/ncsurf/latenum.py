@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from . import snf
-from .lattice import DivClass, canonical_class, intersect
+from .lattice import _new, canonical_class, intersect
 
 
 def _gram(sig):
@@ -117,7 +117,7 @@ def classes_with_pairing(sig, Da, t, sq):
         coeffs = tuple(
             x0[i] + sum(B[i][a] * yv[a] for a in range(k)) for i in range(n)
         )
-        out.append(DivClass(coeffs, sig))
+        out.append(_new(coeffs, sig))
     return out
 
 
@@ -142,7 +142,7 @@ def chamber_interior_class(sig):
     simple roots and positively with every e_i and f (a nef reference)."""
     A = sig.m + 2
     coeffs = (A, A) + (-1,) * sig.m
-    return DivClass(coeffs, sig)
+    return _new(coeffs, sig)
 
 
 def candidate_roots_pairing_negatively(sig, e):

@@ -5,13 +5,47 @@ Basis convention: (s, f, e_1, ..., e_m) with s a section class, f the fiber
 class and e_i exceptional classes.  The parity says whether s^2 = 0 ("even")
 or s^2 = -1 ("odd"); in both cases s.f = 1, f^2 = 0, e_i.e_j = -delta_ij and
 the e_i are orthogonal to s and f.
+
+DivClass is the checked boundary type: its constructor rejects coefficients
+that are not integers and vectors of the wrong length.  Arithmetic on checked
+classes builds its results with _new, which skips the checks.  The chamber
+walks in weyl, cones and sections run on bare coefficient tuples with the
+pairing helpers _pair and _row, and build DivClass only for their answers.
 """
 
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 
 
 class SignatureMismatch(ValueError):
     pass
+
+
+class InvariantViolation(AssertionError):
+    """An internal consistency check failed.  Raised explicitly rather than
+    by an assert statement, so the check also runs under python -O."""
+
+
+class BudgetExhausted(RuntimeError):
+    """A bounded search ran out of steps.  Like UnclassifiedState it carries
+    a report: the search, the class it stopped at, the steps used and the
+    budget."""
+
+    def __init__(self, search, cls, steps, budget):
+        self.cls = cls
+        self.report = {"search": search, "class": render_div(cls), "steps": steps, "budget": budget}
+        super().__init__(
+            "%s exceeded its step budget (%d of %d steps) at %s"
+            % (search, steps, budget, self.report["class"])
+        )
+
+
+def _as_int(c):
+    """c as an int; raises ValueError for a non-integral value."""
+    i = int(c)
+    if i != c:
+        raise ValueError("%r is not an integer" % (c,))
+    return i
 
 
 @dataclass(frozen=True)
@@ -29,24 +63,68 @@ class LatticeSignature:
         if g0 < 0 or g1 < 0:
             raise ValueError("genera must be nonnegative")
         object.__setattr__(self, "genera", (int(g0), int(g1)))
-
-    @property
-    def rank(self):
-        return self.m + 2
-
-    @property
-    def s_sq(self):
-        return 0 if self.parity == "even" else -1
-
-    def gram(self):
-        """Gram matrix as a tuple of row tuples."""
-        n = self.rank
+        # the pairing data depends only on the signature: computed once here
+        n = self.m + 2
+        s_sq = 0 if self.parity == "even" else -1
         G = [[0] * n for _ in range(n)]
-        G[0][0] = self.s_sq
+        G[0][0] = s_sq
         G[0][1] = G[1][0] = 1
         for i in range(2, n):
             G[i][i] = -1
-        return tuple(tuple(row) for row in G)
+        object.__setattr__(self, "rank", n)
+        object.__setattr__(self, "s_sq", s_sq)
+        object.__setattr__(self, "_gram", tuple(tuple(row) for row in G))
+
+    def gram(self):
+        """Gram matrix as a tuple of row tuples."""
+        return self._gram
+
+
+def _pair(sig, x, y):
+    """Intersection number of two coefficient tuples of sig."""
+    a = x[0]
+    return a * y[1] + x[1] * y[0] + sig.s_sq * a * y[0] - sum(map(mul, x[2:], y[2:]))
+
+
+def _row(sig, x):
+    """The Gram row G.x of a coefficient tuple, so that x.y = _dot(row, y)."""
+    a = x[0]
+    return (sig.s_sq * a + x[1], a) + tuple(map(neg, x[2:]))
+
+
+def _dot(row, y):
+    return sum(map(mul, row, y))
+
+
+def _axpy(x, t, a):
+    """x + t*a on coefficient tuples."""
+    return tuple([u + t * v for u, v in zip(x, a)])
+
+
+_object_new = object.__new__
+
+
+def _new(coeffs, sig):
+    """A DivClass from an int tuple of length sig.rank, without the
+    constructor's checks: for results computed from checked classes."""
+    D = _object_new(DivClass)
+    d = D.__dict__
+    d["coeffs"] = coeffs
+    d["sig"] = sig
+    return D
+
+
+def _coeffs(D, sig):
+    """The coefficient tuple of D, checked to be a class of sig."""
+    if not isinstance(D, DivClass):
+        raise TypeError("expected a DivClass")
+    # identity first: equal but distinct signatures (e.g. from
+    # elementary_transformation) must still combine
+    if D.sig is not sig and D.sig != sig:
+        raise SignatureMismatch(
+            "cannot combine classes on different signatures: %r vs %r" % (sig, D.sig)
+        )
+    return D.coeffs
 
 
 @dataclass(frozen=True)
@@ -55,40 +133,38 @@ class DivClass:
     sig: LatticeSignature
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.sig.rank:
+        if not isinstance(self.sig, LatticeSignature):
+            raise TypeError("expected a LatticeSignature, got %r" % (self.sig,))
+        coeffs = tuple(map(_as_int, self.coeffs))
+        if len(coeffs) != self.sig.rank:
             raise ValueError(
                 "coefficient vector has length %d, signature needs %d"
-                % (len(self.coeffs), self.sig.rank)
+                % (len(coeffs), self.sig.rank)
             )
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check(self, other):
-        if not isinstance(other, DivClass):
-            raise TypeError("expected a DivClass")
-        if other.sig != self.sig:
-            raise SignatureMismatch(
-                "cannot combine classes on different signatures: %r vs %r"
-                % (self.sig, other.sig)
-            )
+        _coeffs(other, self.sig)
 
     def __add__(self, other):
         self._check(other)
-        return DivClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.sig)
+        return _new(tuple(map(add, self.coeffs, other.coeffs)), self.sig)
 
     def __sub__(self, other):
         self._check(other)
-        return DivClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.sig)
+        return _new(tuple(map(sub, self.coeffs, other.coeffs)), self.sig)
 
     def __neg__(self):
-        return DivClass(tuple(-a for a in self.coeffs), self.sig)
+        return _new(tuple(map(neg, self.coeffs)), self.sig)
 
     def __rmul__(self, k):
-        return DivClass(tuple(int(k) * a for a in self.coeffs), self.sig)
+        k = _as_int(k)
+        return _new(tuple([k * a for a in self.coeffs]), self.sig)
 
     __mul__ = __rmul__
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __repr__(self):
         return "DivClass(%s)" % (render_div(self),)
@@ -101,15 +177,15 @@ def div(sig, *coeffs):
 
 
 def zero_class(sig):
-    return DivClass((0,) * sig.rank, sig)
+    return _new((0,) * sig.rank, sig)
 
 
 def basis_s(sig):
-    return DivClass((1, 0) + (0,) * sig.m, sig)
+    return _new((1, 0) + (0,) * sig.m, sig)
 
 
 def basis_f(sig):
-    return DivClass((0, 1) + (0,) * sig.m, sig)
+    return _new((0, 1) + (0,) * sig.m, sig)
 
 
 def basis_e(sig, i):
@@ -118,18 +194,12 @@ def basis_e(sig, i):
         raise ValueError("e index %d out of range 1..%d" % (i, sig.m))
     c = [0] * sig.rank
     c[i + 1] = 1
-    return DivClass(tuple(c), sig)
+    return _new(tuple(c), sig)
 
 
 def intersect(D1, D2):
     """Intersection pairing of two divisor classes (same signature)."""
-    D1._check(D2)
-    a1, b1 = D1.coeffs[0], D1.coeffs[1]
-    a2, b2 = D2.coeffs[0], D2.coeffs[1]
-    val = a1 * b2 + a2 * b1 + D1.sig.s_sq * a1 * a2
-    for c, d in zip(D1.coeffs[2:], D2.coeffs[2:]):
-        val -= c * d
-    return val
+    return _pair(D1.sig, D1.coeffs, _coeffs(D2, D1.sig))
 
 
 def canonical_class(sig):
@@ -138,7 +208,7 @@ def canonical_class(sig):
         bf = -(2 - g0 - g1)
     else:
         bf = -(3 - g0 - g1)
-    return DivClass((-2, bf) + (1,) * sig.m, sig)
+    return _new((-2, bf) + (1,) * sig.m, sig)
 
 
 def anticanonical_class(sig):
@@ -248,7 +318,7 @@ def k0_order_transfer(M, direction, r, K_Z, chi_OZ):
             "r^2*K_Z - r*K_X = %s is not divisible by 2; parity mismatch"
             % render_div(disc)
         )
-    half = DivClass(tuple(c // 2 for c in disc.coeffs), sig)
+    half = _new(tuple(c // 2 for c in disc.coeffs), sig)
     if direction == "push":
         return K0Class(r * r * M.rank, r * M.c1 + M.rank * half, M.chi)
     if direction == "pull":

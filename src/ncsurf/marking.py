@@ -3,14 +3,23 @@ decomposition, an abstract finitely generated abelian group playing the role
 of Pic^0 of the anticanonical curve (with distinguished element q), and the
 effectiveness oracles for -2-roots and -1-classes built on them."""
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 from . import snf
 from .lattice import (
+    BudgetExhausted,
     DivClass,
+    InvariantViolation,
+    _as_int,
+    _dot,
+    _new,
+    _row,
     anticanonical_class,
+    basis_e,
+    basis_f,
     canonical_class,
     intersect,
     render_div,
@@ -34,17 +43,24 @@ class MarkingGroup:
         return self.free_rank + len(self.torsion)
 
     def reduce(self, x):
-        x = tuple(int(c) for c in x)
+        x = tuple(map(_as_int, x))
         if len(x) != self.ngens:
             raise ValueError("element has %d coordinates, group needs %d" % (len(x), self.ngens))
-        free = x[: self.free_rank]
-        tors = tuple(c % n for c, n in zip(x[self.free_rank:], self.torsion))
-        return free + tors
+        return self._reduce(x)
+
+    def _reduce(self, x):
+        """reduce for an int tuple of length ngens: no coercion, no check."""
+        if not self.torsion:
+            return x
+        R = self.free_rank
+        return x[:R] + tuple([c % n for c, n in zip(x[R:], self.torsion)])
 
     def zero(self):
         return (0,) * self.ngens
 
     def add(self, x, y):
+        if len(x) != len(y):
+            raise ValueError("cannot add elements with %d and %d coordinates" % (len(x), len(y)))
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
 
     def neg(self, x):
@@ -92,7 +108,8 @@ def cyclic_membership(P, x, q):
     if d:
         a0 %= d
     # re-verify by group arithmetic
-    assert P.eq(P.smul(a0, q), x), "cyclic membership witness failed to verify"
+    if not P.eq(P.smul(a0, q), x):
+        raise InvariantViolation("cyclic membership witness failed to verify")
     return (a0, d)
 
 
@@ -121,14 +138,35 @@ class SurfaceData:
             self, "lam", tuple(self.marking.reduce(v) for v in self.lam)
         )
 
+    def __hash__(self):
+        # surfaces key the oracle caches, which hash them on every lookup
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.sig, self.components, self.marking, self.q, self.lam)
+            )
+        return h
+
     def lam_of(self, D):
         """lambda(D); meaningful on component-degree-0 classes."""
-        P = self.marking
-        out = P.zero()
-        for c, v in zip(D.coeffs, self.lam):
+        return self._lam(D.coeffs)
+
+    def _lam(self, x):
+        """lambda of a coefficient tuple."""
+        out = [0] * self.marking.ngens
+        for c, v in zip(x, self.lam):
             if c:
-                out = P.add(out, P.smul(c, v))
-        return out
+                for k, u in enumerate(v):
+                    out[k] += c * u
+        return self.marking._reduce(tuple(out))
+
+
+def _surface(sig, components, marking, q, lam):
+    """A SurfaceData from already reduced parts, without the constructor's
+    coercion: for surfaces computed from checked ones."""
+    S = object.__new__(SurfaceData)
+    S.__dict__.update(sig=sig, components=components, marking=marking, q=q, lam=lam)
+    return S
 
 
 def validate(S):
@@ -138,7 +176,7 @@ def validate(S):
     if len(S.lam) != sig.rank:
         out.append("lambda must give %d basis images, got %d" % (sig.rank, len(S.lam)))
     total = None
-    f = DivClass((0, 1) + (0,) * sig.m, sig)
+    f = basis_f(sig)
     negK = anticanonical_class(sig)
     irreducible_q = (
         len(S.components) == 1
@@ -196,10 +234,8 @@ def _effective_neg1_classes(sig):
     the orbit classes f - e_i."""
     from . import weyl
 
-    out = []
-    for i in range(1, sig.m + 1):
-        out.append(DivClass(tuple(1 if j == 1 + i else 0 for j in range(sig.rank)), sig))
-    f = DivClass((0, 1) + (0,) * sig.m, sig)
+    out = [basis_e(sig, i) for i in range(1, sig.m + 1)]
+    f = basis_f(sig)
     for i in range(1, sig.m + 1):
         c = f - out[i - 1]
         if weyl.in_neg1_orbit(sig, c):
@@ -241,41 +277,44 @@ def is_root_effective(S, alpha):
     A = _grading_class(S)
     if intersect(alpha, A) < 0:
         return False, None
-    start = (alpha.coeffs, (0,) * len(comps), 0, ())
+    rowA = _row(sig, A.coeffs)
+    comp_rows = [(comp.cls, _row(sig, comp.cls.coeffs)) for comp in comps]
+    neg1_rows = [(c, _row(sig, c.coeffs)) for c in neg1]
     seen = {alpha.coeffs}
-    queue = [start]
+    queue = deque([(alpha.coeffs, (0,) * len(comps), 0, ())])
     steps = 0
     while queue:
-        coeffs, n, nsub, pieces = queue.pop(0)
+        beta, n, nsub, pieces = queue.popleft()
         steps += 1
         if steps > budget:
-            raise RuntimeError("root effectiveness search exceeded its step budget")
-        beta = DivClass(coeffs, sig)
-        degs = [intersect(beta, comp.cls) for comp in comps]
-        if beta.is_zero():
+            raise BudgetExhausted("root effectiveness search", alpha, steps - 1, budget)
+        degs = [_dot(row, beta) for _, row in comp_rows]
+        if not any(beta):
             if any(n) or nsub:
                 return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
             # alpha = 0 cannot happen (alpha^2 = -2)
-        elif all(d == 0 for d in degs):
-            wit = cyclic_membership(S.marking, S.lam_of(beta), S.q)
+        elif not any(degs):
+            wit = cyclic_membership(S.marking, S._lam(beta), S.q)
             if wit is not None:
-                out = pieces + (beta,) if pieces else ()
+                out = pieces + (_new(beta, sig),) if pieces else ()
                 return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}
         # recurse on components pairing negatively with the residue
         for j, d in enumerate(degs):
             if d < 0 and n[j] < caps[j]:
-                b2 = beta - comps[j].cls
-                n2 = n[:j] + (n[j] + 1,) + n[j + 1:]
-                if b2.coeffs not in seen and intersect(b2, A) >= 0:
-                    seen.add(b2.coeffs)
-                    queue.append((b2.coeffs, n2, nsub, pieces + (comps[j].cls,)))
+                c = comp_rows[j][0]
+                b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
+                if b2 not in seen and _dot(rowA, b2) >= 0:
+                    seen.add(b2)
+                    n2 = n[:j] + (n[j] + 1,) + n[j + 1:]
+                    queue.append((b2, n2, nsub, pieces + (c,)))
         # and on always-effective -1 classes pairing negatively with it
-        for c in neg1:
-            if nsub < ncap and intersect(beta, c) < 0:
-                b2 = beta - c
-                if b2.coeffs not in seen and intersect(b2, A) >= 0:
-                    seen.add(b2.coeffs)
-                    queue.append((b2.coeffs, n, nsub + 1, pieces + (c,)))
+        if nsub < ncap:
+            for c, row in neg1_rows:
+                if _dot(row, beta) < 0:
+                    b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
+                    if b2 not in seen and _dot(rowA, b2) >= 0:
+                        seen.add(b2)
+                        queue.append((b2, n, nsub + 1, pieces + (c,)))
     return False, None
 
 
@@ -330,7 +369,7 @@ def blow_up(S, component_index, local_mults, position):
     mu = sum(mj * comp.mult for mj, comp in zip(local_mults, comps))
     if mu < 1:
         raise ValueError("total multiplicity must be >= 1")
-    from .lattice import LatticeSignature, basis_e
+    from .lattice import LatticeSignature
 
     sig2 = LatticeSignature(S.sig.m + 1, S.sig.parity, S.sig.genera)
     e_new = basis_e(sig2, sig2.m)
@@ -370,7 +409,8 @@ def isomonodromy_count(S):
     if A is None:
         return 0
     num = intersect(A, A) - intersect(A, K)
-    assert num % 2 == 0
+    if num % 2:
+        raise InvariantViolation("odd A^2 - A.K in the isomonodromy count")
     return -num // 2
 
 

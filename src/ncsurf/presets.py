@@ -1,7 +1,13 @@
 """Named example surfaces for the CLI and tests."""
 
-from .lattice import DivClass, LatticeSignature, anticanonical_class
+from .lattice import DivClass, InvariantViolation, LatticeSignature, anticanonical_class
 from .marking import MarkingGroup, QComponent, SurfaceData, blow_up, validate
+
+
+def _check_valid(S):
+    bad = validate(S)
+    if bad:
+        raise InvariantViolation("preset fails validation: " + "; ".join(bad))
 
 
 def _f0(q):
@@ -14,7 +20,7 @@ def _f0(q):
         q,
         ((0, 1), (0, 0)),  # lambda(s), lambda(f)
     )
-    assert not validate(S)
+    _check_valid(S)
     return S
 
 
@@ -38,7 +44,7 @@ def f2_type():
         (1,),
         ((3,), (0,)),
     )
-    assert not validate(S)
+    _check_valid(S)
     return S
 
 
@@ -61,7 +67,7 @@ def dp9_torsion(l=2):
         (1, 0, 0),
         tuple(lam),
     )
-    assert not validate(S)
+    _check_valid(S)
     return S
 
 
@@ -88,7 +94,7 @@ def pvi_m12():
     for i in range(1, 13):
         lam.append((100 + i, i * i))
     S = SurfaceData(sig, comps, P, (1, 0), tuple(lam))
-    assert not validate(S)
+    _check_valid(S)
     return S
 
 

@@ -3,21 +3,28 @@ dimensions between line bundles, acyclicity / global generation tests, and
 the closed-form moduli dimension formulas."""
 
 from dataclasses import dataclass
+from operator import sub
 
 from .lattice import (
+    BudgetExhausted,
+    InvariantViolation,
+    _axpy,
+    _coeffs,
+    _dot,
+    _new,
+    _pair,
+    _row,
     anticanonical_class,
     basis_f,
     canonical_class,
-    chi_structure,
     intersect,
     line_bundle_class,
     mukai_pairing,
     render_div,
-    zero_class,
 )
 from .cones import is_effective, is_nef
 from .marking import cyclic_membership, is_root_effective, ord_q
-from .weyl import _first_negative_root, _walk_budget, reflect, reflect_surface, simple_roots
+from .weyl import _first_negative_root, _root_rows, _walk_budget, reflect_surface
 
 
 class UnclassifiedState(RuntimeError):
@@ -62,35 +69,45 @@ def dim_gamma(S, D, trace=None):
     sig = S.sig
     if sig.genera != (0, 0):
         raise ValueError("section dimensions are computed for rational surfaces only")
-    K = canonical_class(sig)
     Q = anticanonical_class(sig)
-    roots, extras = simple_roots(sig)  # reflections keep the signature
-    cur_S, cur_D = S, D
+    q = Q.coeffs
+    Q_row = _row(sig, q)
+    _, roots, extras = _root_rows(sig)  # reflections keep the signature
+    cur_S, x = S, _coeffs(D, sig)
 
-    def note(msg):
+    def note(fmt, *args):
+        # class arguments come as coefficient tuples
         if trace is not None:
-            trace.append(msg)
+            trace.append(fmt % tuple(
+                render_div(_new(a, sig)) if isinstance(a, tuple) else a for a in args
+            ))
 
-    for _ in range(_walk_budget(D, slack=4)):
-        if cur_D.is_zero():
+    budget = _walk_budget(x, slack=4)
+    for _ in range(budget):
+        if not any(x):
             return 1
-        if not is_effective(cur_S, cur_D):
+        if not is_effective(cur_S, _new(x, sig)):
             return 0
         # components pairing negatively restrict trivially; then the
         # terminal -1-classes
-        pieces = [comp.cls for comp in cur_S.components] + extras
-        sub = next((x for x in pieces if intersect(cur_D, x) < 0), None)
-        if sub is not None:
-            note("subtract %s" % render_div(sub))
-            cur_D = cur_D - sub
+        y = next(
+            (c.cls.coeffs for c in cur_S.components if _pair(sig, x, c.cls.coeffs) < 0),
+            None,
+        )
+        if y is None:
+            y = next((e.coeffs for e, row in extras if _dot(row, x) < 0), None)
+        if y is not None:
+            note("subtract %s", y)
+            x = tuple(map(sub, x, y))
             continue
-        alpha, t = _first_negative_root(roots, K, cur_D)
-        if alpha is not None:
+        root, t = _first_negative_root(roots, x)
+        if root is not None:
+            alpha, row = root
             eff, wit = is_root_effective(cur_S, alpha)
             if not eff:
-                note("reflect %s" % render_div(alpha))
-                cur_D = reflect(cur_D, alpha)
-                cur_S = reflect_surface(cur_S, alpha)
+                note("reflect %s", alpha.coeffs)
+                x = _axpy(x, t, alpha.coeffs)
+                cur_S = reflect_surface(cur_S, alpha, row)
                 continue
             # effective root: twist-aware case split
             if any(wit["components"]):
@@ -98,7 +115,7 @@ def dim_gamma(S, D, trace=None):
                     {
                         "state": "effective root with component support",
                         "root": render_div(alpha),
-                        "class": render_div(cur_D),
+                        "class": render_div(_new(x, sig)),
                         "witness": wit,
                     }
                 )
@@ -110,48 +127,49 @@ def dim_gamma(S, D, trace=None):
                 # unique l = a mod r with -r <= t + l < 0
                 l = ((t + a) % r) - r - t
                 if not (-r <= t + l < 0):
-                    raise AssertionError("twist exponent selection failed")
+                    raise InvariantViolation("twist exponent selection failed")
                 if t + l == -r:
-                    note("boundary twist at root %s (pairing = -ord q)" % render_div(alpha))
+                    note("boundary twist at root %s (pairing = -ord q)", alpha.coeffs)
             if l > 0 and t + l < 0:
-                note("partial reflect %s by %d" % (render_div(alpha), t + l))
-                cur_D = cur_D + (t + l) * alpha
+                note("partial reflect %s by %d", alpha.coeffs, t + l)
+                x = _axpy(x, t + l, alpha.coeffs)
             else:
-                note("reflect %s (effective, twist %d)" % (render_div(alpha), l))
-                cur_D = reflect(cur_D, alpha)
-                cur_S = reflect_surface(cur_S, alpha)
+                note("reflect %s (effective, twist %d)", alpha.coeffs, l)
+                x = _axpy(x, t, alpha.coeffs)
+                cur_S = reflect_surface(cur_S, alpha, row)
             continue
         # in the chamber: terminal cases
-        dQ = intersect(cur_D, Q)
+        dQ = _dot(Q_row, x)
         if dQ > 0:
-            num = intersect(cur_D, cur_D + Q)
-            assert num % 2 == 0
+            num = _pair(sig, x, x) + dQ  # D.(D + Q)
+            if num % 2:
+                raise InvariantViolation("odd D.(D + Q) on a nef class")
             return 1 + num // 2
         # dQ = 0 on a nef class
-        assert dQ == 0, "nef class with negative anticanonical degree"
-        lamD = cur_S.lam_of(cur_D)
-        if not cur_S.marking.is_zero(lamD):
-            note("restriction to Q nontrivial: pass to %s" % render_div(cur_D - Q))
-            cur_D = cur_D - Q
+        if dQ != 0:
+            raise InvariantViolation("nef class with negative anticanonical degree")
+        DQ = tuple(map(sub, x, q))
+        if any(cur_S._lam(x)):
+            note("restriction to Q nontrivial: pass to %s", DQ)
+            x = DQ
             continue
-        DQ = cur_D - Q
-        if DQ.is_zero() or (is_nef(cur_S, DQ) and intersect(DQ, Q) >= 1):
-            note("restriction to Q trivial: 1 + dim of %s" % render_div(DQ))
-            return dim_gamma(cur_S, DQ, trace) + 1
-        if sig.m == 8 and intersect(Q, Q) == 0:
+        if not any(DQ) or (is_nef(cur_S, _new(DQ, sig)) and _dot(Q_row, DQ) >= 1):
+            note("restriction to Q trivial: 1 + dim of %s", DQ)
+            return dim_gamma(cur_S, _new(DQ, sig), trace) + 1
+        if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form
-            c = _multiple_of(cur_D, Q)
+            c = _multiple_of(_new(x, sig), Q)
             l = _lambda_q_order(cur_S)
             if c is not None and l is not None and c % l == 0:
                 return c // l + 1
         raise UnclassifiedState(
             {
                 "state": "Q-trivial class outside classified terminals",
-                "class": render_div(cur_D),
+                "class": render_div(_new(x, sig)),
                 "m": sig.m,
             }
         )
-    raise RuntimeError("section dimension loop exceeded its step budget")
+    raise BudgetExhausted("section dimension loop", _new(x, sig), budget, budget)
 
 
 def _multiple_of(D, Q):
@@ -172,8 +190,10 @@ def hom_dims(S, D1, D2):
     h2 = dim_gamma(S, K + D1 - D2)
     chi = mukai_pairing(line_bundle_class(D1), line_bundle_class(D2))
     h1 = h0 + h2 - chi
-    assert not (h0 > 0 and h2 > 0), "Hom and Ext^2 cannot both be nonzero"
-    assert h1 >= 0, "negative Ext^1 dimension"
+    if h0 > 0 and h2 > 0:
+        raise InvariantViolation("Hom and Ext^2 cannot both be nonzero")
+    if h1 < 0:
+        raise InvariantViolation("negative Ext^1 dimension")
     return HomDims(h0, h1, h2)
 
 

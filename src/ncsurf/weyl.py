@@ -6,8 +6,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lattice import (
-    DivClass,
+    BudgetExhausted,
+    InvariantViolation,
     LatticeSignature,
+    _axpy,
+    _coeffs,
+    _dot,
+    _new,
+    _pair,
+    _row,
     basis_e,
     basis_f,
     basis_s,
@@ -15,7 +22,7 @@ from .lattice import (
     intersect,
     render_div,
 )
-from .marking import SurfaceData, is_root_effective
+from .marking import QComponent, _surface, is_root_effective
 
 
 class BlowdownError(ValueError):
@@ -76,26 +83,65 @@ def _simple_roots(sig):
     return tuple(roots), tuple(extras)
 
 
+@lru_cache(maxsize=None)
+def _root_rows(sig):
+    """(roots, walk roots, extras) of sig, each root or class paired with its
+    Gram row: all simple roots in reduction order, the K-fixing ones that
+    chamber walks reflect at, and the extra chamber classes.  The -2 check
+    of every simple root is paid here, once per signature."""
+    roots, extras = _simple_roots(sig)
+    K = canonical_class(sig)
+    rows = []
+    for alpha in roots:
+        if _pair(sig, alpha.coeffs, alpha.coeffs) != -2:
+            raise InvariantViolation("simple root %s is not a -2 class" % render_div(alpha))
+        rows.append((alpha, _row(sig, alpha.coeffs)))
+    # an even m = 0 ruling class for g > 0 is no K-fixing root
+    walk = tuple(r for r in rows if intersect(r[0], K) == 0)
+    return tuple(rows), walk, tuple((x, _row(sig, x.coeffs)) for x in extras)
+
+
+def _reflect(x, root):
+    """Reflect the coefficient tuple x at a (root, Gram row) pair."""
+    alpha, row = root
+    t = _dot(row, x)
+    return _axpy(x, t, alpha.coeffs) if t else x
+
+
 def reflect(D, alpha):
     if intersect(alpha, alpha) != -2:
         raise ValueError("reflection root must have self-intersection -2")
     return D + intersect(D, alpha) * alpha
 
 
-def reflect_surface(S, alpha):
+def reflect_surface(S, alpha, row=None):
     """Apply the reflection as a change of blowdown structure: components are
-    reflected and lambda is precomposed with the reflection."""
+    reflected and lambda is precomposed with the reflection.
+
+    row: the Gram row of alpha, from callers that took alpha from the cached
+    simple roots; without it alpha is checked to be a -2 class of S."""
     sig = S.sig
+    if row is None:
+        a = _coeffs(alpha, sig)
+        if _pair(sig, a, a) != -2:
+            raise ValueError("reflection root must have self-intersection -2")
+        row = _row(sig, a)
+    else:
+        a = alpha.coeffs
     P = S.marking
-    lam_alpha = S.lam_of(alpha)
-    new_lam = []
-    for i in range(sig.rank):
-        b = DivClass(tuple(1 if j == i else 0 for j in range(sig.rank)), sig)
-        new_lam.append(P.add(S.lam[i], P.smul(intersect(b, alpha), lam_alpha)))
-    new_comps = tuple(
-        type(c)(reflect(c.cls, alpha), c.mult) for c in S.components
-    )
-    return SurfaceData(sig, new_comps, P, S.q, tuple(new_lam))
+    lam_alpha = S._lam(a)
+    lam = list(S.lam)
+    # lambda(b_i) gains (b_i.alpha) lambda(alpha), and b_i.alpha = row[i]
+    for i, c in enumerate(row):
+        if c:
+            lam[i] = P._reduce(_axpy(lam[i], c, lam_alpha))
+    comps = []
+    for comp in S.components:
+        t = _dot(row, comp.cls.coeffs)
+        if t:
+            comp = QComponent(_new(_axpy(comp.cls.coeffs, t, a), sig), comp.mult)
+        comps.append(comp)
+    return _surface(sig, tuple(comps), P, S.q, tuple(lam))
 
 
 def _et_coeffs(coeffs, parity_from):
@@ -106,53 +152,79 @@ def _et_coeffs(coeffs, parity_from):
     return (a, b + c1, -a - c1) + rest
 
 
-def elementary_transformation(D):
-    """Parity-flipping basis change with e_1 -> f - e_1."""
-    sig = D.sig
+def _et_signature(sig):
+    """The signature of opposite parity that an elementary transformation
+    maps sig to."""
     if sig.m < 1:
         raise ValueError("elementary transformation needs m >= 1")
-    sig2 = LatticeSignature(sig.m, "odd" if sig.parity == "even" else "even", sig.genera)
-    return DivClass(_et_coeffs(D.coeffs, sig.parity), sig2)
+    return LatticeSignature(sig.m, "odd" if sig.parity == "even" else "even", sig.genera)
+
+
+def elementary_transformation(D):
+    """Parity-flipping basis change with e_1 -> f - e_1."""
+    sig2 = _et_signature(D.sig)
+    return _new(_et_coeffs(D.coeffs, D.sig.parity), sig2)
 
 
 def et_surface(S):
     sig = S.sig
-    if sig.m < 1:
-        raise ValueError("elementary transformation needs m >= 1")
-    sig2 = LatticeSignature(sig.m, "odd" if sig.parity == "even" else "even", sig.genera)
-    P = S.marking
-    other = sig2.parity
-    new_lam = []
-    for i in range(sig.rank):
-        std = tuple(1 if j == i else 0 for j in range(sig.rank))
-        old_coords = _et_coeffs(std, other)  # new basis vector in old coordinates
-        v = P.zero()
-        for c, lv in zip(old_coords, S.lam):
-            if c:
-                v = P.add(v, P.smul(c, lv))
-        new_lam.append(v)
+    sig2 = _et_signature(sig)
+    # lambda of each new basis vector, written in old coordinates
+    new_lam = tuple(
+        S._lam(_et_coeffs(tuple(1 if j == i else 0 for j in range(sig.rank)), sig2.parity))
+        for i in range(sig.rank)
+    )
     new_comps = tuple(
-        type(c)(DivClass(_et_coeffs(c.cls.coeffs, sig.parity), sig2), c.mult)
+        QComponent(_new(_et_coeffs(c.cls.coeffs, sig.parity), sig2), c.mult)
         for c in S.components
     )
-    return SurfaceData(sig2, new_comps, P, S.q, tuple(new_lam))
+    return _surface(sig2, new_comps, S.marking, S.q, new_lam)
 
 
-def _walk_budget(D, slack=1):
-    """Step budget of a chamber walk starting at D."""
-    return 64 * (D.sig.m + 2) * (slack + max(abs(c) for c in D.coeffs))
+def _walk_budget(x, slack=1):
+    """Step budget of a chamber walk starting at the coefficient tuple x."""
+    return 64 * len(x) * (slack + max(map(abs, x)))
 
 
-def _first_negative_root(roots, K, D):
-    """(alpha, D.alpha) for the first K-fixing root of roots that pairs
-    negatively with D, or (None, 0) when D is in the chamber."""
-    for alpha in roots:
-        if intersect(alpha, K) != 0:
-            continue  # not a K-fixing root (even m=0 ruling class for g>0)
-        t = intersect(D, alpha)
+def _first_negative_root(roots, x):
+    """(root, x.alpha) for the first of the (root, Gram row) pairs that
+    pairs negatively with the coefficient tuple x, or (None, 0) when x is in
+    the chamber."""
+    for root in roots:
+        t = _dot(root[1], x)
         if t < 0:
-            return alpha, t
+            return root, t
     return None, 0
+
+
+def _chamber_walk(S, x, stop_row=None):
+    """The walk of reduce_to_chamber on the coefficient tuple x.
+
+    Returns (x, surface, word, cut, blocking): the end class and surface,
+    the (root, Gram row) pairs reflected at in order, whether the walk was
+    cut, and the effective simple root that blocked it (or None)."""
+    roots = _root_rows(S.sig)[1]  # reflections keep the signature
+    cur_S = S
+    word = []
+    budget = _walk_budget(x)
+    for _ in range(budget):
+        # the fiber class is nef on every marked surface, so a negative
+        # D.f (the s coefficient) certifies ineffectivity; only the ruling
+        # reflection changes D.f (strictly downward), and the remaining
+        # simple roots generate a finite D_m group, so this cut also makes
+        # the walk finite
+        if x[0] < 0 or (stop_row is not None and _dot(stop_row, x) < 0):
+            return x, cur_S, word, True, None
+        root, t = _first_negative_root(roots, x)
+        if root is None:
+            return x, cur_S, word, False, None
+        alpha, row = root
+        if is_root_effective(cur_S, alpha)[0]:
+            return x, cur_S, word, False, alpha
+        x = _axpy(x, t, alpha.coeffs)
+        cur_S = reflect_surface(cur_S, alpha, row)
+        word.append(root)
+    raise BudgetExhausted("chamber reduction", _new(x, S.sig), budget, budget)
 
 
 def reduce_to_chamber(S, D, stop_below=None):
@@ -165,35 +237,16 @@ def reduce_to_chamber(S, D, stop_below=None):
     with a chamber-interior rho, and reflections can only lower the pairing,
     so this bounds the walk on the infinite (m >= 8) reflection groups."""
     sig = S.sig
-    K = canonical_class(sig)
-    f = basis_f(sig)
-    roots, _ = simple_roots(sig)  # reflections keep the signature
-    trace = ReductionTrace(start=D)
-    cur_D, cur_S = D, S
-    for _ in range(_walk_budget(D)):
-        # the fiber class is nef on every marked surface, so a negative
-        # D.f certifies ineffectivity; only the ruling reflection changes
-        # D.f (strictly downward), and the remaining simple roots generate
-        # a finite D_m group, so this cut also makes the walk finite
-        if intersect(cur_D, f) < 0 or (
-            stop_below is not None and intersect(cur_D, stop_below) < 0
-        ):
-            trace.cut = True
-            break
-        alpha, _ = _first_negative_root(roots, K, cur_D)
-        if alpha is None:
-            break
-        if is_root_effective(cur_S, alpha)[0]:
-            trace.blocked = True
-            trace.blocking = alpha
-            break
-        cur_D = reflect(cur_D, alpha)
-        cur_S = reflect_surface(cur_S, alpha)
-        trace.moves.append(Move("reflect", alpha, cur_D))
-    else:
-        raise RuntimeError("chamber reduction exceeded its step budget")
-    trace.end = cur_D
-    trace.surface = cur_S
+    x = _coeffs(D, sig)
+    stop_row = None if stop_below is None else _row(sig, _coeffs(stop_below, sig))
+    end, end_S, word, cut, blocking = _chamber_walk(S, x, stop_row)
+    trace = ReductionTrace(
+        start=D, end=_new(end, sig), surface=end_S,
+        blocked=blocking is not None, blocking=blocking, cut=cut,
+    )
+    for root in word:
+        x = _reflect(x, root)
+        trace.moves.append(Move("reflect", root[0], _new(x, sig)))
     return trace
 
 
@@ -216,7 +269,8 @@ def _blowdown_walk(e, S=None):
     trace = ReductionTrace(start=e)
     m = e.sig.m
     cur_e, cur_S = e, S
-    for _ in range(_walk_budget(e)):
+    budget = _walk_budget(e.coeffs)
+    for _ in range(budget):
         csig = cur_e.sig
         roots, extras = simple_roots(csig)
         if m == 0:
@@ -257,7 +311,7 @@ def _blowdown_walk(e, S=None):
                 "not a formal -1-curve: no move applies to %s" % render_div(cur_e)
             )
     else:
-        raise RuntimeError("blowdown search exceeded its step budget")
+        raise BudgetExhausted("blowdown search", cur_e, budget, budget)
     trace.end = cur_e
     trace.surface = cur_S
     return trace
@@ -306,7 +360,7 @@ def enumerate_orbit(sig, seed, Da, bound, budget=200000):
             nxt = reflect(cur, alpha)
             if nxt.coeffs not in out and intersect(nxt, Da) <= bound:
                 if len(out) >= budget:
-                    raise RuntimeError("orbit enumeration exceeded its budget")
+                    raise BudgetExhausted("orbit enumeration", nxt, len(out), budget)
                 out.add(nxt.coeffs)
                 frontier.append(nxt)
-    return {DivClass(c, sig) for c in out}
+    return {_new(c, sig) for c in out}

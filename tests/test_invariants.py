@@ -1,0 +1,107 @@
+"""Invariant checks that must survive python -O, and the structured report of
+an exhausted step budget.
+
+The invariant tests force a check to fail and expect the explicit
+exception, so running this file under `python -O -m pytest` shows that no
+check is an assert statement that -O strips."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from ncsurf import cli, cones, presets, sections, snf, weyl
+from ncsurf.lattice import (
+    BudgetExhausted,
+    InvariantViolation,
+    LatticeSignature,
+    basis_e,
+    basis_f,
+    basis_s,
+    div,
+    zero_class,
+)
+from ncsurf.marking import MarkingGroup, cyclic_membership
+from ncsurf.presets import m1_generic, m2_generic
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncsurf"
+
+
+def test_no_assert_statements_in_the_library():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_invariant_violation_is_an_assertion_error():
+    assert issubclass(InvariantViolation, AssertionError)
+    assert issubclass(BudgetExhausted, RuntimeError)
+
+
+def test_preset_validation_is_checked(monkeypatch):
+    monkeypatch.setattr(presets, "validate", lambda S: ["synthetic violation"])
+    with pytest.raises(InvariantViolation, match="synthetic violation"):
+        presets.get_preset("f0_generic")
+
+
+def test_cyclic_membership_witness_is_checked(monkeypatch):
+    P = MarkingGroup(1, (7,))
+    # (2, 3) is no multiple of (1, 1); a wrong solver answer must not pass
+    monkeypatch.setattr(snf, "solve", lambda A, b: ([1, 0], []))
+    cyclic_membership.cache_clear()
+    with pytest.raises(InvariantViolation):
+        cyclic_membership(P, (2, 3), (1, 1))
+    cyclic_membership.cache_clear()
+
+
+def test_hom_dims_sign_checks(monkeypatch):
+    S = m1_generic()
+    monkeypatch.setattr(sections, "dim_gamma", lambda S, D: 1)
+    with pytest.raises(InvariantViolation):
+        sections.hom_dims(S, zero_class(S.sig), basis_f(S.sig))
+
+
+def test_effective_certificate_sum_is_checked(monkeypatch):
+    S = m1_generic()
+    D = basis_s(S.sig) + basis_f(S.sig)
+    assert cones.is_effective(S, D)
+    # a pull-back that lands off the input class breaks the certificate
+    monkeypatch.setattr(cones, "_pull_back", lambda x, word: tuple(c + 1 for c in x))
+    with pytest.raises(InvariantViolation):
+        cones.effective_cert(S, D)
+
+
+def test_cli_maps_invariant_violation_to_exit_3(capsys, monkeypatch):
+    def boom(*a, **k):
+        raise InvariantViolation("synthetic")
+
+    monkeypatch.setattr(cli.sections, "dim_gamma", boom)
+    assert cli.main(["gamma", "--surface", "f0_generic", "s+f"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_chamber_budget_reports_where_it_stopped(monkeypatch):
+    S = m2_generic()
+    sig = S.sig
+    D = div(sig, 2, 2, -3, 0)
+    assert len(weyl.reduce_to_chamber(S, D).moves) >= 2
+    monkeypatch.setattr(weyl, "_walk_budget", lambda x, slack=1: 1)
+    with pytest.raises(BudgetExhausted) as info:
+        weyl.reduce_to_chamber(S, D)
+    err = info.value
+    assert err.report["search"] == "chamber reduction"
+    assert (err.report["steps"], err.report["budget"]) == (1, 1)
+    assert err.cls.sig == sig and err.cls != D  # one reflection was made
+    assert err.report["class"] in str(err)
+
+
+def test_orbit_budget_reports_where_it_stopped():
+    sig = LatticeSignature(3, "even")
+    Da = basis_s(sig) + 2 * basis_f(sig)
+    with pytest.raises(BudgetExhausted) as info:
+        weyl.enumerate_orbit(sig, basis_e(sig, 3), Da, 4, budget=3)
+    report = info.value.report
+    assert (report["search"], report["steps"], report["budget"]) == ("orbit enumeration", 3, 3)
+

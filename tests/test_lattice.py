@@ -55,6 +55,45 @@ def test_signature_mismatch_is_an_error():
         basis_s(EVEN0) + basis_s(EVEN1)
 
 
+def test_boundary_rejects_bad_input():
+    # non-integral coefficients and scalars used to be truncated by int()
+    with pytest.raises(ValueError):
+        DivClass((1.7, 2, 3), EVEN1)
+    with pytest.raises(ValueError):
+        DivClass((Fraction(1, 2), 0, 0), EVEN1)
+    with pytest.raises(ValueError):
+        DivClass(("1", 0, 0), EVEN1)
+    with pytest.raises(ValueError):
+        2.5 * basis_f(EVEN1)
+    with pytest.raises(ValueError):
+        basis_f(EVEN1) * Fraction(3, 2)
+    # integral values of other number types are accepted as ints
+    D = DivClass((2.0, Fraction(4, 2), True), EVEN1)
+    assert D.coeffs == (2, 2, 1) and all(type(c) is int for c in D.coeffs)
+    assert (2.0 * basis_f(EVEN1)).coeffs == (0, 2, 0)
+    # wrong length, and a signature that is not one
+    with pytest.raises(ValueError):
+        DivClass((1, 2), EVEN1)
+    with pytest.raises(ValueError):
+        div(EVEN1, 1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        DivClass((1, 2, 3), (1, "even"))
+    with pytest.raises(TypeError):
+        intersect(basis_f(EVEN1), (0, 1, 0))
+
+
+def test_equal_but_distinct_signatures_combine():
+    other = LatticeSignature(1, "even")
+    assert other == EVEN1 and other is not EVEN1
+    D, E = div(EVEN1, 1, 2, 3), div(other, 0, 1, -1)
+    assert (D + E).coeffs == (1, 3, 2)
+    assert (D - E).coeffs == (1, 1, 4)
+    assert intersect(D, E) == 1 + 3
+    assert D + E == E + D
+    with pytest.raises(SignatureMismatch):
+        intersect(D, div(ODD1, 0, 1, -1))
+
+
 def test_gram_signature():
     # signature (+, -, ..., -): after the basis change (s+f, s-f, e_i) the
     # leading principal minors alternate +, -, +, ... (Jacobi's criterion),

@@ -70,6 +70,18 @@ def test_cyclic_membership():
     assert cyclic_membership(Z2, (1, 0), (0, 0)) is None
 
 
+def test_marking_group_add_checks_lengths():
+    P = MarkingGroup(1, (3,))
+    assert P.add((1, 2), (1, 2)) == (2, 1)
+    # zip used to truncate silently: (1, 2, 5) + (1, 1) gave (2, 0)
+    with pytest.raises(ValueError):
+        P.add((1, 2, 5), (1, 1))
+    with pytest.raises(ValueError):
+        P.add((1, 2, 5), (1, 1, 1))
+    with pytest.raises(ValueError):
+        P.reduce((1.5, 0))
+
+
 def test_element_order():
     P = MarkingGroup(1, (5,))
     assert element_order(P, (0, 2)) == 5

@@ -5,6 +5,7 @@ import pytest
 from ncsurf.lattice import (
     DivClass,
     LatticeSignature,
+    SignatureMismatch,
     basis_e,
     basis_f,
     basis_s,
@@ -80,6 +81,13 @@ def test_reflect_requires_root():
     sig = LatticeSignature(1, "even")
     with pytest.raises(ValueError):
         reflect(basis_f(sig), basis_e(sig, 1))  # e1^2 = -1, not a root
+    # reflect_surface checks the root when no cached Gram row is passed
+    S = m2_generic()
+    odd = LatticeSignature(2, "odd")
+    with pytest.raises(ValueError):
+        reflect_surface(S, basis_e(S.sig, 1))
+    with pytest.raises(SignatureMismatch):
+        reflect_surface(S, basis_e(odd, 1) - basis_e(odd, 2))
 
 
 def test_elementary_transformation_values():
