@@ -109,6 +109,19 @@ def _grading_class(S):
     subtraction step in the cone loop then strictly lowers the grade, which
     bounds the loop even on the infinite reflection groups."""
     sig = S.sig
+    drop = 0  # most negative fiber coefficient among horizontal components
+    for comp in S.components:
+        if intersect(comp.cls, basis_f(sig)) != 0:
+            drop = max(drop, -comp.cls.coeffs[1])
+    A = _signature_grading(sig, drop)
+    if not all(intersect(A, comp.cls) >= 1 for comp in S.components):
+        raise InvariantViolation("grading class fails to dominate the components")
+    return A
+
+
+@lru_cache(maxsize=None)
+def _signature_grading(sig, drop):
+    """The grading class of a fiber drop, checked against the roots and extras of sig."""
     m = sig.m
     # A = a*s + b*f - sum(c_i e_i); geometric weights c_i = 2^(m-i) make
     # each weight beat the sum of all later ones, so A dominates every
@@ -116,16 +129,11 @@ def _grading_class(S):
     cs = [2 ** (m - i) for i in range(1, m + 1)]
     total_c = sum(cs)
     a = 2 + total_c
-    drop = 0  # most negative fiber coefficient among horizontal components
-    for comp in S.components:
-        if intersect(comp.cls, basis_f(sig)) != 0:
-            drop = max(drop, -comp.cls.coeffs[1])
     b = a * (1 + drop) + 1 + total_c
     A = _new((a, b) + tuple(-c for c in cs), sig)
     _, roots, extras = _root_rows(sig)
-    gens = [x for x, _ in roots + extras] + [comp.cls for comp in S.components]
-    if not all(intersect(A, x) >= 1 for x in gens):
-        raise InvariantViolation("grading class fails to dominate the effective generators")
+    if not all(_dot(row, A.coeffs) >= 1 for _, row in roots + extras):
+        raise InvariantViolation("grading class fails to dominate the simple roots and extras")
     return A
 
 
@@ -148,21 +156,16 @@ def _blocked_subtraction(cur_S, cur_D, alpha):
     return alpha
 
 
-def _effective_classes(S, Da, t, against=None):
+def _effective_classes(S, Da, t):
     """The formal -1-classes, then the effective roots, with pairing t
-    against Da; with `against`, only those pairing negatively with it (tested
-    before the costlier effectiveness test)."""
+    against Da."""
     sig = S.sig
     K = canonical_class(sig)
-
-    def keep(x):
-        return against is None or intersect(against, x) < 0
-
     for x in latenum.classes_with_pairing(sig, Da, t, -1):
-        if intersect(x, K) == -1 and keep(x) and in_neg1_orbit(sig, x):
+        if intersect(x, K) == -1 and in_neg1_orbit(sig, x):
             yield x
     for x in latenum.classes_with_pairing(sig, Da, t, -2):
-        if intersect(x, K) == 0 and keep(x) and is_root_effective(S, x)[0]:
+        if intersect(x, K) == 0 and is_root_effective(S, x)[0]:
             yield x
 
 
@@ -176,11 +179,15 @@ def _negative_witness(S, D):
     for x in cands:
         if intersect(D, x) < 0:
             return x
-    rho = latenum.chamber_interior_class(sig)
+    row = _row(sig, D.coeffs)
     bound = 4 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
     for t in range(1, bound + 1):
-        for x in _effective_classes(S, rho, t, against=D):
-            return x
+        for sq in (-1, -2):
+            for x in latenum._reference_shell(sig, t, sq):
+                if _dot(row, x) < 0:
+                    x = _new(x, sig)
+                    if sq == -1 or is_root_effective(S, x)[0]:
+                        return x
     return None
 
 

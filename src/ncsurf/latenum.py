@@ -6,9 +6,11 @@ arithmetic."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import snf
-from .lattice import _new, canonical_class, intersect
+from .lattice import _dot, _new, _row, canonical_class, intersect
+from .weyl import in_neg1_orbit
 
 
 def _gram(sig):
@@ -145,17 +147,31 @@ def chamber_interior_class(sig):
     return _new(coeffs, sig)
 
 
+@lru_cache(maxsize=None)
+def _reference_shell(sig, t, sq):
+    """The classes x with x.rho = t for rho = chamber_interior_class(sig), as
+    coefficient tuples in classes_with_pairing's order: for sq = -1 the
+    -1-classes in the reflection orbit of e_m, for sq = -2 the roots.  Cached,
+    since the nef-witness and irreducibility searches scan the same shells."""
+    K = canonical_class(sig)
+    out = []
+    for x in classes_with_pairing(sig, chamber_interior_class(sig), t, sq):
+        # rational curve classes: x.K = -2 - x^2 by adjunction
+        if intersect(x, K) == -2 - sq and (sq == -2 or in_neg1_orbit(sig, x)):
+            out.append(x.coeffs)
+    return tuple(out)
+
+
 def candidate_roots_pairing_negatively(sig, e):
     """Roots alpha (alpha^2 = -2, alpha.K = 0) that could obstruct the
     irreducibility of an effective class e: bounded by pairing against a nef
     reference class, since an irreducible effective obstruction must appear in
     an effective decomposition of e."""
-    Da = chamber_interior_class(sig)
-    K = canonical_class(sig)
-    bound = intersect(e, Da)
-    out = []
-    for t in range(0, bound + 1):
-        for alpha in classes_with_pairing(sig, Da, t, -2):
-            if intersect(alpha, K) == 0 and intersect(e, alpha) < 0:
-                out.append(alpha)
-    return out
+    bound = intersect(e, chamber_interior_class(sig))
+    row = _row(sig, e.coeffs)
+    return [
+        _new(alpha, sig)
+        for t in range(0, bound + 1)
+        for alpha in _reference_shell(sig, t, -2)
+        if _dot(row, alpha) < 0
+    ]

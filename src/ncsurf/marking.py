@@ -329,7 +329,7 @@ def is_neg1_irreducible(S, e):
     """True when no effective root and no other component pairs negatively
     with e."""
     _check_neg1(S, e)
-    from . import latenum  # local import; latenum depends on lattice only
+    from . import latenum  # local import: latenum imports weyl, which imports marking
 
     for comp in S.components:
         if comp.cls != e and intersect(e, comp.cls) < 0:

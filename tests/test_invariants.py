@@ -13,6 +13,7 @@ import pytest
 from ncsurf import cli, cones, presets, sections, snf, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
+    _row,
     InvariantViolation,
     LatticeSignature,
     basis_e,
@@ -71,6 +72,21 @@ def test_effective_certificate_sum_is_checked(monkeypatch):
     monkeypatch.setattr(cones, "_pull_back", lambda x, word: tuple(c + 1 for c in x))
     with pytest.raises(InvariantViolation):
         cones.effective_cert(S, D)
+
+
+def test_grading_class_checks_are_explicit(monkeypatch):
+    S = m2_generic()
+    sig = S.sig
+    roots, walk, extras = weyl._root_rows(sig)
+    neg_f = -basis_f(sig)  # a generator no grading class can dominate
+    monkeypatch.setattr(cones, "_root_rows", lambda s: (roots, walk, extras + ((neg_f, _row(sig, neg_f.coeffs)),)))
+    cones._grading_class.cache_clear()
+    cones._signature_grading.cache_clear()
+    with pytest.raises(InvariantViolation, match="simple roots"):
+        cones._grading_class(S)
+    monkeypatch.setattr(cones, "_signature_grading", lambda s, drop: zero_class(s))
+    with pytest.raises(InvariantViolation, match="components"):
+        cones._grading_class(S)
 
 
 def test_cli_maps_invariant_violation_to_exit_3(capsys, monkeypatch):
