@@ -343,6 +343,10 @@ def _run(args):
     cmd = args.cmd
 
     if cmd == "opcheck":
+        try:
+            opcases.check_args(args.case, args.prime, args.trials)
+        except (KeyError, ValueError) as e:
+            raise InputError(e.args[0])
         rep = opcases.run_case(
             args.case,
             prime=args.prime,

@@ -8,7 +8,7 @@ prime fields, and in symbolic mode, the comparison is exact."""
 from dataclasses import dataclass, field as dc_field
 import random
 
-from sympy import GF, QQ
+from sympy import GF, QQ, isprime
 from sympy.polys.fields import field as frac_field
 
 from .ore import OreAlgebra, subs_gen
@@ -42,15 +42,19 @@ class Report:
 
 def _fr_eq(a, b):
     # FracElement equality is structural (unit factors are not cancelled);
-    # compare by subtraction instead
-    return not (a - b)
+    # compare by cross-multiplication instead, which takes no gcd
+    return a.numer * b.denom == b.numer * a.denom
+
+
+def _inv(x, P=P61):
+    return pow(x, -1, P)
 
 
 def _coeff_mod(c, P):
     num = getattr(c, "numerator", None)
     if num is None:
         return int(c) % P
-    return int(c.numerator) % P * pow(int(c.denominator) % P, P - 2, P) % P
+    return int(c.numerator) % P * _inv(int(c.denominator) % P, P) % P
 
 
 def _eval_poly_mod(poly, vals, P):
@@ -71,7 +75,7 @@ def _eval_frac_mod(g, vals, P):
     if den == 0:
         return None
     num = _eval_poly_mod(g.numer, vals, P)
-    return num * pow(den, P - 2, P) % P
+    return num * _inv(den, P) % P
 
 
 def identity_check(lhs, rhs, trials=2, seed=0, symbolic=False):
@@ -201,15 +205,16 @@ def _case_middle_convolution(prime, trials, seed, symbolic):
 
 
 def _rand_ratfunc(F, z, rng, p):
+    x = z.numer  # built in F.ring, cancelled once
     while True:
-        num = sum(F.one * rng.randrange(p) * z ** k for k in range(4))
-        den = sum(F.one * rng.randrange(p) * z ** k for k in range(3))
+        num = sum((rng.randrange(p) * x ** k for k in range(4)), F.ring.zero)
+        den = sum((rng.randrange(p) * x ** k for k in range(3)), F.ring.zero)
         if den:
-            return num / den
+            return F.new(num, den)
 
 
 def _case_frobenius_power(prime, trials, seed, symbolic):
-    p = prime or 5
+    p = 5 if prime is None else prime
     F, z = frac_field("z", GF(p))
     alg = OreAlgebra(F, "diff")
     D = alg.S(1)
@@ -224,7 +229,7 @@ def _case_frobenius_power(prime, trials, seed, symbolic):
 
 
 def _case_tau_invariance(prime, trials, seed, symbolic):
-    p = prime or 3
+    p = 3 if prime is None else prime
     F, u = frac_field("u", GF(p))
     alg = OreAlgebra(F, "diff")
     D = alg.S(1)
@@ -253,7 +258,7 @@ def _case_tau_invariance(prime, trials, seed, symbolic):
 
 
 def _case_additive_product(prime, trials, seed, symbolic):
-    p = prime or 3
+    p = 3 if prime is None else prime
     rng = random.Random(seed)
     checks = []
     for n in (1, 2, 3):
@@ -282,18 +287,16 @@ def _case_additive_product(prime, trials, seed, symbolic):
 # -------- span4_qdiff: direct modular arithmetic on composition coefficients
 
 
-def _inv(x, P=P61):
-    return pow(x, P - 2, P)
+def _m_u(x, ix, u, iu, P=P61):
+    """m_u(x) = x + 1/x - u - 1/u, given ix = 1/x and iu = 1/u."""
+    return (x + ix - u - iu) % P
 
 
-def _m_u(z, u, P=P61):
-    return (z + _inv(z) - u - _inv(u)) % P
-
-
-def _dq_coeffs(z, c, v, P=P61):
-    """(coefficient of T^{1/2}, coefficient of T^{-1/2}) of D_q(c v^{+-1})."""
-    plus = (c * z + _inv(c * z % P) - v - _inv(v)) % P * _inv((_inv(z) - z) % P) % P
-    minus = (c * _inv(z) + z * _inv(c) - v - _inv(v)) % P * _inv((z - _inv(z)) % P) % P
+def _dq_coeffs(z, iz, w, c, ic, v, iv, P=P61):
+    """(coefficient of T^{1/2}, coefficient of T^{-1/2}) of D_q(c v^{+-1}),
+    given the inverses iz, ic, iv of z, c, v and w = 1/(1/z - z)."""
+    plus = (c * z + ic * iz - v - iv) * w % P
+    minus = (c * iz + z * ic - v - iv) * (P - w) % P
     return plus, minus
 
 
@@ -328,6 +331,11 @@ def _case_span4_qdiff(prime, trials, seed, symbolic):
     for t in range(max(trials, 1)):
         r, c, u1, u2, v1, v2 = (rng.randrange(2, P) for _ in range(6))
         zs = [rng.randrange(2, P) for _ in range(6)]
+        # every inverse the draw needs, each computed once
+        inv = {x: _inv(x, P) for x in (r, c, u1, u2, v1, v2, *zs)}
+        ir, ic = inv[r], inv[c]
+        rc, irc = r * c % P, ir * ic % P
+        ws = {z: _inv((inv[z] - z) % P, P) for z in zs}
         famA = []
         famB = []
         for v in (v1, v2):
@@ -335,14 +343,16 @@ def _case_span4_qdiff(prime, trials, seed, symbolic):
                 rowA = []
                 rowB = []
                 for z in zs:
+                    iz, w = inv[z], ws[z]
                     # A: D_q(c v^{+-1}) composed after multiplication by m_u
-                    pl, mi = _dq_coeffs(z, c, v, P)
-                    rowA.append(pl * _m_u(r * z % P, u, P) % P)
-                    rowA.append(mi * _m_u(z * _inv(r, P) % P, u, P) % P)
+                    pl, mi = _dq_coeffs(z, iz, w, c, ic, v, inv[v], P)
+                    rowA.append(pl * _m_u(r * z % P, ir * iz % P, u, inv[u], P) % P)
+                    rowA.append(mi * _m_u(z * ir % P, r * iz % P, u, inv[u], P) % P)
                     # B: multiplication by m_u composed after D_q(r c v^{+-1})
-                    pl2, mi2 = _dq_coeffs(z, r * c % P, v, P)
-                    rowB.append(_m_u(z, u, P) * pl2 % P)
-                    rowB.append(_m_u(z, u, P) * mi2 % P)
+                    pl2, mi2 = _dq_coeffs(z, iz, w, rc, irc, v, inv[v], P)
+                    m = _m_u(z, iz, u, inv[u], P)
+                    rowB.append(m * pl2 % P)
+                    rowB.append(m * mi2 % P)
                 famA.append(rowA)
                 famB.append(rowB)
         ra = _rank_mod(famA, P)
@@ -397,9 +407,19 @@ CASES = {
 }
 
 
-def run_case(case_id, prime=None, trials=2, seed=0, symbolic=False):
+def check_args(case_id, prime=None, trials=2):
+    """Raise KeyError for an unknown case and ValueError for a prime that is
+    not a prime number or a negative trial count."""
     if case_id not in CASES:
         raise KeyError(
             "unknown case %r (have: %s)" % (case_id, ", ".join(sorted(CASES)))
         )
+    if prime is not None and not (isinstance(prime, int) and isprime(prime)):
+        raise ValueError("prime must be a prime number, not %r" % (prime,))
+    if not isinstance(trials, int) or trials < 0:
+        raise ValueError("trials must be a nonnegative integer, not %r" % (trials,))
+
+
+def run_case(case_id, prime=None, trials=2, seed=0, symbolic=False):
+    check_args(case_id, prime, trials)
     return CASES[case_id](prime, trials, seed, symbolic)

@@ -3,28 +3,121 @@
 An operator is a finite sum sum_k c_k(z) S^k where the generator S acts on
 functions by a twist sigma (q-scaling or additive shift of z) or by d/dz.
 Multiplication realizes S.g = sigma(g).S (twist kinds) or S.g = g.S + g'
-(differential kind)."""
+(differential kind).
+
+Coefficients are kept localised, one representation for every kind and
+domain: a numerator N in the polynomial ring F.ring over a factored
+denominator prod b_i^e_i that is never reduced.  The bases b_i are monic
+(a constant factor goes to the numerator) and are compared by equality
+only.  A sum lifts both sides to the larger exponent of each base, a
+product adds exponents, the derivative follows the quotient rule
+(N / b^e)' = (N' b - e N b') / b^(e+1), a twist substitutes into N and
+into each base, and an element is zero exactly when its numerator is.
+None of this takes a gcd, and degrees grow linearly along a derivative
+chain.  FracElements appear only at the boundary: the arguments of `op`,
+`mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in,
+and `terms`, `coeff`, `lead`, `sigma`, `delta` and `apply` cancel each
+result once, with `FracField.new`, on the way out."""
 
 from math import comb
 
 
+def _strip(poly):
+    # PolyElement.diff over GF(p) keeps monomials whose coefficient became 0
+    poly.strip_zero()
+    return poly
+
+
+def _subs(P, index, vn, vd):
+    """(P(z -> vn/vd) * vd^d, d) for the polynomial P, where z is the ring
+    generator of that index and d is P's degree in z."""
+    ring = P.ring
+    groups = {}
+    for monom, coeff in P.iterterms():
+        rest = monom[:index] + (0,) + monom[index + 1:]
+        groups.setdefault(monom[index], {})[rest] = coeff
+    d = max(groups, default=0)
+    vpow, dpow = [ring.one], [ring.one]
+    for _ in range(d):
+        vpow.append(vpow[-1] * vn)
+        dpow.append(dpow[-1] * vd)
+    out = ring.zero
+    for j, terms in groups.items():
+        out += ring.from_dict(terms) * vpow[j] * dpow[d - j]
+    return out, d
+
+
 def subs_gen(F, g, index, val):
     """Substitute the field generator F.gens[index] by the field element val
-    in the FracElement g (term-wise; handles fractional val)."""
-    return _subs_poly(F, g.numer, index, val) / _subs_poly(F, g.denom, index, val)
+    in the FracElement g."""
+    vn, vd = val.numer, val.denom
+    num, dn = _subs(g.numer, index, vn, vd)
+    den, dd = _subs(g.denom, index, vn, vd)
+    if dn > dd:
+        den *= vd ** (dn - dd)
+    else:
+        num *= vd ** (dd - dn)
+    return F.new(num, den)
 
 
-def _subs_poly(F, p, index, val):
-    gens = [F(x) for x in F.gens]
-    gens[index] = val
-    out = F.zero
-    for monom, coeff in p.terms():
-        term = F.one * coeff
-        for base, k in zip(gens, monom):
-            if k:
-                term = term * base ** k
-        out = out + term
-    return out
+class _Loc:
+    """num / prod(b**e for b, e in den.items()); den is empty when num is 0
+    and is never changed in place."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den if num else {}
+
+
+def _lift(x, den):
+    """x's numerator over den, a multiple of x's denominator."""
+    num = x.num
+    for b, e in den.items():
+        k = e - x.den.get(b, 0)
+        if k:
+            num = num * b ** k
+    return num
+
+
+def _add(x, y):
+    if not x.num:
+        return y
+    if not y.num:
+        return x
+    if x.den == y.den:
+        return _Loc(x.num + y.num, x.den)
+    den = dict(x.den)
+    for b, e in y.den.items():
+        if e > den.get(b, 0):
+            den[b] = e
+    return _Loc(_lift(x, den) + _lift(y, den), den)
+
+
+def _mul(x, y, k=1):
+    """k * x * y for an integer k."""
+    num = x.num * y.num
+    if k != 1:
+        num = num * k
+    if not (x.den and y.den):
+        return _Loc(num, x.den or y.den)
+    den = dict(x.den)
+    for b, e in y.den.items():
+        den[b] = den.get(b, 0) + e
+    return _Loc(num, den)
+
+
+def _acc(out, k, x):
+    """out[k] += x in a dict of coefficients."""
+    if x.num:
+        out[k] = _add(out[k], x) if k in out else x
+
+
+def _monic(poly):
+    """(leading coefficient, monic associate) of a nonzero polynomial."""
+    lc = poly.LC
+    return lc, (poly if lc == 1 else poly.monic())
 
 
 class OreAlgebra:
@@ -41,27 +134,89 @@ class OreAlgebra:
         self.step = step
         self.z_index = z_index
         self.z = F(F.gens[z_index])
+        self._gen = F.ring.gens[z_index]
+        self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
 
+    # -------------------------------------------- the localised boundary
+    def _loc(self, g):
+        g = self.F(g)
+        lc, base = _monic(g.denom)
+        num = g.numer if lc == 1 else g.numer.quo_ground(lc)
+        return _Loc(num, {} if base == 1 else {base: 1})
+
+    def _frac(self, x):
+        den = self.F.ring.one
+        for b, e in x.den.items():
+            den *= b ** e
+        return self.F.new(x.num, den)
+
+    # --------------------------------------------- localised sigma, delta
+    def _shift(self, power):
+        hit = self._shifts.get(power)
+        if hit is None:
+            if self.kind == "ashift":
+                val = self.z + power * self.step
+            elif power >= 0:
+                val = self.step ** power * self.z
+            else:
+                val = self.z / self.step ** (-power)
+            lc, vd = _monic(val.denom)
+            hit = self._shifts[power] = (val.numer.quo_ground(lc), vd)
+        return hit
+
+    def _sigma(self, x, power):
+        """sigma^power(x) = N(val) / prod b(val)^e with val = vn/vd; every
+        factor vd^deg is collected in one power of vd."""
+        if power == 0 or not x.num:
+            return x
+        vn, vd = self._shift(power)
+        num, excess = _subs(x.num, self.z_index, vn, vd)
+        den = {}
+        for b, e in x.den.items():
+            img, d = _subs(b, self.z_index, vn, vd)
+            lc, img = _monic(img)
+            if lc != 1:
+                num = num.quo_ground(lc ** e)
+            den[img] = den.get(img, 0) + e
+            excess -= d * e
+        if excess > 0 and vd != 1:
+            den[vd] = den.get(vd, 0) + excess
+        elif excess < 0:
+            num = num * vd ** -excess
+        return _Loc(num, den)
+
+    def _diff(self, x):
+        """x' = N'/prod b^e - sum e N b'/(b^(e+1) prod_others); the sum
+        lifts everything to one more power of each base that depends on z."""
+        gen = self._gen
+        out = _Loc(_strip(x.num.diff(gen)), x.den)
+        for b, e in x.den.items():
+            db = _strip(b.diff(gen))
+            if db:
+                den = dict(x.den)
+                den[b] = e + 1
+                out = _add(out, _Loc(x.num * db * -e, den))
+        return out
+
+    def _chain(self, x, order):
+        """[x, x', ..., x^(order)], cut after the first zero."""
+        out = [x]
+        while len(out) <= order and out[-1].num:
+            out.append(self._diff(out[-1]))
+        return out
+
+    # ------------------------------------------------ public, FracElements
     def sigma(self, g, power=1):
         if power == 0 or self.kind == "diff":
             return g
-        if self.kind == "ashift":
-            val = self.z + power * self.step
-        elif power >= 0:
-            val = self.step ** power * self.z
-        else:
-            val = self.z / self.step ** (-power)
-        return subs_gen(self.F, g, self.z_index, val)
+        return self._frac(self._sigma(self._loc(g), power))
 
     def delta(self, g, order=1):
-        x = self.F.gens[self.z_index]
-        for _ in range(order):
-            g = g.diff(x)
-        return g
+        return self._frac(self._chain(self._loc(g), order)[-1])
 
     # operator constructors
     def op(self, terms):
-        return OreOp(self, {k: self.F.one * c for k, c in terms.items() if c})
+        return OreOp(self, terms)
 
     def S(self, k=1):
         if self.kind == "diff" and k < 0:
@@ -79,9 +234,27 @@ class OreAlgebra:
 
 
 class OreOp:
+    """sum_k c_k S^k.  terms maps k to anything the field F accepts; the
+    coefficients are stored localised (see the module docstring)."""
+
     def __init__(self, alg, terms):
         self.alg = alg
-        self.terms = {k: c for k, c in terms.items() if c}
+        self._c = {}
+        for k, c in terms.items():
+            x = alg._loc(c)
+            if x.num:
+                self._c[k] = x
+
+    @classmethod
+    def _of(cls, alg, coeffs):
+        op = cls.__new__(cls)
+        op.alg = alg
+        op._c = {k: x for k, x in coeffs.items() if x.num}
+        return op
+
+    @property
+    def terms(self):
+        return {k: self.alg._frac(x) for k, x in self._c.items()}
 
     def _check(self, other):
         if other.alg is not self.alg:
@@ -89,41 +262,39 @@ class OreOp:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, self.alg.F.zero) + c
-        return OreOp(self.alg, out)
+        out = dict(self._c)
+        for k, x in other._c.items():
+            _acc(out, k, x)
+        return OreOp._of(self.alg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return OreOp(self.alg, {k: -c for k, c in self.terms.items()})
+        return OreOp._of(self.alg, {k: _Loc(-x.num, x.den) for k, x in self._c.items()})
 
     def scale(self, g):
         """Left multiplication by the function g."""
-        return OreOp(self.alg, {k: g * c for k, c in self.terms.items()})
+        g = self.alg._loc(g)
+        return OreOp._of(self.alg, {k: _mul(g, x) for k, x in self._c.items()})
 
     def __mul__(self, other):
         self._check(other)
         alg = self.alg
         out = {}
-
-        def acc(k, c):
-            if c:
-                out[k] = out.get(k, alg.F.zero) + c
-
         if alg.kind == "diff":
-            for i, a in self.terms.items():
-                for j, b in other.terms.items():
+            top = max(self._c, default=0)
+            for j, b in other._c.items():
+                chain = alg._chain(b, top)
+                for i, a in self._c.items():
                     # S^i.b = sum_t C(i,t) b^(t) S^(i-t)
-                    for t in range(i + 1):
-                        acc(i - t + j, comb(i, t) * a * alg.delta(b, t))
+                    for t in range(min(i + 1, len(chain))):
+                        _acc(out, i - t + j, _mul(a, chain[t], comb(i, t)))
         else:
-            for i, a in self.terms.items():
-                for j, b in other.terms.items():
-                    acc(i + j, a * alg.sigma(b, i))
-        return OreOp(self.alg, out)
+            for i, a in self._c.items():
+                for j, b in other._c.items():
+                    _acc(out, i + j, _mul(a, alg._sigma(b, i)))
+        return OreOp._of(alg, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -135,22 +306,26 @@ class OreOp:
 
     def apply(self, g):
         alg = self.alg
-        out = alg.F.zero
-        for k, c in self.terms.items():
-            if alg.kind == "diff":
-                out = out + c * alg.delta(g, k)
-            else:
-                out = out + c * alg.sigma(g, k)
-        return out
+        g = alg._loc(g)
+        if alg.kind == "diff":
+            chain = alg._chain(g, max(self._c, default=0))
+            parts = (_mul(x, chain[k]) for k, x in self._c.items() if k < len(chain))
+        else:
+            parts = (_mul(x, alg._sigma(g, k)) for k, x in self._c.items())
+        out = _Loc(alg.F.ring.zero, {})
+        for part in parts:
+            out = _add(out, part)
+        return alg._frac(out)
 
     def coeff(self, k):
-        return self.terms.get(k, self.alg.F.zero)
+        x = self._c.get(k)
+        return self.alg.F.zero if x is None else self.alg._frac(x)
 
     def support(self):
-        return sorted(self.terms)
+        return sorted(self._c)
 
     def is_zero(self):
-        return not self.terms
+        return not self._c
 
     def __eq__(self, other):
         if not isinstance(other, OreOp):
@@ -161,13 +336,13 @@ class OreOp:
         raise TypeError("operators are mutable-style values; not hashable")
 
     def degree(self):
-        return max(self.terms) if self.terms else None
+        return max(self._c) if self._c else None
 
     def lead(self):
-        return self.terms[max(self.terms)] if self.terms else self.alg.F.zero
+        return self.coeff(max(self._c)) if self._c else self.alg.F.zero
 
     def __repr__(self):
-        if not self.terms:
+        if not self._c:
             return "OreOp(0)"
         return "OreOp(" + " + ".join(
             "(%s)*S^%d" % (c, k) for k, c in sorted(self.terms.items())

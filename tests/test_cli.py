@@ -127,6 +127,23 @@ def test_exit_code_2_input_errors(capsys, tmp_path):
     assert rc == 2 and "missing key" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("weyl", "--trials", "-1"),
+        ("weyl", "--prime", "0"),
+        ("frobenius_power", "--prime", "1"),
+        ("frobenius_power", "--prime", "4"),
+        ("tau_invariance", "--prime", "9"),
+        ("additive_product", "--prime", "4"),
+        ("no_such_case",),
+    ],
+)
+def test_opcheck_bad_arguments_exit_2(capsys, argv):
+    rc, out, err = run(capsys, "opcheck", "run", *argv)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_exit_code_3_internal_error(capsys, monkeypatch):
     def boom(*a, **k):
         raise UnclassifiedState({"state": "synthetic"})

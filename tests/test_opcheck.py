@@ -1,7 +1,8 @@
 import random
+from math import comb
 
 import pytest
-from sympy import QQ
+from sympy import GF, QQ
 from sympy.polys.fields import field as frac_field
 
 from ncsurf.opcases import CASES, Report, identity_check, run_case
@@ -156,3 +157,220 @@ def test_algebra_argument_validation():
     alg = OreAlgebra(F, "diff")
     with pytest.raises(ValueError):
         alg.S(-1)
+
+
+# ------------------------------------------------------- argument checks
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(trials=-1),
+        dict(prime=0),
+        dict(prime=1),
+        dict(prime=4),
+        dict(prime=9),
+    ],
+)
+@pytest.mark.parametrize("case", ["weyl", "frobenius_power", "additive_product", "tau_invariance"])
+def test_run_case_rejects_bad_arguments(case, kwargs):
+    # prime=1 used to loop forever drawing a nonzero denominator, 4 and 9
+    # crashed or (additive_product) reported a false counterexample, 0 ran
+    # as the default prime, and negative trials gave p_fail > 1
+    with pytest.raises(ValueError):
+        run_case(case, **kwargs)
+
+
+# ------------------------------------------- reference Ore arithmetic
+# The FracElement arithmetic that the localised coefficients replaced: every
+# coefficient is a cancelled FracElement, sigma substitutes term by term and
+# delta differentiates one order at a time.
+
+
+def _ref_subs(F, g, index, val):
+    def subs_poly(p):
+        gens = [F(x) for x in F.gens]
+        gens[index] = val
+        out = F.zero
+        for monom, coeff in p.terms():
+            term = F.one * coeff
+            for base, k in zip(gens, monom):
+                if k:
+                    term = term * base ** k
+            out = out + term
+        return out
+
+    return subs_poly(g.numer) / subs_poly(g.denom)
+
+
+def _ref_sigma(alg, g, power):
+    if power == 0 or alg.kind == "diff":
+        return g
+    if alg.kind == "ashift":
+        val = alg.z + power * alg.step
+    elif power >= 0:
+        val = alg.step ** power * alg.z
+    else:
+        val = alg.z / alg.step ** (-power)
+    return _ref_subs(alg.F, g, alg.z_index, val)
+
+
+def _ref_delta(alg, g, order):
+    for _ in range(order):
+        g = g.diff(alg.F.gens[alg.z_index])
+    return g
+
+
+def _ref_mul(alg, A, B):
+    out = {}
+
+    def acc(k, c):
+        if c:
+            out[k] = out.get(k, alg.F.zero) + c
+
+    if alg.kind == "diff":
+        for i, a in A.items():
+            for j, b in B.items():
+                for t in range(i + 1):
+                    acc(i - t + j, comb(i, t) * a * _ref_delta(alg, b, t))
+    else:
+        for i, a in A.items():
+            for j, b in B.items():
+                acc(i + j, a * _ref_sigma(alg, b, i))
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_apply(alg, A, g):
+    out = alg.F.zero
+    for k, c in A.items():
+        if alg.kind == "diff":
+            out = out + c * _ref_delta(alg, g, k)
+        else:
+            out = out + c * _ref_sigma(alg, g, k)
+    return out
+
+
+def _assert_same(op, ref):
+    assert op.support() == sorted(ref)
+    for k, c in ref.items():
+        assert not (op.coeff(k) - c), (k, op.coeff(k), c)
+
+
+def _ore_settings():
+    """(label, field, its generators, algebra, denominator pool)."""
+    out = []
+    F, z, u = frac_field("z, u", QQ)
+    pool = [F.one, F.one, z + u, z + u, (z + u) ** 2, z ** 2 + u, (z + u) * (z ** 2 + u), u + 2, F.one * 3]
+    for label, kw in (
+        ("diff", dict(kind="diff")),
+        ("diff in u", dict(kind="diff", z_index=1)),
+        ("ashift 1", dict(kind="ashift", step=F.one)),
+        ("ashift u", dict(kind="ashift", step=u)),
+        ("ashift 1/u", dict(kind="ashift", step=1 / u)),
+        ("qshift u", dict(kind="qshift", step=u)),
+        ("qshift 1/3", dict(kind="qshift", step=F.one / 3)),
+    ):
+        out.append(("QQ(z,u) " + label, F, (z, u), OreAlgebra(F, **kw), pool))
+    for p in (2, 3, 5):
+        F, z = frac_field("z", GF(p))
+        pool = [F.one, F.one, z + 1, z + 1, (z + 1) ** 2, z ** 2 + z + 1, z ** p + 1]
+        if p > 2:
+            pool.append(F.one * 2)  # a constant denominator
+        for label, kw in (
+            ("diff", dict(kind="diff")),
+            ("ashift 1", dict(kind="ashift", step=F.one)),
+            ("qshift 2", dict(kind="qshift", step=F.one * (1 if p == 2 else 2))),
+        ):
+            out.append(("GF(%d)(z) %s" % (p, label), F, (z,), OreAlgebra(F, **kw), pool))
+    return out
+
+
+def _rand_coeff(F, gens, pool, rng):
+    num = F.zero
+    for _ in range(rng.randint(1, 3)):
+        mono = F.one * rng.randint(-3, 3)
+        for g in gens:
+            mono = mono * g ** rng.randint(0, 2)
+        num = num + mono
+    return num / rng.choice(pool)
+
+
+def _rand_terms(alg, gens, pool, rng):
+    lo = 0 if alg.kind == "diff" else -1  # twists take negative powers
+    return {k: _rand_coeff(alg.F, gens, pool, rng) for k in range(lo, rng.randint(lo + 1, 2) + 1)}
+
+
+@pytest.mark.parametrize("setting", _ore_settings(), ids=lambda s: s[0])
+def test_product_matches_fracelement_reference(setting):
+    label, F, gens, alg, pool = setting
+    rng = random.Random(label)
+    for _ in range(4):
+        A = _rand_terms(alg, gens, pool, rng)
+        B = _rand_terms(alg, gens, pool, rng)
+        opA, opB = alg.op(A), alg.op(B)
+        _assert_same(opA, {k: c for k, c in A.items() if c})
+        AB = _ref_mul(alg, A, B)
+        _assert_same(opA * opB, AB)
+        # a right factor whose coefficients carry several bases
+        C = _rand_terms(alg, gens, pool, rng)
+        _assert_same(alg.op(C) * (opA * opB), _ref_mul(alg, C, AB))
+        _assert_same(opA + opB - opB, {k: c for k, c in A.items() if c})
+        g = _rand_coeff(F, gens, pool, rng)
+        _assert_same(opA.scale(g), {k: g * c for k, c in A.items() if g * c})
+        assert not (opA.apply(g) - _ref_apply(alg, A, g))
+        for n in range(-1, 3):
+            if alg.kind != "diff":
+                assert not (alg.sigma(g, n) - _ref_sigma(alg, g, n))
+        for n in range(5):
+            assert not (alg.delta(g, n) - _ref_delta(alg, g, n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_char_p_derivative_of_pth_power_is_zero(p):
+    # PolyElement.diff over GF(p) keeps the zero coefficient of d/du u^p
+    F, u = frac_field("u", GF(p))
+    alg = OreAlgebra(F, "diff")
+    D = alg.S(1)
+    assert not alg.delta(u ** p)
+    for g in (u ** p, 1 / (u ** p + 1), u / (u ** p + 1)):
+        M = alg.mult(g)
+        assert D * M == M * D + alg.mult(alg.delta(g))
+    M = alg.mult(u ** p)
+    assert D * M == M * D
+    assert (D * M - M * D).is_zero()
+
+
+def _rand_ratfunc_nonconst(F, z, rng, p):
+    while True:
+        num = sum(F.one * rng.randrange(p) * z ** k for k in range(4))
+        den = z ** rng.randint(1, 2) + rng.randrange(p)
+        if num:
+            return num / den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_katz_p_curvature_oracle(p):
+    # Katz: the p-curvature of D + f is A_p with A_1 = f and
+    # A_(k+1) = A_k' + f A_k, computed here in plain FracElement arithmetic;
+    # it is the S^0 coefficient of (D + f)^p, and by Jacobson's formula it is
+    # f^p plus the (p-1)-th derivative of f
+    F, z = frac_field("z", GF(p))
+    x = F.gens[0]
+    alg = OreAlgebra(F, "diff")
+    D = alg.S(1)
+    rng = random.Random(1000 + p)
+    for _ in range(4):
+        f = _rand_ratfunc_nonconst(F, z, rng, p)
+        A = f
+        for _ in range(p - 1):
+            A = A.diff(x) + f * A
+        dp = f
+        for _ in range(p - 1):
+            dp = dp.diff(x)
+        assert not (A - (f ** p + dp))
+        L = (D + alg.mult(f)) ** p
+        assert not (L.coeff(0) - A)
+        for k in range(1, p):
+            assert not L.coeff(k)
+        assert not (L.coeff(p) - 1)
+        assert L.support() == ([0, p] if A else [p])
