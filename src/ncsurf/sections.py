@@ -3,6 +3,7 @@ dimensions between line bundles, acyclicity / global generation tests, and
 the closed-form moduli dimension formulas."""
 
 from dataclasses import dataclass
+from math import prod
 from operator import sub
 
 from .lattice import (
@@ -50,27 +51,29 @@ def _lambda_q_order(S):
     P = S.marking
     lamQ = S.lam_of(anticanonical_class(S.sig))
     acc = P.zero()
-    for k in range(1, 1 + _group_exponent_bound(P)):
+    for k in range(1, 1 + prod(P.torsion)):
         acc = P.add(acc, lamQ)
         if cyclic_membership(P, acc, S.q) is not None:
             return k
     return None
 
 
-def _group_exponent_bound(P):
-    b = 1
-    for n in P.torsion:
-        b = b * n
-    return b
-
-
 def dim_gamma(S, D, trace=None):
-    """dim Gamma of a line bundle of class D (rational surfaces only)."""
+    """dim Gamma of a line bundle of class D (rational surfaces only).
+
+    Effectiveness is decided on entry; these steps keep h^0, and so keep it:
+    - subtract a component pairing negatively: it is a fixed component;
+    - subtract a terminal -1-class pairing negatively: likewise fixed;
+    - reflect at an ineffective root: an isomorphism of marked surfaces;
+    - partial step at an effective root: the copies of the root it removes
+      are fixed, by the twist the case split selects;
+    - pass to D - Q when lambda(D) is nontrivial: restriction to Q has no sections.
+    The reflection at an effective root can leave the cone (s - f on f2_type)
+    and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q)."""
     sig = S.sig
     if sig.genera != (0, 0):
         raise ValueError("section dimensions are computed for rational surfaces only")
-    Q = anticanonical_class(sig)
-    q = Q.coeffs
+    q = anticanonical_class(sig).coeffs
     Q_row = _row(sig, q)
     _, roots, extras = _root_rows(sig)  # reflections keep the signature
     cur_S, x = S, _coeffs(D, sig)
@@ -82,12 +85,12 @@ def dim_gamma(S, D, trace=None):
                 render_div(_new(a, sig)) if isinstance(a, tuple) else a for a in args
             ))
 
+    if any(x) and not is_effective(S, D):
+        return 0
     budget = _walk_budget(x, slack=4)
     for _ in range(budget):
         if not any(x):
             return 1
-        if not is_effective(cur_S, _new(x, sig)):
-            return 0
         # components pairing negatively restrict trivially; then the
         # terminal -1-classes
         y = next(
@@ -137,6 +140,8 @@ def dim_gamma(S, D, trace=None):
                 note("reflect %s (effective, twist %d)", alpha.coeffs, l)
                 x = _axpy(x, t, alpha.coeffs)
                 cur_S = reflect_surface(cur_S, alpha, row)
+                if not is_effective(cur_S, _new(x, sig)):
+                    return 0
             continue
         # in the chamber: terminal cases
         dQ = _dot(Q_row, x)
@@ -158,7 +163,7 @@ def dim_gamma(S, D, trace=None):
             return dim_gamma(cur_S, _new(DQ, sig), trace) + 1
         if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form
-            c = _multiple_of(_new(x, sig), Q)
+            c = _multiple_of(x, q)
             l = _lambda_q_order(cur_S)
             if c is not None and l is not None and c % l == 0:
                 return c // l + 1
@@ -172,15 +177,11 @@ def dim_gamma(S, D, trace=None):
     raise BudgetExhausted("section dimension loop", _new(x, sig), budget, budget)
 
 
-def _multiple_of(D, Q):
-    """c with D = c*Q, or None."""
-    for d, q in zip(D.coeffs, Q.coeffs):
-        if q != 0:
-            if d % q:
-                return None
-            c = d // q
-            return c if (c * Q) == D else None
-    return None
+def _multiple_of(x, q):
+    """c with x = c*q for coefficient tuples, q nonzero, or None."""
+    i = next(i for i, a in enumerate(q) if a)
+    c = x[i] // q[i]
+    return c if tuple(c * a for a in q) == x else None
 
 
 def hom_dims(S, D1, D2):

@@ -32,18 +32,21 @@ def _mmul(A, B, p):
     )
 
 
+def _acc(out, k, M, p):
+    """out[k] += M, for M reduced mod p."""
+    out[k] = _madd(out[k], M, p) if k in out else M
+
+
 class TruncSeries:
-    def __init__(self, p, n, prec, coeffs=None):
-        self.p = p
-        self.n = n
-        self.prec = prec
-        self.coeffs = {}
-        if coeffs:
-            for k, M in coeffs.items():
-                if 0 <= k <= prec:
-                    M = tuple(tuple(int(a) % p for a in row) for row in M)
-                    if any(any(row) for row in M):
-                        self.coeffs[k] = M
+    def __init__(self, p, n, prec, coeffs=None, _reduced=False):
+        # _reduced: results the class computes itself, whose matrices are
+        # already reduced mod p and lie at 0 <= k <= prec
+        self.p, self.n, self.prec = p, n, prec
+        coeffs = coeffs or {}
+        if not _reduced:
+            coeffs = {k: tuple(tuple(int(a) % p for a in row) for row in M)
+                      for k, M in coeffs.items() if 0 <= k <= prec}
+        self.coeffs = {k: M for k, M in coeffs.items() if any(map(any, M))}
 
     @classmethod
     def one(cls, p, n, prec):
@@ -55,21 +58,20 @@ class TruncSeries:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, M in other.coeffs.items():
-            out[k] = _madd(out.get(k, _zero(self.n, self.p)), M, self.p)
-        return TruncSeries(self.p, self.n, self.prec, out)
+            _acc(out, k, M, self.p)
+        return TruncSeries(self.p, self.n, self.prec, out, _reduced=True)
 
     def __sub__(self, other):
         neg = {k: _mscale(-1, M, other.p) for k, M in other.coeffs.items()}
-        return self + TruncSeries(other.p, other.n, other.prec, neg)
+        return self + TruncSeries(other.p, other.n, other.prec, neg, _reduced=True)
 
     def __mul__(self, other):
         out = {}
         for i, A in self.coeffs.items():
             for j, B in other.coeffs.items():
                 if i + j <= self.prec:
-                    C = _mmul(A, B, self.p)
-                    out[i + j] = _madd(out.get(i + j, _zero(self.n, self.p)), C, self.p)
-        return TruncSeries(self.p, self.n, self.prec, out)
+                    _acc(out, i + j, _mmul(A, B, self.p), self.p)
+        return TruncSeries(self.p, self.n, self.prec, out, _reduced=True)
 
     def shift(self, j):
         """The series evaluated at z + j:
@@ -78,16 +80,12 @@ class TruncSeries:
         out = {}
         for k, M in self.coeffs.items():
             if k == 0:
-                out[0] = _madd(out.get(0, _zero(self.n, self.p)), M, self.p)
+                _acc(out, 0, M, self.p)
                 continue
             for i in range(0, self.prec - k + 1):
                 c = ((-1) ** i) * comb(k + i - 1, i) * pow(j, i)
-                out[k + i] = _madd(
-                    out.get(k + i, _zero(self.n, self.p)),
-                    _mscale(c, M, self.p),
-                    self.p,
-                )
-        return TruncSeries(self.p, self.n, self.prec, out)
+                _acc(out, k + i, _mscale(c, M, self.p), self.p)
+        return TruncSeries(self.p, self.n, self.prec, out, _reduced=True)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
