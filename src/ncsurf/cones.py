@@ -27,16 +27,7 @@ from .lattice import (
 )
 from . import latenum
 from .marking import is_root_effective
-from .weyl import _chamber_walk, _reflect, _root_rows, in_neg1_orbit
-
-
-def _pull_back(x, word):
-    # word is the list of (root, Gram row) pairs reflected at so far (first
-    # applied first); map a current-frame coefficient tuple back to the
-    # input frame
-    for root in reversed(word):
-        x = _reflect(x, root)
-    return x
+from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
 def minimal_section(S):
@@ -131,28 +122,30 @@ def _signature_grading(sig, drop):
     a = 2 + total_c
     b = a * (1 + drop) + 1 + total_c
     A = _new((a, b) + tuple(-c for c in cs), sig)
-    _, roots, extras = _root_rows(sig)
-    if not all(_dot(row, A.coeffs) >= 1 for _, row in roots + extras):
+    table, row = _pull_table(sig), _row(sig, A.coeffs)
+    if not all(_dot(row, v) >= 1 for v in table.base[:table.f]):
         raise InvariantViolation("grading class fails to dominate the simple roots and extras")
     return A
 
 
-def _blocked_subtraction(cur_S, cur_D, alpha):
-    """What to subtract when an effective root alpha pairs negatively: an
-    irreducible piece of alpha's decomposition that itself pairs negatively
-    (subtracting a reducible root whole would over-subtract)."""
-    eff, wit = is_root_effective(cur_S, alpha)
+def _blocked_subtraction(S, x, alpha):
+    """What to subtract when an effective root alpha pairs negatively with x
+    (tuples in S's frame): an irreducible piece of alpha's decomposition that
+    itself pairs negatively (subtracting a reducible root whole would
+    over-subtract)."""
+    sig = S.sig
+    eff, wit = is_root_effective(S, _new(alpha, sig))
     if not eff:
         raise InvariantViolation("blocked root is not effective")
     pieces = wit.get("pieces") or ()
     if not pieces:
         return alpha
-    K = canonical_class(cur_S.sig)
-    for x in pieces:
-        if intersect(cur_D, x) < 0:
-            if x != alpha and intersect(x, x) == -2 and intersect(x, K) == 0:
-                return _blocked_subtraction(cur_S, cur_D, x)
-            return x
+    K = canonical_class(sig)
+    for p in pieces:
+        if _pair(sig, x, p.coeffs) < 0:
+            if p.coeffs != alpha and intersect(p, p) == -2 and intersect(p, K) == 0:
+                return _blocked_subtraction(S, x, p.coeffs)
+            return p.coeffs
     return alpha
 
 
@@ -192,38 +185,38 @@ def _negative_witness(S, D):
 
 
 def _cone_loop(S, D, stop_on_subtract):
-    """Shared effectiveness/nef loop for m >= 1, on coefficient tuples.
+    """Shared effectiveness/nef loop for m >= 1, on coefficient tuples in S's
+    frame: the walks move the frame (weyl._pull_table), not the class.
 
     Returns (ok, certificate, witness); with stop_on_subtract the first needed
     subtraction returns ok = False and the subtracted class as witness."""
     sig = S.sig
     x = _coeffs(D, sig)
-    f = basis_f(sig)
-    Q = anticanonical_class(sig)
-    Q_row = _row(sig, Q.coeffs)
+    table = _pull_table(sig)
+    q, Q_row = table.q, table.q_row
     comps = S.components
     # Q is fixed by every root reflection, and when Q is nef it pairs >= 0
     # with every effective-cone generator; then D.Q < 0 forces D ineffective
     # (with Q itself as a nef witness).  This bounds the walk on the infinite
     # (m >= 8) reflection groups for negative anticanonical degree.
     q_nef = all(_dot(Q_row, comp.cls.coeffs) >= 0 for comp in comps)
-    irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls == Q
+    irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == q
     level = _dot(Q_row, x)
     if q_nef and level < 0:
-        return False, None, Q if stop_on_subtract else None
+        return False, None, _new(q, sig) if stop_on_subtract else None
+    P, f = table.base, table.f
     # at anticanonical degree 0 with irreducible Q of square 0 the chamber
     # walk acts through the level-0 affine action and only multiples of Q
-    # (plus effective roots, which block the walk) ever reach the chamber
-    rho_row = None
-    if irreducible_q and _dot(Q_row, Q.coeffs) == 0 and level == 0:
-        if x[0] % Q.coeffs[0] == 0:
-            c = x[0] // Q.coeffs[0]
-            if D == c * Q:
-                if c < 0:
-                    return False, None, f if stop_on_subtract else None
-                cert = {"subtracted": [Q] * c, "residue": zero_class(sig)}
-                return True, cert, None
-        rho_row = _row(sig, latenum.chamber_interior_class(sig).coeffs)
+    # (plus effective roots, which block the walk) ever reach the chamber;
+    # the walk is then cut below the chamber-interior class
+    rho_cut = irreducible_q and _dot(Q_row, q) == 0 and level == 0
+    if rho_cut:
+        c = _multiple_of(x, q)
+        if c is not None:
+            if c < 0:
+                return False, None, _new(P[f], sig) if stop_on_subtract else None
+            cert = {"subtracted": [_new(q, sig)] * c, "residue": zero_class(sig)}
+            return True, cert, None
     # grade by a dual-interior class: every nonzero effective class has
     # grade >= 1, so the residue grade drops by >= 1 per subtraction and a
     # negative grade certifies ineffectivity
@@ -232,54 +225,54 @@ def _cone_loop(S, D, stop_on_subtract):
     if grade < 0:
         return False, None, _negative_witness(S, D) if stop_on_subtract else None
     budget = grade + sig.m + 8
-    extras = _root_rows(sig)[2]
-    cur_S = S
-    word = []
+    word = None
     subtracted = []
     for _ in range(budget):
-        if x[0] < 0:  # D.f < 0
-            return False, None, f
-        x, cur_S, moves, cut, blocking = _chamber_walk(cur_S, x, rho_row)
-        word += moves
+        row = _row(sig, x)
+        if _dot(row, P[f]) < 0:  # D.f < 0
+            return False, None, _new(P[f], sig)
+        P, word, cut, k = _chamber_walk(S, x, row, table, P, word, rho_cut)
         if cut:
             witness = _negative_witness(S, D) if stop_on_subtract else None
             return False, None, witness
-        if blocking is not None:
+        if k is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
-            y = _blocked_subtraction(cur_S, _new(x, sig), blocking).coeffs
+            y = _blocked_subtraction(S, x, P[k])
         else:
             # the terminal -1-classes of the chamber, then the components
-            y = next((e.coeffs for e, row in extras if _dot(row, x) < 0), None)
+            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
             if y is None:
-                y = next(
-                    (c.cls.coeffs for c in cur_S.components if _pair(sig, x, c.cls.coeffs) < 0),
-                    None,
-                )
+                y = next((c.cls.coeffs for c in comps if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
             break
-        y_in = _pull_back(y, word)
         if stop_on_subtract:
-            return False, None, _new(y_in, sig)
-        drop = _dot(A_row, y_in)
+            return False, None, _new(y, sig)
+        drop = _dot(A_row, y)
         if drop < 1:
             raise InvariantViolation("subtracted class escaped the effective grading")
         grade -= drop
         if grade < 0:
             return False, None, None
-        subtracted.append(y_in)
+        subtracted.append(y)
         x = tuple(map(sub, x, y))
     else:
         raise BudgetExhausted("cone membership loop", _new(x, sig), budget, budget)
     # in the chamber, nonnegative on extras and all components: accept
-    residue = _pull_back(x, word)
-    total = residue
+    total = x
     for y in subtracted:
         total = tuple(map(add, total, y))
     if total != D.coeffs:
         raise InvariantViolation("effectiveness certificate failed its sum check")
-    cert = {"subtracted": [_new(y, sig) for y in subtracted], "residue": _new(residue, sig)}
+    cert = {"subtracted": [_new(y, sig) for y in subtracted], "residue": _new(x, sig)}
     return True, cert, None
+
+
+def _multiple_of(x, q):
+    """c with x = c*q for coefficient tuples, q nonzero, or None."""
+    i = next(i for i, a in enumerate(q) if a)
+    c = x[i] // q[i]
+    return c if tuple(c * a for a in q) == x else None
 
 
 def is_ample(S, D):

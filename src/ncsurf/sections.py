@@ -23,9 +23,9 @@ from .lattice import (
     mukai_pairing,
     render_div,
 )
-from .cones import is_effective, is_nef
+from .cones import _multiple_of, is_effective, is_nef
 from .marking import cyclic_membership, is_root_effective, ord_q
-from .weyl import _first_negative_root, _root_rows, _walk_budget, reflect_surface
+from .weyl import _pull_table, _push, _step, _walk_budget, reflect_surface
 
 
 class UnclassifiedState(RuntimeError):
@@ -69,61 +69,64 @@ def dim_gamma(S, D, trace=None):
       are fixed, by the twist the case split selects;
     - pass to D - Q when lambda(D) is nontrivial: restriction to Q has no sections.
     The reflection at an effective root can leave the cone (s - f on f2_type)
-    and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q)."""
+    and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q).
+
+    The walk keeps D in S's frame and moves the frame (weyl._pull_table).
+    Only the reflection at an effective root, no isomorphism, builds a
+    surface: the one along the word, reflected; a new word begins there.
+    D - Q is checked on S; trace lines show the walk's current frame."""
     sig = S.sig
     if sig.genera != (0, 0):
         raise ValueError("section dimensions are computed for rational surfaces only")
-    q = anticanonical_class(sig).coeffs
-    Q_row = _row(sig, q)
-    _, roots, extras = _root_rows(sig)  # reflections keep the signature
-    cur_S, x = S, _coeffs(D, sig)
+    table = _pull_table(sig)
+    q, Q_row = table.q, table.q_row
+    roots, n = table.roots, len(table.roots)
+    x, P, word = _coeffs(D, sig), table.base, None
+    plus = 0  # the 1 of each 1 + dim_gamma(D - Q) taken
+
+    def here(y):  # an input-frame tuple, shown in the current frame
+        return render_div(_new(_push(y, word, roots), sig))
 
     def note(fmt, *args):
-        # class arguments come as coefficient tuples
         if trace is not None:
-            trace.append(fmt % tuple(
-                render_div(_new(a, sig)) if isinstance(a, tuple) else a for a in args
-            ))
+            trace.append(fmt % tuple(here(a) if isinstance(a, tuple) else a for a in args))
 
     if any(x) and not is_effective(S, D):
         return 0
-    budget = _walk_budget(x, slack=4)
-    for _ in range(budget):
+    steps, budget = 0, _walk_budget(x, slack=4)
+    while True:
+        if steps == budget:
+            raise BudgetExhausted("section dimension loop", _new(_push(x, word, roots), sig), budget, budget)
+        steps += 1
         if not any(x):
-            return 1
+            return plus + 1
+        row = _row(sig, x)
         # components pairing negatively restrict trivially; then the
         # terminal -1-classes
-        y = next(
-            (c.cls.coeffs for c in cur_S.components if _pair(sig, x, c.cls.coeffs) < 0),
-            None,
-        )
+        y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
-            y = next((e.coeffs for e, row in extras if _dot(row, x) < 0), None)
+            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
         if y is not None:
             note("subtract %s", y)
             x = tuple(map(sub, x, y))
             continue
-        root, t = _first_negative_root(roots, x)
-        if root is not None:
-            alpha, row = root
-            eff, wit = is_root_effective(cur_S, alpha)
+        k = next((k for k in range(n) if _dot(row, P[k]) < 0), None)
+        if k is not None:
+            alpha, beta = roots[k][0], P[k]
+            t = _dot(row, beta)
+            eff, wit = is_root_effective(S, _new(beta, sig))
             if not eff:
-                note("reflect %s", alpha.coeffs)
-                x = _axpy(x, t, alpha.coeffs)
-                cur_S = reflect_surface(cur_S, alpha, row)
+                note("reflect %s", beta)
+                P, word = _step(table, P, word, k)
                 continue
             # effective root: twist-aware case split
             if any(wit["components"]):
-                raise UnclassifiedState(
-                    {
-                        "state": "effective root with component support",
-                        "root": render_div(alpha),
-                        "class": render_div(_new(x, sig)),
-                        "witness": wit,
-                    }
-                )
+                raise UnclassifiedState({
+                    "state": "effective root with component support",
+                    "root": render_div(alpha), "class": here(x), "witness": wit,
+                })
             a = wit["a"]
-            r = ord_q(cur_S)
+            r = ord_q(S)
             if r is None:
                 l = a
             else:
@@ -132,16 +135,18 @@ def dim_gamma(S, D, trace=None):
                 if not (-r <= t + l < 0):
                     raise InvariantViolation("twist exponent selection failed")
                 if t + l == -r:
-                    note("boundary twist at root %s (pairing = -ord q)", alpha.coeffs)
+                    note("boundary twist at root %s (pairing = -ord q)", beta)
             if l > 0 and t + l < 0:
-                note("partial reflect %s by %d", alpha.coeffs, t + l)
-                x = _axpy(x, t + l, alpha.coeffs)
+                note("partial reflect %s by %d", beta, t + l)
+                x = _axpy(x, t + l, beta)
             else:
-                note("reflect %s (effective, twist %d)", alpha.coeffs, l)
-                x = _axpy(x, t, alpha.coeffs)
-                cur_S = reflect_surface(cur_S, alpha, row)
-                if not is_effective(cur_S, _new(x, sig)):
-                    return 0
+                note("reflect %s (effective, twist %d)", beta, l)
+                x = _axpy(_push(x, word, roots), t, alpha.coeffs)
+                for j in (word or []) + [k]:
+                    S = reflect_surface(S, roots[j][0])
+                P, word = table.base, None
+                if not is_effective(S, _new(x, sig)):
+                    return plus
             continue
         # in the chamber: terminal cases
         dQ = _dot(Q_row, x)
@@ -149,39 +154,31 @@ def dim_gamma(S, D, trace=None):
             num = _pair(sig, x, x) + dQ  # D.(D + Q)
             if num % 2:
                 raise InvariantViolation("odd D.(D + Q) on a nef class")
-            return 1 + num // 2
+            return plus + 1 + num // 2
         # dQ = 0 on a nef class
         if dQ != 0:
             raise InvariantViolation("nef class with negative anticanonical degree")
         DQ = tuple(map(sub, x, q))
-        if any(cur_S._lam(x)):
+        if any(S._lam(x)):
             note("restriction to Q nontrivial: pass to %s", DQ)
             x = DQ
             continue
-        if not any(DQ) or (is_nef(cur_S, _new(DQ, sig)) and _dot(Q_row, DQ) >= 1):
+        if not any(DQ) or (_dot(Q_row, DQ) >= 1 and is_nef(S, _new(DQ, sig))):
             note("restriction to Q trivial: 1 + dim of %s", DQ)
-            return dim_gamma(cur_S, _new(DQ, sig), trace) + 1
+            plus, x = plus + 1, DQ
+            if any(x) and not is_effective(S, _new(x, sig)):
+                return plus
+            steps, budget = 0, _walk_budget(_push(x, word, roots), slack=4)
+            continue
         if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form
             c = _multiple_of(x, q)
-            l = _lambda_q_order(cur_S)
+            l = _lambda_q_order(S)
             if c is not None and l is not None and c % l == 0:
-                return c // l + 1
-        raise UnclassifiedState(
-            {
-                "state": "Q-trivial class outside classified terminals",
-                "class": render_div(_new(x, sig)),
-                "m": sig.m,
-            }
-        )
-    raise BudgetExhausted("section dimension loop", _new(x, sig), budget, budget)
-
-
-def _multiple_of(x, q):
-    """c with x = c*q for coefficient tuples, q nonzero, or None."""
-    i = next(i for i, a in enumerate(q) if a)
-    c = x[i] // q[i]
-    return c if tuple(c * a for a in q) == x else None
+                return plus + c // l + 1
+        raise UnclassifiedState({
+            "state": "Q-trivial class outside classified terminals", "class": here(x), "m": sig.m,
+        })
 
 
 def hom_dims(S, D1, D2):

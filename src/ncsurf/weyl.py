@@ -2,6 +2,7 @@
 elementary transformations, chamber reduction, blowdown search for formal
 -1-classes, and bounded orbit enumeration."""
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,24 +84,6 @@ def _simple_roots(sig):
     return tuple(roots), tuple(extras)
 
 
-@lru_cache(maxsize=None)
-def _root_rows(sig):
-    """(roots, walk roots, extras) of sig, each root or class paired with its
-    Gram row: all simple roots in reduction order, the K-fixing ones that
-    chamber walks reflect at, and the extra chamber classes.  The -2 check
-    of every simple root is paid here, once per signature."""
-    roots, extras = _simple_roots(sig)
-    K = canonical_class(sig)
-    rows = []
-    for alpha in roots:
-        if _pair(sig, alpha.coeffs, alpha.coeffs) != -2:
-            raise InvariantViolation("simple root %s is not a -2 class" % render_div(alpha))
-        rows.append((alpha, _row(sig, alpha.coeffs)))
-    # an even m = 0 ruling class for g > 0 is no K-fixing root
-    walk = tuple(r for r in rows if intersect(r[0], K) == 0)
-    return tuple(rows), walk, tuple((x, _row(sig, x.coeffs)) for x in extras)
-
-
 def _reflect(x, root):
     """Reflect the coefficient tuple x at a (root, Gram row) pair."""
     alpha, row = root
@@ -114,20 +97,14 @@ def reflect(D, alpha):
     return D + intersect(D, alpha) * alpha
 
 
-def reflect_surface(S, alpha, row=None):
+def reflect_surface(S, alpha):
     """Apply the reflection as a change of blowdown structure: components are
-    reflected and lambda is precomposed with the reflection.
-
-    row: the Gram row of alpha, from callers that took alpha from the cached
-    simple roots; without it alpha is checked to be a -2 class of S."""
+    reflected and lambda is precomposed with the reflection."""
     sig = S.sig
-    if row is None:
-        a = _coeffs(alpha, sig)
-        if _pair(sig, a, a) != -2:
-            raise ValueError("reflection root must have self-intersection -2")
-        row = _row(sig, a)
-    else:
-        a = alpha.coeffs
+    a = _coeffs(alpha, sig)
+    if _pair(sig, a, a) != -2:
+        raise ValueError("reflection root must have self-intersection -2")
+    row = _row(sig, a)
     P = S.marking
     lam_alpha = S._lam(a)
     lam = list(S.lam)
@@ -186,67 +163,96 @@ def _walk_budget(x, slack=1):
     return 64 * len(x) * (slack + max(map(abs, x)))
 
 
-def _first_negative_root(roots, x):
-    """(root, x.alpha) for the first of the (root, Gram row) pairs that
-    pairs negatively with the coefficient tuple x, or (None, 0) when x is in
-    the chamber."""
-    for root in roots:
-        t = _dot(root[1], x)
-        if t < 0:
-            return root, t
-    return None, 0
+_PullTable = namedtuple("_PullTable", "roots base moves extras f rho q q_row")
 
 
-def _chamber_walk(S, x, stop_row=None):
-    """The walk of reduce_to_chamber on the coefficient tuple x.
+@lru_cache(maxsize=None)
+def _pull_table(sig):
+    """Per-signature data of the walks, which run in the input surface's
+    frame.  A reflection at an ineffective simple root changes the blowdown
+    structure, not the surface, so a walk keeps its class fixed and moves
+    the frame: P[j] = w(base[j]) for the word w walked so far.  base lists
+    the walk roots (the K-fixing simple roots in reduction order; roots pairs
+    each with its Gram row), then the extras, f and rho (latenum's
+    chamber-interior class), at the indices extras, f and rho.  Appending
+    the reflection at walk root k adds c*P[k] to P[j] for each (j, c) in
+    moves[k] (Bjorner-Brenti, ch. 4).  q = -K is fixed by every walk root.
+    The -2 check of the simple roots is paid here, once per signature."""
+    from .latenum import chamber_interior_class  # latenum imports weyl
 
-    Returns (x, surface, word, cut, blocking): the end class and surface,
-    the (root, Gram row) pairs reflected at in order, whether the walk was
-    cut, and the effective simple root that blocked it (or None)."""
-    roots = _root_rows(S.sig)[1]  # reflections keep the signature
-    cur_S = S
-    word = []
+    roots, extras = _simple_roots(sig)
+    K = canonical_class(sig)
+    for alpha in roots:
+        if _pair(sig, alpha.coeffs, alpha.coeffs) != -2:
+            raise InvariantViolation("simple root %s is not a -2 class" % render_div(alpha))
+    # an even m = 0 ruling class for g > 0 is no K-fixing root
+    walk = tuple((a, _row(sig, a.coeffs)) for a in roots if intersect(a, K) == 0)
+    rho = chamber_interior_class(sig).coeffs
+    base = tuple(a.coeffs for a, _ in walk) + tuple(e.coeffs for e in extras) + (basis_f(sig).coeffs, rho)
+    moves = tuple(tuple((j, c) for j, v in enumerate(base) for c in (_dot(row, v),) if c) for _, row in walk)
+    n, f, q = len(walk), len(walk) + len(extras), (-K).coeffs
+    return _PullTable(walk, base, moves, range(n, f), f, f + 1, q, _row(sig, q))
+
+
+def _step(table, P, word, k):
+    """Append the reflection at walk root k to the word (P, word).  The empty
+    word (table.base, None) allocates nothing until its first reflection."""
+    if word is None:
+        P, word = list(P), []
+    beta = P[k]
+    for j, c in table.moves[k]:
+        P[j] = _axpy(P[j], c, beta)
+    word.append(k)
+    return P, word
+
+
+def _push(x, word, roots):
+    """The input-frame tuple x in the current frame of the word."""
+    for k in word or ():
+        x = _reflect(x, roots[k])
+    return x
+
+
+def _chamber_walk(S, x, row, table, P, word=None, rho_cut=False):
+    """The walk of reduce_to_chamber on the input-frame tuple x (Gram row
+    row) from the frame (P, word).  Returns (P, word, cut, k): the frame
+    reached, whether the walk was cut (x.f < 0, or x.rho < 0 with rho_cut)
+    and the effective walk root that blocked it (or None).  Every effective
+    class pairs >= 0 with rho, and reflections can only lower the pairing,
+    so the rho cut bounds the walk on the infinite (m >= 8) groups."""
+    n, fi, ri = len(table.roots), table.f, table.rho
     budget = _walk_budget(x)
     for _ in range(budget):
         # the fiber class is nef on every marked surface, so a negative
-        # D.f (the s coefficient) certifies ineffectivity; only the ruling
-        # reflection changes D.f (strictly downward), and the remaining
-        # simple roots generate a finite D_m group, so this cut also makes
-        # the walk finite
-        if x[0] < 0 or (stop_row is not None and _dot(stop_row, x) < 0):
-            return x, cur_S, word, True, None
-        root, t = _first_negative_root(roots, x)
-        if root is None:
-            return x, cur_S, word, False, None
-        alpha, row = root
-        if is_root_effective(cur_S, alpha)[0]:
-            return x, cur_S, word, False, alpha
-        x = _axpy(x, t, alpha.coeffs)
-        cur_S = reflect_surface(cur_S, alpha, row)
-        word.append(root)
-    raise BudgetExhausted("chamber reduction", _new(x, S.sig), budget, budget)
+        # D.f certifies ineffectivity; only the ruling reflection changes
+        # D.f (strictly downward), and the remaining simple roots generate a
+        # finite D_m group, so this cut also makes the walk finite
+        if _dot(row, P[fi]) < 0 or (rho_cut and _dot(row, P[ri]) < 0):
+            return P, word, True, None
+        k = next((k for k in range(n) if _dot(row, P[k]) < 0), None)
+        if k is None or is_root_effective(S, _new(P[k], S.sig))[0]:
+            return P, word, False, k
+        P, word = _step(table, P, word, k)
+    raise BudgetExhausted("chamber reduction", _new(_push(x, word, table.roots), S.sig), budget, budget)
 
 
-def reduce_to_chamber(S, D, stop_below=None):
+def reduce_to_chamber(S, D):
     """Reflect D (and the surface) at ineffective simple roots, first violation
     first, until D pairs >= 0 with every simple root; stops blocked when an
-    effective simple root pairs negatively.
-
-    stop_below: optional reference class rho; stop with trace.cut when the
-    current class pairs negatively with rho.  Every effective class pairs >= 0
-    with a chamber-interior rho, and reflections can only lower the pairing,
-    so this bounds the walk on the infinite (m >= 8) reflection groups."""
+    effective simple root pairs negatively.  The reflected surface is built
+    once, from the word of the walk."""
     sig = S.sig
     x = _coeffs(D, sig)
-    stop_row = None if stop_below is None else _row(sig, _coeffs(stop_below, sig))
-    end, end_S, word, cut, blocking = _chamber_walk(S, x, stop_row)
-    trace = ReductionTrace(
-        start=D, end=_new(end, sig), surface=end_S,
-        blocked=blocking is not None, blocking=blocking, cut=cut,
-    )
-    for root in word:
+    table = _pull_table(sig)
+    _, word, cut, k = _chamber_walk(S, x, _row(sig, x), table, table.base)
+    blocking = None if k is None else table.roots[k][0]
+    trace = ReductionTrace(start=D, cut=cut, blocked=k is not None, blocking=blocking)
+    for j in word or ():
+        root = table.roots[j]
         x = _reflect(x, root)
+        S = reflect_surface(S, root[0])
         trace.moves.append(Move("reflect", root[0], _new(x, sig)))
+    trace.end, trace.surface = _new(x, sig), S
     return trace
 
 

@@ -13,7 +13,6 @@ import pytest
 from ncsurf import cli, cones, presets, sections, snf, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
-    _row,
     InvariantViolation,
     LatticeSignature,
     basis_e,
@@ -66,10 +65,11 @@ def test_hom_dims_sign_checks(monkeypatch):
 
 def test_effective_certificate_sum_is_checked(monkeypatch):
     S = m1_generic()
-    D = basis_s(S.sig) + basis_f(S.sig)
-    assert cones.is_effective(S, D)
-    # a pull-back that lands off the input class breaks the certificate
-    monkeypatch.setattr(cones, "_pull_back", lambda x, word: tuple(c + 1 for c in x))
+    D = basis_e(S.sig, 1)  # effective: the loop subtracts e_1 itself
+    ok, cert = cones.effective_cert(S, D)
+    assert ok and cert["subtracted"]
+    # a certificate whose sum lands off the input class must be refused
+    monkeypatch.setattr(cones, "add", lambda a, b: a + b + 1)
     with pytest.raises(InvariantViolation):
         cones.effective_cert(S, D)
 
@@ -77,9 +77,10 @@ def test_effective_certificate_sum_is_checked(monkeypatch):
 def test_grading_class_checks_are_explicit(monkeypatch):
     S = m2_generic()
     sig = S.sig
-    roots, walk, extras = weyl._root_rows(sig)
-    neg_f = -basis_f(sig)  # a generator no grading class can dominate
-    monkeypatch.setattr(cones, "_root_rows", lambda s: (roots, walk, extras + ((neg_f, _row(sig, neg_f.coeffs)),)))
+    table = weyl._pull_table(sig)
+    neg_f = (-basis_f(sig)).coeffs  # a generator no grading class can dominate
+    extra = table._replace(base=table.base[:table.f] + (neg_f,) + table.base[table.f:], f=table.f + 1)
+    monkeypatch.setattr(cones, "_pull_table", lambda s: extra)
     cones._grading_class.cache_clear()
     cones._signature_grading.cache_clear()
     with pytest.raises(InvariantViolation, match="simple roots"):

@@ -1,0 +1,128 @@
+"""The root oracle is equivariant under reflections at ineffective simple
+roots, which the chamber walks rely on to stay in the input surface's frame.
+
+Reflecting at an ineffective simple root changes the blowdown structure, not
+the surface.  So for a word w of such reflections, is_root_effective on the
+reflected surface w.S at a root alpha must answer as is_root_effective on S
+at the pulled-back root w(alpha): the same boolean, the same coset (a, d) and
+component multiplicities, and pieces that map by w.
+
+The cone answers pull back the same way: is_effective and is_nef of a
+class on w.S equal those of its pull-back on S.  The pull-back along a word
+is kept incrementally by the walks (weyl._step); it must equal the naive
+pull-back over the whole word.
+
+Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
+
+import random
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncsurf import latenum
+from ncsurf.cones import is_effective, is_nef
+from ncsurf.lattice import _new
+from ncsurf.marking import is_root_effective
+from ncsurf.presets import PRESETS, get_preset
+from ncsurf.weyl import _pull_table, _push, _reflect, _step, reflect_surface, simple_roots
+
+
+def pull_back(x, word, roots):
+    """The naive pull-back: the word's reflections applied to the tuple x,
+    last reflection first."""
+    for k in reversed(word):
+        x = _reflect(x, roots[k])
+    return x
+
+
+@lru_cache(maxsize=None)
+def probe_roots(name):
+    """Roots to ask about: the simple roots and the roots of the first
+    reference shells."""
+    sig = get_preset(name).sig
+    out = [a.coeffs for a in simple_roots(sig)[0]]
+    for t in range(3):
+        out += [r for r in latenum._reference_shell(sig, t, -2) if r not in out]
+    return tuple(out)
+
+
+def draw_word(data, S, walk):
+    """(w.S, w) for a word w of 1-4 reflections, each at a walk root that is
+    ineffective on the surface reflected so far; w is empty when every
+    simple root of S is effective."""
+    cur, word = S, []
+    for _ in range(data.draw(st.integers(1, 4))):
+        ineffective = [k for k, (a, _) in enumerate(walk) if not is_root_effective(cur, a)[0]]
+        if not ineffective:
+            break
+        k = data.draw(st.sampled_from(ineffective))
+        cur = reflect_surface(cur, walk[k][0])
+        word.append(k)
+    return cur, word
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_root_oracle_is_equivariant_under_ineffective_words(name, data):
+    S = get_preset(name)
+    sig = S.sig
+    walk = _pull_table(sig).roots
+    cur, word = draw_word(data, S, walk)
+    if not word:
+        return  # every simple root is effective: there is no such word
+    for alpha in data.draw(st.lists(st.sampled_from(probe_roots(name)), min_size=1, max_size=6)):
+        beta = pull_back(alpha, word, walk)
+        there = is_root_effective(cur, _new(alpha, sig))
+        here = is_root_effective(S, _new(beta, sig))
+        if there[0] != here[0]:
+            pytest.fail("%s, word %r: root %r answers %r on w.S, %r at w(root) on S" % (name, word, alpha, there, here))
+        if not here[0]:
+            continue
+        w1, w2 = there[1], here[1]
+        for key in ("a", "d", "components"):
+            if w1[key] != w2[key]:
+                pytest.fail("%s, word %r, root %r: witness %s is %r on w.S, %r on S" % (name, word, alpha, key, w1[key], w2[key]))
+        mapped = [pull_back(p.coeffs, word, walk) for p in w1["pieces"]]
+        if mapped != [p.coeffs for p in w2["pieces"]]:
+            pytest.fail("%s, word %r, root %r: pieces %r do not map to %r" % (name, word, alpha, mapped, w2["pieces"]))
+
+
+@pytest.mark.parametrize("name", ["pvi_m12", "dp9_torsion"])
+def test_incremental_pull_back_matches_the_naive_one(name):
+    sig = get_preset(name).sig
+    table = _pull_table(sig)
+    roots = table.roots
+    rng = random.Random(name)
+    P, word = table.base, None
+    for step in range(120):
+        k = rng.choice([j for j in range(len(roots)) if not word or j != word[-1]])
+        P, word = _step(table, P, word, k)
+        if step % 20 == 19 or step < 4:
+            for j, v in enumerate(table.base):
+                if P[j] != pull_back(v, word, roots):
+                    pytest.fail("%s: pulled-back vector %d differs from the naive pull-back after %d steps" % (name, j, step + 1))
+                if _push(P[j], word, roots) != v:
+                    pytest.fail("%s: pushing pulled-back vector %d forward does not give it back" % (name, j))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cone_answers_pull_back_along_ineffective_words(name, data):
+    """dim_gamma asks is_nef and is_effective of D - Q on the input surface,
+    at the pulled-back class, where its walk stands on w.S."""
+    S = get_preset(name)
+    sig = S.sig
+    walk = _pull_table(sig).roots
+    cur, word = draw_word(data, S, walk)
+    if not word:
+        return  # every simple root is effective: there is no such word
+    sf = data.draw(st.lists(st.integers(-1, 4), min_size=2, max_size=2))
+    es = data.draw(st.lists(st.integers(-2, 2), min_size=sig.m, max_size=sig.m))
+    x = tuple(sf + es)
+    for f in (is_effective, is_nef):
+        there, here = f(cur, _new(x, sig)), f(S, _new(pull_back(x, word, walk), sig))
+        if there != here:
+            pytest.fail("%s, word %r: %s is %r at %r on w.S, %r at its pull-back on S" % (name, word, f.__name__, there, x, here))

@@ -81,7 +81,7 @@ def test_reflect_requires_root():
     sig = LatticeSignature(1, "even")
     with pytest.raises(ValueError):
         reflect(basis_f(sig), basis_e(sig, 1))  # e1^2 = -1, not a root
-    # reflect_surface checks the root when no cached Gram row is passed
+    # reflect_surface checks the root
     S = m2_generic()
     odd = LatticeSignature(2, "odd")
     with pytest.raises(ValueError):
