@@ -76,7 +76,8 @@ class MarkingGroup:
         return self.reduce(x) == self.zero()
 
 
-@lru_cache(maxsize=None)
+# bounded: is_root_effective, the main caller, caches per input surface, so few calls hit
+@lru_cache(maxsize=512)
 def cyclic_membership(P, x, q):
     """Solve a*q = x in the group P; returns the coset (a0, d) of solutions
     a in a0 + d*Z (d = 0 means the solution is unique), or None."""

@@ -17,9 +17,17 @@ None of this takes a gcd, and degrees grow linearly along a derivative
 chain.  FracElements appear only at the boundary: the arguments of `op`,
 `mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in,
 and `terms`, `coeff`, `lead`, `sigma`, `delta` and `apply` cancel each
-result once, with `FracField.new`, on the way out."""
+result once, on the way out, with `FracField.new`.
 
+Over GF(p)(z) with d/dz the numerators and bases are `_GFPoly`s, dense int
+tuples mod p: sympy's ModularInteger coefficients cost more than the
+arithmetic.  The twists keep PolyElements, which `_subs` needs."""
+
+from functools import reduce
+from itertools import zip_longest
 from math import comb
+
+from sympy import isprime
 
 
 def _strip(poly):
@@ -58,6 +66,65 @@ def subs_gen(F, g, index, val):
     else:
         num *= vd ** (dd - dn)
     return F.new(num, den)
+
+
+def _gfp(coeffs, p):
+    """The _GFPoly of a list of integer coefficients, low degree first."""
+    c = [x % p for x in coeffs]
+    while c and not c[-1]:
+        c.pop()
+    return _GFPoly(tuple(c), p)
+
+
+class _GFPoly:
+    """A polynomial over GF(p) in one variable: c is the tuple of its
+    coefficients in [0, p), low degree first, without trailing zeros."""
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, c, p):
+        self.c = c
+        self.p = p
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def __eq__(self, other):
+        return self.c == (other.c if isinstance(other, _GFPoly) else _gfp([other], self.p).c)
+
+    def __add__(self, other):
+        return _gfp([x + y for x, y in zip_longest(self.c, other.c, fillvalue=0)], self.p)
+
+    def __neg__(self):
+        return _gfp([-x for x in self.c], self.p)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _gfp([x * other for x in self.c], self.p)
+        a, b = self.c, other.c
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _gfp(out, self.p)
+
+    def __pow__(self, n):
+        return reduce(_GFPoly.__mul__, [self] * n, _GFPoly((1,), self.p))
+
+    def diff(self):
+        return _gfp([i * x for i, x in enumerate(self.c)][1:], self.p)
+
+    LC = property(lambda self: self.c[-1])
+
+    def quo_ground(self, k):
+        return self * pow(k, -1, self.p)
+
+    def monic(self):
+        return self.quo_ground(self.c[-1])
 
 
 class _Loc:
@@ -108,6 +175,15 @@ def _mul(x, y, k=1):
     return _Loc(num, den)
 
 
+def _pow(x, n):
+    return _Loc(x.num ** n, {b: e * n for b, e in x.den.items()})
+
+
+def _equal(x, y):
+    """x == y: the numerator of x - y is zero, with no gcd."""
+    return not _add(x, _Loc(-y.num, y.den)).num
+
+
 def _acc(out, k, x):
     """out[k] += x in a dict of coefficients."""
     if x.num:
@@ -120,9 +196,17 @@ def _monic(poly):
     return lc, (poly if lc == 1 else poly.monic())
 
 
+def _over(num, den):
+    """num / den for a nonzero den, localised."""
+    lc, base = _monic(den)
+    num = num if lc == 1 else num.quo_ground(lc)
+    return _Loc(num, {} if base == 1 else {base: 1})
+
+
 class OreAlgebra:
     """kind: 'diff' (S = d/dz), 'ashift' (S: z -> z + step), or 'qshift'
-    (S: z -> step*z); z_index locates the acted-on variable among F.gens."""
+    (S: z -> step*z); z_index locates the acted-on variable among F.gens.
+    Over GF(p)(z) the 'diff' kind keeps its coefficients on _GFPolys."""
 
     def __init__(self, F, kind, step=None, z_index=0):
         if kind not in ("diff", "ashift", "qshift"):
@@ -136,19 +220,33 @@ class OreAlgebra:
         self.z = F(F.gens[z_index])
         self._gen = F.ring.gens[z_index]
         self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
+        dom = F.domain
+        gf = kind == "diff" and len(F.gens) == 1 and dom.is_FiniteField and isprime(dom.mod)
+        self._p = dom.mod if gf else None  # the _GFPoly backend's prime
+        self._zero, self._one = (_GFPoly((), dom.mod), _GFPoly((1,), dom.mod)) if gf else (F.ring.zero, F.ring.one)
+        self._d = _GFPoly.diff if gf else (lambda P, gen=self._gen: _strip(P.diff(gen)))
 
     # -------------------------------------------- the localised boundary
     def _loc(self, g):
+        if isinstance(g, _Loc):
+            return g
         g = self.F(g)
-        lc, base = _monic(g.denom)
-        num = g.numer if lc == 1 else g.numer.quo_ground(lc)
-        return _Loc(num, {} if base == 1 else {base: 1})
+        if self._p:
+            return _over(*(_gfp([int(c) for c in P.to_dense()[::-1]], self._p) for P in (g.numer, g.denom)))
+        return _over(g.numer, g.denom)
+
+    def _quo(self, num, den):
+        """num/den for int coefficient lists, low degree first (GF(p) only)."""
+        return _over(_gfp(num, self._p), _gfp(den, self._p))
 
     def _frac(self, x):
-        den = self.F.ring.one
+        den = self._one
         for b, e in x.den.items():
             den *= b ** e
-        return self.F.new(x.num, den)
+        num = x.num
+        if self._p:
+            num, den = (self.F.ring.from_dict({(i,): v for i, v in enumerate(P.c) if v}) for P in (num, den))
+        return self.F.new(num, den)
 
     # --------------------------------------------- localised sigma, delta
     def _shift(self, power):
@@ -188,10 +286,9 @@ class OreAlgebra:
     def _diff(self, x):
         """x' = N'/prod b^e - sum e N b'/(b^(e+1) prod_others); the sum
         lifts everything to one more power of each base that depends on z."""
-        gen = self._gen
-        out = _Loc(_strip(x.num.diff(gen)), x.den)
+        out = _Loc(self._d(x.num), x.den)
         for b, e in x.den.items():
-            db = _strip(b.diff(gen))
+            db = self._d(b)
             if db:
                 den = dict(x.den)
                 den[b] = e + 1
@@ -304,7 +401,7 @@ class OreOp:
             out = out * self
         return out
 
-    def apply(self, g):
+    def _apply(self, g):
         alg = self.alg
         g = alg._loc(g)
         if alg.kind == "diff":
@@ -312,10 +409,13 @@ class OreOp:
             parts = (_mul(x, chain[k]) for k, x in self._c.items() if k < len(chain))
         else:
             parts = (_mul(x, alg._sigma(g, k)) for k, x in self._c.items())
-        out = _Loc(alg.F.ring.zero, {})
+        out = _Loc(alg._zero, {})
         for part in parts:
             out = _add(out, part)
-        return alg._frac(out)
+        return out
+
+    def apply(self, g):
+        return self.alg._frac(self._apply(g))
 
     def coeff(self, k):
         x = self._c.get(k)

@@ -70,6 +70,28 @@ def test_cyclic_membership():
     assert cyclic_membership(Z2, (1, 0), (0, 0)) is None
 
 
+def test_cyclic_membership_cache_is_bounded():
+    # a sweep over more distinct queries than the cache holds: the cache
+    # stays within its bound and every answer is the uncached one, on the
+    # first call and when asked again
+    info = cyclic_membership.cache_info()
+    groups = (MarkingGroup(1, (5,)), MarkingGroup(2), MarkingGroup(0, (4, 6)))
+    queries = [
+        (P, x, q)
+        for P in groups
+        for x in ((a, b) for a in range(-4, 5) for b in range(-4, 5))
+        for q in ((2, 1), (3, 0), (0, 2))
+    ]
+    assert len(queries) > info.maxsize
+    cyclic_membership.cache_clear()
+    for _ in range(2):
+        for P, x, q in queries:
+            assert cyclic_membership(P, x, q) == cyclic_membership.__wrapped__(P, x, q)
+    info = cyclic_membership.cache_info()
+    assert info.currsize == info.maxsize
+    cyclic_membership.cache_clear()
+
+
 def test_marking_group_add_checks_lengths():
     P = MarkingGroup(1, (3,))
     assert P.add((1, 2), (1, 2)) == (2, 1)
