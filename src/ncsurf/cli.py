@@ -1,8 +1,15 @@
 """Command-line front end: surface files, divisor expressions, and
-subcommands over the whole library."""
+subcommands over the whole library.
+
+Each subcommand is one handler, registered on its parser as args.run.  A
+handler takes the loaded surface (None for commands without --surface) and
+the parsed arguments, and returns (answer, plain_lines) or (answer,
+plain_lines, fields), where fields fills witness, trace or p_fail of the
+--json object."""
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -66,8 +73,9 @@ def parse_div(expr, sig):
 # ---------------------------------------------------------------- surfaces
 
 
-def _elt(tokens, P, lineno):
-    """Parse a marking element 'a1 .. aR ; t1 .. tk'."""
+def _elt(tokens, P, where):
+    """Parse a marking element 'a1 .. aR ; t1 .. tk'; where names its place
+    in error messages."""
     text = " ".join(tokens)
     if ";" in text:
         free_s, tors_s = text.split(";", 1)
@@ -79,11 +87,11 @@ def _elt(tokens, P, lineno):
         free = [int(x) for x in free]
         tors = [int(x) for x in tors]
     except ValueError:
-        raise InputError("line %d: bad marking element %r" % (lineno, text))
+        raise InputError("%s: bad marking element %r" % (where, text))
     if len(free) != P.free_rank or len(tors) != len(P.torsion):
         raise InputError(
-            "line %d: marking element %r needs %d free + %d torsion coordinates"
-            % (lineno, text, P.free_rank, len(P.torsion))
+            "%s: marking element %r needs %d free + %d torsion coordinates"
+            % (where, text, P.free_rank, len(P.torsion))
         )
     return tuple(free + tors)
 
@@ -141,13 +149,13 @@ def parse_surface(text):
         raise InputError("line %d: bad marking specification" % lineno)
     P = marking.MarkingGroup(free_rank, torsion)
     lineno, val = keys["q"]
-    q = _elt(val.split(), P, lineno)
+    q = _elt(val.split(), P, "line %d" % lineno)
     lam = []
     for name in ["s", "f"] + ["e%d" % i for i in range(1, m + 1)]:
         if name not in lam_lines:
             raise InputError("missing key lambda %s" % name)
         lineno, val = lam_lines[name]
-        lam.append(_elt(val.split(), P, lineno))
+        lam.append(_elt(val.split(), P, "line %d" % lineno))
     comps = []
     for lineno, val in comp_lines:
         if "*" in val:
@@ -208,8 +216,6 @@ def render_surface(S):
 def load_surface(spec):
     """Load from a file path, or fall back to a preset name (with or without
     a .ncs suffix)."""
-    import os
-
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_surface(fh.read())
@@ -222,36 +228,7 @@ def load_surface(spec):
         )
 
 
-# ---------------------------------------------------------------- output
-
-
-class Out:
-    def __init__(self, as_json):
-        self.as_json = as_json
-        self.answer = None
-        self.witness = None
-        self.trace = None
-        self.p_fail = None
-        self.lines = []
-
-    def plain(self, text):
-        self.lines.append(text)
-
-    def emit(self):
-        if self.as_json:
-            print(
-                json.dumps(
-                    {
-                        "answer": self.answer,
-                        "witness": self.witness,
-                        "trace": self.trace,
-                        "p_fail": self.p_fail,
-                    }
-                )
-            )
-        else:
-            for line in self.lines:
-                print(line)
+# ---------------------------------------------------------------- commands
 
 
 def _bool(x):
@@ -259,302 +236,249 @@ def _bool(x):
 
 
 def _trace_lines(tr):
-    out = []
-    for mv in tr.moves:
-        if mv.kind == "reflect":
-            out.append("reflect %s -> %s" % (render_div(mv.cls), render_div(mv.after)))
-        else:
-            out.append("%s -> %s" % (mv.kind, render_div(mv.after)))
-    return out
+    def move(mv):
+        return "reflect " + render_div(mv.cls) if mv.kind == "reflect" else mv.kind
+
+    return ["%s -> %s" % (move(mv), render_div(mv.after)) for mv in tr.moves]
 
 
-# ---------------------------------------------------------------- commands
+def _validate(S, args):
+    # load_surface already validated file input; presets are valid too
+    return "ok", ["ok"]
 
 
-def _add_common(p, surface=True):
-    if surface:
-        p.add_argument("--surface", default="f0_generic", help="surface file or preset name")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+def _intersect(S, args):
+    v = intersect(parse_div(args.d1, S.sig), parse_div(args.d2, S.sig))
+    return v, [str(v)]
+
+
+def _chi(S, args):
+    v = chi_line_bundle(parse_div(args.d, S.sig))
+    return v, [str(v)]
+
+
+def _canonical(S, args):
+    v = render_div(canonical_class(S.sig))
+    return v, [v]
+
+
+def _effective(S, args):
+    ok, cert = cones.effective_cert(S, parse_div(args.d, S.sig))
+    if not ok or cert is None:
+        return ok, [_bool(ok)]
+    subtracted = [render_div(x) for x in cert.get("subtracted", [])]
+    residue = render_div(cert["residue"])
+    lines = ["true"]
+    if args.trace:
+        lines += ["subtract %s" % x for x in subtracted] + ["residue %s" % residue]
+    return ok, lines, {"witness": {"subtracted": subtracted, "residue": residue}}
+
+
+def _nef(S, args):
+    ok, wit = cones.nef_witness(S, parse_div(args.d, S.sig))
+    if ok:
+        return ok, ["true"]
+    wit = render_div(wit)
+    return ok, ["false  witness=%s" % wit], {"witness": wit}
+
+
+def _ample(S, args):
+    ok = cones.is_ample(S, parse_div(args.d, S.sig))
+    return ok, [_bool(ok)]
+
+
+def _gamma(S, args):
+    tr = [] if args.trace else None
+    v = sections.dim_gamma(S, parse_div(args.d, S.sig), trace=tr)
+    return v, [str(v)] + (tr or []), {"trace": tr}
+
+
+def _hom(S, args):
+    h = sections.hom_dims(S, parse_div(args.d1, S.sig), parse_div(args.d2, S.sig))
+    return [h.h0, h.h1, h.h2], ["%d %d %d" % (h.h0, h.h1, h.h2)]
+
+
+def _reduce(S, args):
+    tr = weyl.reduce_to_chamber(S, parse_div(args.d, S.sig))
+    end, moves = render_div(tr.end), _trace_lines(tr)
+    fields, head = {"trace": moves}, end
+    if tr.blocked:
+        fields["witness"] = render_div(tr.blocking)
+        head = "%s  blocked=%s" % (end, fields["witness"])
+    return end, [head] + (moves if args.trace else []), fields
+
+
+def _blowdown(S, args):
+    tr = weyl.find_blowdown(S, parse_div(args.e, S.sig))
+    moves = _trace_lines(tr)
+    head = "%s  word=[%s]" % (tr.terminal, ", ".join(tr.word()))
+    return tr.terminal, [head] + (moves if args.trace else []), {"trace": moves}
+
+
+def _blowup(S, args):
+    try:
+        mults = [int(x) for x in args.mults.split(",")]
+    except ValueError:
+        raise InputError("--mults must be comma-separated integers")
+    pos = _elt(args.pos.split(), S.marking, "--pos")
+    text = render_surface(marking.blow_up(S, args.component, mults, pos))
+    return text, [text.rstrip("\n")]
+
+
+def _k0(S, args):
+    M = K0Class(args.rank, parse_div(args.c1, S.sig), args.chi)
+    if args.op == "theta":
+        R = lattice.k0_serre_twist(M)
+    elif args.op == "ad":
+        R = lattice.k0_adjoint(M)
+    elif args.kz is None:
+        raise InputError("push/pull need --kz (center canonical class)")
+    else:
+        R = lattice.k0_order_transfer(M, args.op, args.r, parse_div(args.kz, S.sig), args.chiz)
+    c1 = render_div(R.c1)
+    return {"rank": R.rank, "c1": c1, "chi": R.chi}, ["rank=%d c1=%s chi=%d" % (R.rank, c1, R.chi)]
+
+
+def _isomonodromy(S, args):
+    v = marking.isomonodromy_count(S)
+    return v, [str(v)]
+
+
+def _moduli(S, args):
+    if args.kind == "hilb":
+        if args.n is None:
+            raise InputError("moduli hilb needs --n")
+        v = sections.hilb_dim(args.n, S.sig.genera[0] if args.g is None else args.g)
+        return v, [str(v)]
+    if args.c1 is None or args.chi is None or (args.kind == "leaf" and args.rank is None):
+        raise InputError("moduli %s needs --rank/--c1/--chi" % args.kind)
+    M = K0Class(1 if args.rank is None else args.rank, parse_div(args.c1, S.sig), args.chi)
+    if args.kind == "rank1":
+        bound, eq = sections.rank1_bound(S, M)
+        return {"bound": bound, "equality": eq}, ["bound=%d equality=%s" % (bound, _bool(eq))]
+    v = sections.leaf_dim_disjoint(S, M)
+    return v, [str(v)]
+
+
+def _generators(S, args):
+    gens = cones.effective_generators(S, parse_div(args.ample, S.sig), args.bound)
+    names = [render_div(x) for x in gens]
+    return names, names
+
+
+def _opcheck_run(S, args):
+    try:
+        opcases.check_args(args.case, args.prime, args.trials)
+    except KeyError as e:
+        raise InputError(e.args[0])
+    rep = opcases.run_case(args.case, args.prime, args.trials, args.seed, args.symbolic)
+    details = rep.details if args.trace else None
+    fields = {"trace": details, "p_fail": rep.p_fail_str}
+    return rep.verdict, [rep.summary()] + (details or []), fields
+
+
+def _preset_list(S, args):
+    names = sorted(presets.PRESETS)
+    return names, names
+
+
+def _preset_show(S, args):
+    try:
+        S = presets.get_preset(args.name)
+    except KeyError as e:
+        raise InputError(e.args[0])
+    text = render_surface(S)
+    return text, [text.rstrip("\n")]
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="ncsurf")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def cmd(name, *pos, surface=True):
-        p = sub.add_parser(name)
+    def cmd(name, run, *pos, into=sub, surface=True, as_json=True, trace=False):
+        p = into.add_parser(name)
         for a in pos:
             p.add_argument(a)
-        _add_common(p, surface)
+        if surface:
+            p.add_argument("--surface", default="f0_generic", help="surface file or preset name")
+        if as_json:
+            p.add_argument("--json", action="store_true")
+        if trace:
+            p.add_argument("--trace", action="store_true")
+        p.set_defaults(run=run)
         return p
 
-    cmd("validate")
-    cmd("intersect", "d1", "d2")
-    cmd("chi", "d")
-    cmd("canonical")
-    cmd("effective", "d")
-    cmd("nef", "d")
-    cmd("ample", "d")
-    cmd("gamma", "d")
-    cmd("hom", "d1", "d2")
-    cmd("reduce", "d")
-    cmd("blowdown", "e")
-    p = cmd("blowup")
+    cmd("validate", _validate)
+    cmd("intersect", _intersect, "d1", "d2")
+    cmd("chi", _chi, "d")
+    cmd("canonical", _canonical)
+    cmd("effective", _effective, "d", trace=True)
+    cmd("nef", _nef, "d")
+    cmd("ample", _ample, "d")
+    cmd("gamma", _gamma, "d", trace=True)
+    cmd("hom", _hom, "d1", "d2")
+    cmd("reduce", _reduce, "d", trace=True)
+    cmd("blowdown", _blowdown, "e", trace=True)
+    p = cmd("blowup", _blowup)
     p.add_argument("--component", type=int, required=True)
     p.add_argument("--mults", required=True, help="comma-separated local multiplicities")
     p.add_argument("--pos", required=True, help="marking element 'a1 .. ; t1 ..'")
-    p = cmd("k0", "op")
+    p = cmd("k0", _k0)
+    p.add_argument("op", choices=("theta", "ad", "push", "pull"))
     p.add_argument("rank", type=int)
     p.add_argument("c1")
     p.add_argument("chi", type=int)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--kz")
     p.add_argument("--chiz", type=int, default=1)
-    cmd("isomonodromy")
-    p = cmd("moduli", "kind")
+    cmd("isomonodromy", _isomonodromy)
+    p = cmd("moduli", _moduli)
+    p.add_argument("kind", choices=("hilb", "rank1", "leaf"))
     p.add_argument("--n", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--c1")
     p.add_argument("--chi", type=int)
-    p = cmd("generators")
+    p = cmd("generators", _generators)
     p.add_argument("--ample", required=True)
     p.add_argument("--bound", type=int, required=True)
-    p = sub.add_parser("opcheck")
-    opsub = p.add_subparsers(dest="opcmd", required=True)
-    prun = opsub.add_parser("run")
-    prun.add_argument("case")
-    prun.add_argument("--prime", type=int)
-    prun.add_argument("--trials", type=int, default=2)
-    prun.add_argument("--symbolic", action="store_true")
-    _add_common(prun, surface=False)
-    p = sub.add_parser("preset")
-    psub = p.add_subparsers(dest="pcmd", required=True)
-    psub.add_parser("list")
-    pshow = psub.add_parser("show")
-    pshow.add_argument("name")
+    opsub = sub.add_parser("opcheck").add_subparsers(dest="opcmd", required=True)
+    p = cmd("run", _opcheck_run, "case", into=opsub, surface=False, trace=True)
+    p.add_argument("--prime", type=int)
+    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--symbolic", action="store_true")
+    psub = sub.add_parser("preset").add_subparsers(dest="pcmd", required=True)
+    cmd("list", _preset_list, into=psub, surface=False, as_json=False)
+    cmd("show", _preset_show, "name", into=psub, surface=False, as_json=False)
     return ap
 
 
-def _run(args):
-    out = Out(getattr(args, "json", False))
-    cmd = args.cmd
-
-    if cmd == "opcheck":
-        try:
-            opcases.check_args(args.case, args.prime, args.trials)
-        except (KeyError, ValueError) as e:
-            raise InputError(e.args[0])
-        rep = opcases.run_case(
-            args.case,
-            prime=args.prime,
-            trials=args.trials,
-            seed=args.seed,
-            symbolic=args.symbolic,
-        )
-        out.answer = rep.verdict
-        out.p_fail = rep.p_fail_str
-        out.trace = rep.details if args.trace else None
-        out.plain(rep.summary())
-        if args.trace:
-            out.lines.extend(rep.details)
-        out.emit()
-        return 0
-
-    if cmd == "preset":
-        if args.pcmd == "list":
-            names = sorted(presets.PRESETS)
-            out.answer = names
-            out.lines.extend(names)
-        else:
-            try:
-                S = presets.get_preset(args.name)
-            except KeyError as e:
-                raise InputError(str(e))
-            text = render_surface(S)
-            out.answer = text
-            out.plain(text.rstrip("\n"))
-        out.emit()
-        return 0
-
-    S = load_surface(args.surface)
-    sig = S.sig
-
-    if cmd == "validate":
-        # load_surface already validated file input; presets are valid too
-        out.answer = "ok"
-        out.plain("ok")
-    elif cmd == "intersect":
-        v = intersect(parse_div(args.d1, sig), parse_div(args.d2, sig))
-        out.answer = v
-        out.plain(str(v))
-    elif cmd == "chi":
-        try:
-            v = chi_line_bundle(parse_div(args.d, sig))
-        except ValueError as e:
-            raise InputError(str(e))
-        out.answer = v
-        out.plain(str(v))
-    elif cmd == "canonical":
-        out.answer = render_div(canonical_class(sig))
-        out.plain(out.answer)
-    elif cmd == "effective":
-        ok, cert = cones.effective_cert(S, parse_div(args.d, sig))
-        out.answer = ok
-        if ok and cert is not None:
-            out.witness = {
-                "subtracted": [render_div(x) for x in cert.get("subtracted", [])],
-                "residue": render_div(cert["residue"]),
-            }
-        out.plain(_bool(ok))
-        if args.trace and ok and cert is not None:
-            for x in cert.get("subtracted", []):
-                out.plain("subtract %s" % render_div(x))
-            out.plain("residue %s" % render_div(cert["residue"]))
-    elif cmd == "nef":
-        ok, wit = cones.nef_witness(S, parse_div(args.d, sig))
-        out.answer = ok
-        if ok:
-            out.plain("true")
-        else:
-            out.witness = render_div(wit)
-            out.plain("false  witness=%s" % render_div(wit))
-    elif cmd == "ample":
-        ok = cones.is_ample(S, parse_div(args.d, sig))
-        out.answer = ok
-        out.plain(_bool(ok))
-    elif cmd == "gamma":
-        tr = [] if args.trace else None
-        v = sections.dim_gamma(S, parse_div(args.d, sig), trace=tr)
-        out.answer = v
-        out.trace = tr
-        out.plain(str(v))
-        if tr:
-            out.lines.extend(tr)
-    elif cmd == "hom":
-        h = sections.hom_dims(S, parse_div(args.d1, sig), parse_div(args.d2, sig))
-        out.answer = [h.h0, h.h1, h.h2]
-        out.plain("%d %d %d" % (h.h0, h.h1, h.h2))
-    elif cmd == "reduce":
-        tr = weyl.reduce_to_chamber(S, parse_div(args.d, sig))
-        out.answer = render_div(tr.end)
-        out.trace = _trace_lines(tr)
-        if tr.blocked:
-            out.witness = render_div(tr.blocking)
-            out.plain(
-                "%s  blocked=%s" % (render_div(tr.end), render_div(tr.blocking))
-            )
-        else:
-            out.plain(render_div(tr.end))
-        if args.trace:
-            out.lines.extend(_trace_lines(tr))
-    elif cmd == "blowdown":
-        try:
-            tr = weyl.find_blowdown(S, parse_div(args.e, sig))
-        except weyl.BlowdownError as e:
-            raise InputError(str(e))
-        out.answer = tr.terminal
-        out.trace = _trace_lines(tr)
-        out.plain("%s  word=[%s]" % (tr.terminal, ", ".join(tr.word())))
-        if args.trace:
-            out.lines.extend(_trace_lines(tr))
-    elif cmd == "blowup":
-        try:
-            mults = [int(x) for x in args.mults.split(",")]
-        except ValueError:
-            raise InputError("--mults must be comma-separated integers")
-        pos = _elt(args.pos.split(), S.marking, 0)
-        try:
-            S2 = marking.blow_up(S, args.component, mults, pos)
-        except ValueError as e:
-            raise InputError(str(e))
-        text = render_surface(S2)
-        out.answer = text
-        out.plain(text.rstrip("\n"))
-    elif cmd == "k0":
-        M = K0Class(args.rank, parse_div(args.c1, sig), args.chi)
-        if args.op == "theta":
-            R = lattice.k0_serre_twist(M)
-        elif args.op == "ad":
-            R = lattice.k0_adjoint(M)
-        elif args.op in ("push", "pull"):
-            if args.kz is None:
-                raise InputError("push/pull need --kz (center canonical class)")
-            try:
-                R = lattice.k0_order_transfer(
-                    M, args.op, args.r, parse_div(args.kz, sig), args.chiz
-                )
-            except ValueError as e:
-                raise InputError(str(e))
-        else:
-            raise InputError("unknown k0 operation %r" % args.op)
-        out.answer = {"rank": R.rank, "c1": render_div(R.c1), "chi": R.chi}
-        out.plain("rank=%d c1=%s chi=%d" % (R.rank, render_div(R.c1), R.chi))
-    elif cmd == "isomonodromy":
-        v = marking.isomonodromy_count(S)
-        out.answer = v
-        out.plain(str(v))
-    elif cmd == "moduli":
-        if args.kind == "hilb":
-            if args.n is None:
-                raise InputError("moduli hilb needs --n")
-            g = args.g if args.g is not None else sig.genera[0]
-            v = sections.hilb_dim(args.n, g)
-            out.answer = v
-            out.plain(str(v))
-        elif args.kind == "rank1":
-            if args.c1 is None or args.chi is None:
-                raise InputError("moduli rank1 needs --rank/--c1/--chi")
-            M = K0Class(args.rank if args.rank is not None else 1, parse_div(args.c1, sig), args.chi)
-            try:
-                bound, eq = sections.rank1_bound(S, M)
-            except ValueError as e:
-                raise InputError(str(e))
-            out.answer = {"bound": bound, "equality": eq}
-            out.plain("bound=%d equality=%s" % (bound, _bool(eq)))
-        elif args.kind == "leaf":
-            if args.rank is None or args.c1 is None or args.chi is None:
-                raise InputError("moduli leaf needs --rank/--c1/--chi")
-            M = K0Class(args.rank, parse_div(args.c1, sig), args.chi)
-            try:
-                v = sections.leaf_dim_disjoint(S, M)
-            except ValueError as e:
-                raise InputError(str(e))
-            out.answer = v
-            out.plain(str(v))
-        else:
-            raise InputError("unknown moduli kind %r" % args.kind)
-    elif cmd == "generators":
-        try:
-            gens = cones.effective_generators(
-                S, parse_div(args.ample, sig), args.bound
-            )
-        except ValueError as e:
-            raise InputError(str(e))
-        out.answer = [render_div(x) for x in gens]
-        out.lines.extend(render_div(x) for x in gens)
-    else:  # pragma: no cover
-        raise InputError("unknown command %r" % cmd)
-    out.emit()
-    return 0
-
-
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    # ValueError covers InputError, BlowdownError, SignatureMismatch and every
+    # library argument check; AssertionError covers InvariantViolation, and
+    # RuntimeError covers UnclassifiedState and BudgetExhausted
     try:
-        return _run(args)
-    except InputError as e:
+        S = load_surface(args.surface) if "surface" in args else None
+        answer, lines, *fields = args.run(S, args)
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (sections.UnclassifiedState, AssertionError, RuntimeError) as e:
+    except (AssertionError, RuntimeError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 3
+    if getattr(args, "json", False):
+        obj = {"answer": answer, "witness": None, "trace": None, "p_fail": None}
+        obj.update(*fields)
+        print(json.dumps(obj))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +192,186 @@ def test_reduce_trace(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert len(lines) >= 1  # final class first, then one move per line
+
+
+# ---------------------------------------------------------------- golden table
+#
+# Every subcommand in plain and --json form, with --trace where a command
+# reads it.  A dict stands for the --json line: the fields it leaves out are
+# null.  reduce and blowdown fill trace even without --trace, and effective
+# puts its certificate in witness.
+
+QUASI_RULED = """genus = 1 1
+parity = even
+m = 0
+marking = free 2
+q = 1 0
+lambda s = 0 1
+lambda f = 0 0
+component = 2 0 * 1
+"""
+
+GOLDEN = [
+    ('validate --surface pvi_m12', 'ok\n'),
+    ('validate --surface pvi_m12 --json', {"answer": "ok"}),
+    ('intersect --surface f0_generic s f', '1\n'),
+    ('intersect --surface f0_generic s f --json', {"answer": 1}),
+    ('chi --surface f0_generic s+f', '4\n'),
+    ('chi --surface f0_generic s+f --json', {"answer": 4}),
+    ('canonical --surface m2_generic', '-2s-2f+e1+e2\n'),
+    ('canonical --surface m2_generic --json', {"answer": "-2s-2f+e1+e2"}),
+    ('effective --surface m2_generic s+f-2e1', 'true\n'),
+    ('effective --surface m2_generic s+f-2e1 --json', {"answer": True, "witness": {"subtracted": ["f-e1", "s-e1"], "residue": "0"}}),
+    ('effective --surface m2_generic s+f-2e1 --trace', 'true\nsubtract f-e1\nsubtract s-e1\nresidue 0\n'),
+    ('effective --surface m2_generic s+f-2e1 --trace --json', {"answer": True, "witness": {"subtracted": ["f-e1", "s-e1"], "residue": "0"}}),
+    ('effective --surface m2_generic s-e1-e2', 'false\n'),
+    ('effective --surface m2_generic s-e1-e2 --json', {"answer": False}),
+    ('effective --surface m2_generic s-e1-e2 --trace', 'false\n'),
+    ('effective --surface m2_generic s-e1-e2 --trace --json', {"answer": False}),
+    ('nef --surface m2_generic s+f-e1', 'true\n'),
+    ('nef --surface m2_generic s+f-e1 --json', {"answer": True}),
+    ('nef --surface m2_generic s-e1', 'false  witness=s-e1\n'),
+    ('nef --surface m2_generic s-e1 --json', {"answer": False, "witness": "s-e1"}),
+    ('ample --surface m1_generic 2s+2f-e1', 'true\n'),
+    ('ample --surface m1_generic 2s+2f-e1 --json', {"answer": True}),
+    ('ample --surface m1_generic s+f', 'false\n'),
+    ('ample --surface m1_generic s+f --json', {"answer": False}),
+    ('gamma s+f', '4\n'),
+    ('gamma s+f --json', {"answer": 4}),
+    ('gamma --surface m2_generic s+f-2e1', '1\n'),
+    ('gamma --surface m2_generic s+f-2e1 --json', {"answer": 1}),
+    ('gamma --surface m2_generic s+f-2e1 --trace', '1\nreflect f-e1-e2\nsubtract e2\nreflect s-f\nreflect f-e1-e2\nsubtract e2\n'),
+    ('gamma --surface m2_generic s+f-2e1 --trace --json', {"answer": 1, "trace": ["reflect f-e1-e2", "subtract e2", "reflect s-f", "reflect f-e1-e2", "subtract e2"]}),
+    ('hom --surface m2_generic 0 s+f-e1', '3 0 0\n'),
+    ('hom --surface m2_generic 0 s+f-e1 --json', {"answer": [3, 0, 0]}),
+    ('reduce --surface f2_type s', 's  blocked=s-f\n'),
+    ('reduce --surface f2_type s --json', {"answer": "s", "witness": "s-f", "trace": []}),
+    ('reduce --surface f2_type s --trace', 's  blocked=s-f\n'),
+    ('reduce --surface f2_type s --trace --json', {"answer": "s", "witness": "s-f", "trace": []}),
+    ('reduce --surface m2_generic s+f-2e1', 'f-e1+e2\n'),
+    ('reduce --surface m2_generic s+f-2e1 --json', {"answer": "f-e1+e2", "trace": ["reflect f-e1-e2 -> s-e1+e2", "reflect s-f -> f-e1+e2"]}),
+    ('reduce --surface m2_generic s+f-2e1 --trace', 'f-e1+e2\nreflect f-e1-e2 -> s-e1+e2\nreflect s-f -> f-e1+e2\n'),
+    ('reduce --surface m2_generic s+f-2e1 --trace --json', {"answer": "f-e1+e2", "trace": ["reflect f-e1-e2 -> s-e1+e2", "reflect s-f -> f-e1+e2"]}),
+    ('blowdown --surface m2_generic e1', 'e_m  word=[e1-e2]\n'),
+    ('blowdown --surface m2_generic e1 --json', {"answer": "e_m", "trace": ["reflect e1-e2 -> e2"]}),
+    ('blowdown --surface m3_generic s-e1', 'e_m  word=[s-f, elementary_transformation, e1-e2, e2-e3]\n'),
+    ('blowdown --surface m3_generic s-e1 --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "elementary_transformation -> e1", "reflect e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
+    ('blowdown --surface m3_generic s-e1 --trace', 'e_m  word=[s-f, elementary_transformation, e1-e2, e2-e3]\nreflect s-f -> f-e1\nelementary_transformation -> e1\nreflect e1-e2 -> e2\nreflect e2-e3 -> e3\n'),
+    ('blowdown --surface m3_generic s-e1 --trace --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "elementary_transformation -> e1", "reflect e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
+    ("blowup --surface f0_generic --component 0 --mults 1 --pos '3 5'", 'genus = 0 0\nparity = even\nm = 1\nmarking = free 2\nq = 1 0\nlambda s = 0 1\nlambda f = 0 0\nlambda e1 = 3 5\ncomponent = 2 2 -1 * 1\n'),
+    ("blowup --surface f0_generic --component 0 --mults 1 --pos '3 5' --json", {"answer": "genus = 0 0\nparity = even\nm = 1\nmarking = free 2\nq = 1 0\nlambda s = 0 1\nlambda f = 0 0\nlambda e1 = 3 5\ncomponent = 2 2 -1 * 1\n"}),
+    ('k0 theta --surface m2_generic 1 s 0', 'rank=1 c1=-s-2f+e1+e2 chi=-2\n'),
+    ('k0 theta --surface m2_generic 1 s 0 --json', {"answer": {"rank": 1, "c1": "-s-2f+e1+e2", "chi": -2}}),
+    ('k0 ad --surface m2_generic 1 s 0', 'rank=1 c1=-3s-2f+e1+e2 chi=0\n'),
+    ('k0 ad --surface m2_generic 1 s 0 --json', {"answer": {"rank": 1, "c1": "-3s-2f+e1+e2", "chi": 0}}),
+    ('k0 push --surface m2_generic 0 s 1 --kz=-2s-2f+e1+e2 --r 2', 'rank=0 c1=2s chi=1\n'),
+    ('k0 push --surface m2_generic 0 s 1 --kz=-2s-2f+e1+e2 --r 2 --json', {"answer": {"rank": 0, "c1": "2s", "chi": 1}}),
+    ('k0 pull --surface m2_generic 0 2s 1 --kz=-2s-2f+e1+e2 --r 2', 'rank=0 c1=4s chi=0\n'),
+    ('k0 pull --surface m2_generic 0 2s 1 --kz=-2s-2f+e1+e2 --r 2 --json', {"answer": {"rank": 0, "c1": "4s", "chi": 0}}),
+    ('isomonodromy --surface pvi_m12', '1\n'),
+    ('isomonodromy --surface pvi_m12 --json', {"answer": 1}),
+    ('moduli hilb --n 3', '6\n'),
+    ('moduli hilb --n 3 --json', {"answer": 6}),
+    ('moduli hilb --n 3 --g 2', '8\n'),
+    ('moduli hilb --n 3 --g 2 --json', {"answer": 8}),
+    ('moduli rank1 --surface m2_generic --c1 s+f --chi 4', 'bound=1 equality=true\n'),
+    ('moduli rank1 --surface m2_generic --c1 s+f --chi 4 --json', {"answer": {"bound": 1, "equality": True}}),
+    ('moduli rank1 --surface m2_generic --c1 s+f --chi 3', 'bound=1 equality=false\n'),
+    ('moduli rank1 --surface m2_generic --c1 s+f --chi 3 --json', {"answer": {"bound": 1, "equality": False}}),
+    ('moduli leaf --surface dp9_torsion --rank 0 --c1 0 --chi 1', '2\n'),
+    ('moduli leaf --surface dp9_torsion --rank 0 --c1 0 --chi 1 --json', {"answer": 2}),
+    ('generators --surface f0_generic --ample s+f --bound 2', '2s+2f\ns\nf\n'),
+    ('generators --surface f0_generic --ample s+f --bound 2 --json', {"answer": ["2s+2f", "s", "f"]}),
+    ('opcheck run weyl --trials 3', 'equal  p_fail<2^-40\n'),
+    ('opcheck run weyl --trials 3 --json', {"answer": "equal", "p_fail": "<2^-40"}),
+    ('opcheck run weyl --trials 3 --trace', 'equal  p_fail<2^-40\n[D,z] = 1: equal\n[z,-D] = 1: equal\n'),
+    ('opcheck run weyl --trials 3 --trace --json', {"answer": "equal", "trace": ["[D,z] = 1: equal", "[z,-D] = 1: equal"], "p_fail": "<2^-40"}),
+    ('opcheck run weyl --trials 0', 'equal  p_fail=1\n'),
+    ('opcheck run weyl --trials 0 --json', {"answer": "equal", "p_fail": "1"}),
+    ('opcheck run frobenius_power --prime 5 --trials 4 --seed 7', 'equal  p_fail<2^-40\n'),
+    ('opcheck run frobenius_power --prime 5 --trials 4 --seed 7 --json', {"answer": "equal", "p_fail": "<2^-40"}),
+    ('gamma --surface f0_generic -- -f', '0\n'),
+    ('gamma --surface f0_generic --json -- -f', {"answer": 0}),
+    ('preset list', 'dp9_torsion\ndp9_torsion_l3\ndp9_torsion_l5\nf0_commutative\nf0_generic\nf2_type\nm1_generic\nm2_generic\nm3_generic\nm4_generic\npvi_m12\n'),
+    ('preset show f2_type', 'genus = 0 0\nparity = even\nm = 0\nmarking = free 1\nq = 1\nlambda s = 3\nlambda f = 0\ncomponent = 2 2 * 1\n'),
+    ('validate --surface quasi_ruled.ncs', 'ok\n'),
+    ('intersect --surface quasi_ruled.ncs s s', '0\n'),
+]
+
+# (command line, start of the last stderr line); exit code 2, empty stdout
+INPUT_ERRORS = [
+    ('gamma --surface no_such_preset s+f', "error: surface 'no_such_preset' is neither a readable file nor a preset name"),
+    ('gamma --surface f0_generic s+junk', "error: cannot parse divisor expression 's+junk' at position 1"),
+    ('gamma --surface f0_generic -f', 'ncsurf gamma: error: the following arguments are required: d'),
+    ('k0 push --surface m2_generic 0 s 1', 'error: push/pull need --kz (center canonical class)'),
+    ('k0 theta --surface m2_generic 1 s+e9 0', 'error: e index 9 out of range 1..2'),
+    ('moduli hilb', 'error: moduli hilb needs --n'),
+    ('moduli rank1 --c1 s', 'error: moduli rank1 needs --rank/--c1/--chi'),
+    ('moduli rank1 --surface m2_generic --rank 2 --c1 s --chi 1', 'error: rank-1 classes only'),
+    ('moduli leaf --rank 1', 'error: moduli leaf needs --rank/--c1/--chi'),
+    ('moduli leaf --surface dp9_torsion --rank 0 --c1 s --chi 1', 'error: c1 must have degree 0 on every component of Q'),
+    ('generators --surface f0_generic --ample s --bound 2', 'error: reference class s is not ample'),
+    ("blowup --surface f0_generic --component 0 --mults x --pos '3 5'", 'error: --mults must be comma-separated integers'),
+    ("blowup --surface f0_generic --component 3 --mults 1 --pos '3 5'", 'error: component index 3 out of range'),
+    ('opcheck run no_such_case', "error: unknown case 'no_such_case' (have: "),
+    ('opcheck run weyl --trials -1', 'error: trials must be a nonnegative integer, not -1'),
+    # a library ValueError is an input error, not a traceback with exit 1
+    ('blowdown --surface m1_generic s', 'error: s is not a formal -1-class (need e^2 = e.K = -1)'),
+    ('moduli hilb --n -1', 'error: n must be >= 0'),
+    ('gamma --surface quasi_ruled.ncs s+f', 'error: section dimensions are computed for rational surfaces only'),
+    ('hom --surface quasi_ruled.ncs 0 f', 'error: section dimensions are computed for rational surfaces only'),
+    # a KeyError's message without its quotes; --pos named as the place
+    ('preset show nope', "error: unknown preset 'nope' (have: "),
+    ('blowup --surface f0_generic --component 0 --mults 1 --pos 1', "error: --pos: marking element '1' needs 2 free + 0 torsion coordinates"),
+    # argparse refuses an unknown k0 operation or moduli kind
+    ('k0 bogus 1 s 0', "ncsurf k0: error: argument op: invalid choice: 'bogus'"),
+    ('moduli bogus', "ncsurf moduli: error: argument kind: invalid choice: 'bogus'"),
+    # --seed and --trace exist only where a handler reads them
+    ('gamma s+f --seed 3', 'ncsurf: error: unrecognized arguments: --seed 3'),
+    ('intersect s f --trace', 'ncsurf: error: unrecognized arguments: --trace'),
+    ('nef --surface m1_generic e1 --trace', 'ncsurf: error: unrecognized arguments: --trace'),
+    ('hom 0 f --trace', 'ncsurf: error: unrecognized arguments: --trace'),
+    ('validate --seed 1', 'ncsurf: error: unrecognized arguments: --seed 1'),
+    ('moduli hilb --n 2 --trace', 'ncsurf: error: unrecognized arguments: --trace'),
+]
+
+
+@pytest.fixture
+def in_tmp(tmp_path, monkeypatch):
+    (tmp_path / "quasi_ruled.ncs").write_text(QUASI_RULED)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("cmdline,want", GOLDEN, ids=[row[0] for row in GOLDEN])
+def test_golden(capsys, in_tmp, cmdline, want):
+    rc, out, err = run(capsys, *shlex.split(cmdline))
+    if isinstance(want, dict):
+        fields = dict.fromkeys(("answer", "witness", "trace", "p_fail"))
+        fields.update(want)
+        want = json.dumps(fields) + "\n"
+    assert (rc, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "cmdline,message", INPUT_ERRORS, ids=[row[0] for row in INPUT_ERRORS]
+)
+def test_input_error(capsys, in_tmp, cmdline, message):
+    rc, out, err = run(capsys, *shlex.split(cmdline))
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].startswith(message)
+
+
+def test_readme_cli_examples(capsys):
+    """Each '$ ncsurf ...' line of the README's CLI block prints the lines
+    shown under it, up to a '...' line."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)
+    examples = re.findall(r"^\$ ncsurf (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)
+    assert len(examples) >= 4
+    for cmdline, shown in examples:
+        shown = shown.splitlines()
+        if "..." in shown:
+            shown = shown[: shown.index("...")]
+        rc, out, _ = run(capsys, *shlex.split(cmdline))
+        assert rc == 0, cmdline
+        assert out.splitlines()[: len(shown)] == shown, cmdline
