@@ -325,16 +325,23 @@ def _blowup(S, args):
     return text, [text.rstrip("\n")]
 
 
+def _unused(args, cmd, *names):
+    """Refuse the options among names (default None) that cmd does not read."""
+    given = ["--" + n for n in names if getattr(args, n) is not None]
+    if given:
+        raise InputError("%s does not take %s" % (cmd, " ".join(given)))
+
+
 def _k0(S, args):
     M = K0Class(args.rank, parse_div(args.c1, S.sig), args.chi)
-    if args.op == "theta":
-        R = lattice.k0_serre_twist(M)
-    elif args.op == "ad":
-        R = lattice.k0_adjoint(M)
+    if args.op in ("theta", "ad"):
+        _unused(args, "k0 " + args.op, "r", "kz", "chiz")
+        R = (lattice.k0_serre_twist if args.op == "theta" else lattice.k0_adjoint)(M)
     elif args.kz is None:
         raise InputError("push/pull need --kz (center canonical class)")
     else:
-        R = lattice.k0_order_transfer(M, args.op, args.r, parse_div(args.kz, S.sig), args.chiz)
+        r, chiz = (1 if x is None else x for x in (args.r, args.chiz))
+        R = lattice.k0_order_transfer(M, args.op, r, parse_div(args.kz, S.sig), chiz)
     c1 = render_div(R.c1)
     return {"rank": R.rank, "c1": c1, "chi": R.chi}, ["rank=%d c1=%s chi=%d" % (R.rank, c1, R.chi)]
 
@@ -346,10 +353,12 @@ def _isomonodromy(S, args):
 
 def _moduli(S, args):
     if args.kind == "hilb":
+        _unused(args, "moduli hilb", "rank", "c1", "chi")
         if args.n is None:
             raise InputError("moduli hilb needs --n")
         v = sections.hilb_dim(args.n, S.sig.genera[0] if args.g is None else args.g)
         return v, [str(v)]
+    _unused(args, "moduli " + args.kind, "n", "g")
     if args.c1 is None or args.chi is None or (args.kind == "leaf" and args.rank is None):
         raise InputError("moduli %s needs --rank/--c1/--chi" % args.kind)
     M = K0Class(1 if args.rank is None else args.rank, parse_div(args.c1, S.sig), args.chi)
@@ -371,7 +380,7 @@ def _opcheck_run(S, args):
         opcases.check_args(args.case, args.prime, args.trials)
     except KeyError as e:
         raise InputError(e.args[0])
-    rep = opcases.run_case(args.case, args.prime, args.trials, args.seed, args.symbolic)
+    rep = opcases.run_case(args.case, args.prime, args.trials, args.seed)
     details = rep.details if args.trace else None
     fields = {"trace": details, "p_fail": rep.p_fail_str}
     return rep.verdict, [rep.summary()] + (details or []), fields
@@ -428,9 +437,9 @@ def build_parser():
     p.add_argument("rank", type=int)
     p.add_argument("c1")
     p.add_argument("chi", type=int)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--kz")
-    p.add_argument("--chiz", type=int, default=1)
+    p.add_argument("--r", type=int, help="push/pull only (default 1)")
+    p.add_argument("--kz", help="push/pull only")
+    p.add_argument("--chiz", type=int, help="push/pull only (default 1)")
     cmd("isomonodromy", _isomonodromy)
     p = cmd("moduli", _moduli)
     p.add_argument("kind", choices=("hilb", "rank1", "leaf"))
@@ -447,7 +456,6 @@ def build_parser():
     p.add_argument("--prime", type=int)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--symbolic", action="store_true")
     psub = sub.add_parser("preset").add_subparsers(dest="pcmd", required=True)
     cmd("list", _preset_list, into=psub, surface=False, as_json=False)
     cmd("show", _preset_show, "name", into=psub, surface=False, as_json=False)

@@ -55,19 +55,6 @@ def _subs(P, index, vn, vd):
     return out, d
 
 
-def subs_gen(F, g, index, val):
-    """Substitute the field generator F.gens[index] by the field element val
-    in the FracElement g."""
-    vn, vd = val.numer, val.denom
-    num, dn = _subs(g.numer, index, vn, vd)
-    den, dd = _subs(g.denom, index, vn, vd)
-    if dn > dd:
-        den *= vd ** (dn - dd)
-    else:
-        num *= vd ** (dd - dn)
-    return F.new(num, den)
-
-
 def _gfp(coeffs, p):
     """The _GFPoly of a list of integer coefficients, low degree first."""
     c = [x % p for x in coeffs]

@@ -65,16 +65,28 @@ def test_lead_coefficient_multiplicative():
         assert not (prod.lead() - want)
 
 
+def test_catalog_p_fail_is_zero_except_span4():
+    # every check but span4_qdiff's ranks at random points is exact
+    for case in CASES:
+        for trials in (0, 1, 2):
+            rep = run_case(case, trials=trials, seed=7)
+            if case == "span4_qdiff":
+                assert 0 < rep.p_fail < 2 ** -40
+            else:
+                assert rep.p_fail == 0.0, (case, trials)
+
+
 def test_identity_check_verdicts():
     F, z = frac_field("z", QQ)
     alg = OreAlgebra(F, "diff")
     D, X = alg.S(1), alg.mult(z)
+    # the verdict is exact: an equal pair reports p_fail 0
     v, p, w = identity_check(D * X, alg.op({1: z, 0: 1}))
-    assert v == "equal" and p < 2 ** -40
+    assert (v, p, w) == ("equal", 0.0, None)
     # D.z vs z.D differ by the constant term 1
     v, p, w = identity_check(D * X, X * D)
-    assert v == "counterexample"
-    assert w[0] == 0  # the witness lives in the S^0 coefficient
+    assert v == "counterexample" and p == 0.0
+    assert w[0] == 0 and w[1] == 1  # the witness is the S^0 coefficient
     # additive: [T, z] = T
     F2, z2 = frac_field("z", QQ)
     alg2 = OreAlgebra(F2, "ashift", step=F2.one)
@@ -83,19 +95,24 @@ def test_identity_check_verdicts():
     assert v == "equal"
 
 
-def test_identity_check_symbolic_is_exact():
-    F, z = frac_field("z", QQ)
+@pytest.mark.parametrize("n", range(4))
+def test_mutated_middle_convolution_fails(n):
+    # D^(n+1).(z-u) = ((z-u).D + n+1).D^n, with n in place of n+1
+    F, z, u = frac_field("z, u", QQ)
     alg = OreAlgebra(F, "diff")
-    D, X = alg.S(1), alg.mult(z)
-    v, p, _ = identity_check(D * X, alg.op({1: z, 0: 1}), symbolic=True)
-    assert v == "equal" and p == 0.0
+    D, M = alg.S(1), alg.mult(z - u)
+    rhs = (M * D + alg.mult(F.one * n)) * D ** n
+    v, p, w = identity_check(D ** (n + 1) * M, rhs)
+    assert v == "counterexample" and p == 0.0
+    k, c = w
+    assert k == n and c == 1
 
 
 def test_report_summary_format():
     rep = run_case("frobenius_power", trials=2, seed=3)
-    assert rep.summary() == "equal  p_fail<2^-40"
-    rep = run_case("frobenius_power", trials=2, seed=3, symbolic=True)
     assert rep.summary() == "equal  p_fail=0"
+    rep = run_case("span4_qdiff", trials=2, seed=3)
+    assert rep.summary() == "equal  p_fail<2^-40"
     assert Report("x", "counterexample", 0.0, []).summary().startswith("counterexample")
 
 
