@@ -95,6 +95,15 @@ def test_identity_check_verdicts():
     assert v == "equal"
 
 
+def test_identity_check_symbolic_is_exact():
+    # every identity check is symbolic: an equal pair is certain, p_fail 0
+    F, z = frac_field("z", QQ)
+    alg = OreAlgebra(F, "diff")
+    D, X = alg.S(1), alg.mult(z)
+    v, p, _ = identity_check(D * X, alg.op({1: z, 0: 1}))
+    assert v == "equal" and p == 0.0
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_mutated_middle_convolution_fails(n):
     # D^(n+1).(z-u) = ((z-u).D + n+1).D^n, with n in place of n+1
