@@ -92,7 +92,7 @@ def is_nef(S, D):
     return nef_witness(S, D)[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded: one entry per surface asked about
 def _grading_class(S):
     """An integer class pairing >= 1 with every simple root, terminal
     -1-class and component.  The effective monoid is contained in the monoid

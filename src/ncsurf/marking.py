@@ -63,17 +63,11 @@ class MarkingGroup:
             raise ValueError("cannot add elements with %d and %d coordinates" % (len(x), len(y)))
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
 
-    def neg(self, x):
-        return self.reduce(tuple(-a for a in x))
-
     def smul(self, k, x):
         return self.reduce(tuple(int(k) * a for a in x))
 
     def eq(self, x, y):
         return self.reduce(x) == self.reduce(y)
-
-    def is_zero(self, x):
-        return self.reduce(x) == self.zero()
 
 
 # bounded: is_root_effective, the main caller, caches per input surface, so few calls hit
@@ -244,7 +238,7 @@ def _effective_neg1_classes(sig):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 470 (surface, root) pairs
 def is_root_effective(S, alpha):
     """Effectiveness of a -2-root, with a witness.
 

@@ -14,7 +14,7 @@ from sympy import GF, QQ, isprime
 from sympy.polys.fields import field as frac_field
 
 from .ore import OreAlgebra, _add, _equal, _mul, _pow
-from .series import TruncSeries, _madd, _mmul, _mscale
+from .series import TruncSeries
 
 P61 = (1 << 61) - 1  # prime
 
@@ -225,22 +225,13 @@ def _case_additive_product(prime, trials, seed):
     checks = []
     for n in (1, 2, 3):
         for i in range(max(trials, 1)):
-            coeffs = {0: tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))}
-            for k in range(1, p + 1):
-                coeffs[k] = tuple(
-                    tuple(rng.randrange(p) for _ in range(n)) for _ in range(n)
-                )
-            B = TruncSeries(p, n, p, coeffs)
-            prod = TruncSeries.one(p, n, p)
+            one = TruncSeries.one(p, n, p)
+            Bk = {k: [[rng.randrange(p) for _ in range(n)] for _ in range(n)] for k in range(1, p + 1)}
+            B, prod = one + TruncSeries(p, n, p, Bk), one
             for j in range(p - 1, -1, -1):
                 prod = prod * B.shift(j)
-            B0 = coeffs[1]
-            Bp = B0
-            for _ in range(p - 1):
-                Bp = _mmul(Bp, B0, p)
-            expect = TruncSeries(
-                p, n, p, {0: coeffs[0], p: _madd(Bp, _mscale(-1, B0, p), p)}
-            )
+            # 1 + (B_1^p - B_1) z^{-p}, where B_1^p z^{-p} = (B_1 z^{-1})^p
+            expect = one + TruncSeries(p, n, p, {1: Bk[1]}) ** p - TruncSeries(p, n, p, {p: Bk[1]})
             ok = prod == expect
             checks.append(("%dx%d #%d" % (n, n, i), "equal" if ok else "counterexample", 0.0, None))
     return _combine("additive_product", checks)

@@ -113,11 +113,44 @@ def _monoid_gens(name, S):
     return gens
 
 
+_W = 1 << 10  # base of _key; every coordinate of a monoid point is below _W / 2
+
+
+def _key(coeffs):
+    """The int sum_i c_i _W^i, one to one on coefficient tuples with |c_i| < _W / 2."""
+    return sum(c * _W ** i for i, c in enumerate(coeffs))
+
+
 def _monoid_points(gens, Da, maxpair):
-    """All nonnegative integer combinations of gens with pairing <= maxpair
-    against the ample reference (forward closure; every gen has positive
-    pairing, so the walk is finite)."""
-    assert all(intersect(g, Da) >= 1 for g in gens)
+    """The _key()s of all nonnegative integer combinations of gens with
+    pairing <= maxpair against the ample reference.
+
+    Every gen has positive pairing, so the points of pairing L are the
+    translates by g of the points of pairing L - pair(g).  The pairing is
+    linear, so it is carried along as that level instead of recomputed, and
+    a translate is one int addition on the keys.  Each level keeps its keys
+    in small sets by first coordinate, which keeps the hashing cheap."""
+    steps = [(g.coeffs[0], _key(g.coeffs) - g.coeffs[0], intersect(g, Da)) for g in gens]
+    assert all(d >= 1 for _, _, d in steps)
+    # a point is a sum of at most maxpair gens
+    assert 2 * maxpair * max(abs(c) for g in gens for c in g.coeffs) < _W
+    levels = [{0: {0}}]  # levels[L]: first coordinate -> keys of the rest
+    for L in range(1, maxpair + 1):
+        level = {}
+        for g0, rest, d in steps:
+            for c0, keys in levels[L - d].items() if d <= L else ():
+                level.setdefault(c0 + g0, set()).update(map(rest.__add__, keys))
+        levels.append(level)
+    points = set()
+    for level in levels:
+        for c0, keys in level.items():
+            points.update(map(c0.__add__, keys))
+    return points
+
+
+def _monoid_points_checked(gens, Da, maxpair):
+    """The same closure with a checked DivClass and intersect for every
+    candidate: the reference that _monoid_points must reproduce."""
     sig = gens[0].sig
     zero = (0,) * sig.rank
     seen = {zero}
@@ -132,6 +165,31 @@ def _monoid_points(gens, Da, maxpair):
     return seen
 
 
+def _cone_oracle_inputs(name):
+    """(S, Da, gens, maxpair) of the cone oracle on one preset."""
+    S = get_preset(name)
+    sig = S.sig
+    # s + 2f is ample even when the minimal section drops to s - f
+    Da = (
+        basis_s(sig) + 2 * basis_f(sig)
+        if sig.m == 0
+        else anticanonical_class(sig)
+    )
+    gens = [g for g in _monoid_gens(name, S) if intersect(g, Da) <= 6]
+    maxpair = max(
+        intersect(DivClass(c, sig), Da)
+        for c in itertools.product((-4, 4), repeat=sig.rank)
+    )
+    return S, Da, gens, maxpair
+
+
+def test_monoid_closure_matches_checked_closure():
+    _, Da, gens, maxpair = _cone_oracle_inputs("m1_generic")
+    points = _monoid_points(gens, Da, maxpair)
+    assert len(points) > 1000
+    assert points == {_key(c) for c in _monoid_points_checked(gens, Da, maxpair)}
+
+
 def test_criterion_03_cone_oracle():
     ok = True
     for name in (
@@ -142,23 +200,12 @@ def test_criterion_03_cone_oracle():
         "m2_generic",
         "m3_generic",
     ):
-        S = get_preset(name)
+        S, Da, gens, maxpair = _cone_oracle_inputs(name)
         sig = S.sig
-        # s + 2f is ample even when the minimal section drops to s - f
-        Da = (
-            basis_s(sig) + 2 * basis_f(sig)
-            if sig.m == 0
-            else anticanonical_class(sig)
-        )
-        gens = [g for g in _monoid_gens(name, S) if intersect(g, Da) <= 6]
-        maxpair = max(
-            intersect(DivClass(c, sig), Da)
-            for c in itertools.product((-4, 4), repeat=sig.rank)
-        )
         points = _monoid_points(gens, Da, maxpair)
         for coeffs in itertools.product(range(-4, 5), repeat=sig.rank):
             D = DivClass(coeffs, sig)
-            ok = ok and is_effective(S, D) == (coeffs in points)
+            ok = ok and is_effective(S, D) == (_key(coeffs) in points)
             ok = ok and is_nef(S, D) == all(intersect(D, g) >= 0 for g in gens)
             if not ok:
                 _report(3, "cone oracle (%s at %s)" % (name, coeffs), ok)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from ncsurf.lattice import (
     basis_e,
     basis_f,
     basis_s,
+    canonical_class,
     div,
     intersect,
 )
@@ -27,7 +29,7 @@ from ncsurf.marking import (
     ord_q,
     validate,
 )
-from ncsurf.presets import f0_generic, f0_commutative, f2_type, m2_generic
+from ncsurf.presets import f0_generic, f0_commutative, f2_type, get_preset, m2_generic
 
 
 def test_validate_presets_ok():
@@ -90,6 +92,33 @@ def test_cyclic_membership_cache_is_bounded():
     info = cyclic_membership.cache_info()
     assert info.currsize == info.maxsize
     cyclic_membership.cache_clear()
+
+
+def test_surface_keyed_caches_are_bounded():
+    # is_root_effective and cones._grading_class are keyed by SurfaceData:
+    # both have a bound, every answer is the uncached one, on the first call
+    # and when asked again, and neither cache grows past its bound
+    from ncsurf.cones import _grading_class
+
+    queries = []
+    for name in ("f0_generic", "f2_type", "m1_generic", "m2_generic", "m3_generic", "m4_generic", "dp9_torsion"):
+        S = get_preset(name)
+        K = canonical_class(S.sig)
+        for coeffs in itertools.product(range(-1, 2), repeat=S.sig.rank):
+            alpha = DivClass(coeffs, S.sig)
+            if intersect(alpha, alpha) == -2 and intersect(alpha, K) == 0:
+                queries.append((S, alpha))
+    assert len(queries) > 300
+    for cached in (is_root_effective, _grading_class):
+        assert cached.cache_info().maxsize is not None
+        cached.cache_clear()
+    for _ in range(2):
+        for S, alpha in queries:
+            assert is_root_effective(S, alpha) == is_root_effective.__wrapped__(S, alpha)
+            assert _grading_class(S) == _grading_class.__wrapped__(S)
+    for cached in (is_root_effective, _grading_class):
+        info = cached.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
 
 
 def test_marking_group_add_checks_lengths():

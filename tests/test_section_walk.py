@@ -160,3 +160,14 @@ def test_effective_root_class_has_a_section():
         pytest.fail("s - f should be effective on f2_type")
     if dim_gamma(S, D) < 1:
         pytest.fail("dim Gamma(s - f) = 0 on f2_type, though s - f is effective")
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.xfail(strict=True, raises=BudgetExhausted, reason="the walk from k(s - f) runs off (to -2047s-2045f at k = 4) until its step budget is spent")
+def test_multiples_of_the_effective_root_get_an_answer(k):
+    # dim_gamma answers 0, 0, 1 at k = 1, 2, 3
+    S = get_preset("f2_type")
+    D = DivClass((k, -k), S.sig)
+    if not is_effective(S, D):
+        pytest.fail("%d(s - f) should be effective on f2_type" % k)
+    dim_gamma(S, D)

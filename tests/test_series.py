@@ -92,3 +92,37 @@ def test_arithmetic_matches_dense_definitions(case):
 def test_constructor_reduces_its_input():
     S = TruncSeries(5, 1, 2, {0: ((7,),), 1: ((-5,),), 2: ((-1,),), 3: ((1,),), -1: ((1,),)})
     assert S.coeffs == {0: ((2,),), 2: ((4,),)}
+
+
+def full(p, n, prec):
+    """The series with every entry of every M_k at p - 1, where the slot
+    bounds of the packed kernel are tightest."""
+    return TruncSeries(p, n, prec, {k: [[p - 1] * n] * n for k in range(prec + 1)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_extreme_inputs_match_dense_definitions(p):
+    for n in (1, 2, 3):
+        for prec in range(p + 1):
+            A = full(p, n, prec)
+            got, want = dense(A * A), ref_mul(dense(A), dense(A), p)
+            if got != want:
+                pytest.fail("p=%d n=%d prec=%d: A*A = %r, not %r" % (p, n, prec, got, want))
+            for j in (-p, -1, 0, p - 1, 2 * p, 2 * p + 1):
+                got, want = dense(A.shift(j)), ref_shift(dense(A), j, p)
+                if got != want:
+                    pytest.fail("p=%d n=%d prec=%d: shift(%d) = %r, not %r" % (p, n, prec, j, got, want))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_chained_shifted_products_match_dense_definitions(p):
+    # the additive_product pattern B(z+p-1) ... B(z+1) B(z) at prec = p
+    for n in (1, 2, 3):
+        A = full(p, n, p)
+        prod, want = TruncSeries.one(p, n, p), dense(TruncSeries.one(p, n, p))
+        for j in range(p - 1, -1, -1):
+            prod = prod * A.shift(j)
+            want = ref_mul(want, ref_shift(dense(A), j, p), p)
+            check_normal_form(prod)
+            if dense(prod) != want:
+                pytest.fail("p=%d n=%d: product down to shift(%d) = %r, not %r" % (p, n, j, dense(prod), want))
