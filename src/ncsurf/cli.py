@@ -4,8 +4,8 @@ subcommands over the whole library.
 Each subcommand is one handler, registered on its parser as args.run.  A
 handler takes the loaded surface (None for commands without --surface) and
 the parsed arguments, and returns (answer, plain_lines) or (answer,
-plain_lines, fields), where fields fills witness, trace or p_fail of the
---json object."""
+plain_lines, fields), where fields fills the witness or trace of the --json
+object."""
 
 import argparse
 import json
@@ -377,13 +377,15 @@ def _generators(S, args):
 
 def _opcheck_run(S, args):
     try:
-        opcases.check_args(args.case, args.prime, args.trials)
+        opcases.check_args(args.case)
     except KeyError as e:
         raise InputError(e.args[0])
-    rep = opcases.run_case(args.case, args.prime, args.trials, args.seed)
+    if args.case not in opcases.SEEDED:
+        _unused(args, "opcheck run " + args.case, "prime", "trials", "seed")
+    given = {k: v for k, v in vars(args).items() if k in ("prime", "trials", "seed") and v is not None}
+    rep = opcases.run_case(args.case, **given)
     details = rep.details if args.trace else None
-    fields = {"trace": details, "p_fail": rep.p_fail_str}
-    return rep.verdict, [rep.summary()] + (details or []), fields
+    return rep.verdict, [rep.verdict] + (details or []), {"trace": details}
 
 
 def _preset_list(S, args):
@@ -454,8 +456,8 @@ def build_parser():
     opsub = sub.add_parser("opcheck").add_subparsers(dest="opcmd", required=True)
     p = cmd("run", _opcheck_run, "case", into=opsub, surface=False, trace=True)
     p.add_argument("--prime", type=int)
-    p.add_argument("--trials", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     psub = sub.add_parser("preset").add_subparsers(dest="pcmd", required=True)
     cmd("list", _preset_list, into=psub, surface=False, as_json=False)
     cmd("show", _preset_show, "name", into=psub, surface=False, as_json=False)
@@ -480,7 +482,7 @@ def main(argv=None):
         print("internal error: %s" % e, file=sys.stderr)
         return 3
     if getattr(args, "json", False):
-        obj = {"answer": answer, "witness": None, "trace": None, "p_fail": None}
+        obj = {"answer": answer, "witness": None, "trace": None}
         obj.update(*fields)
         print(json.dumps(obj))
     else:

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a PASS/FAIL
-line.  All checks are exact (integer arithmetic or explicitly stated
-randomized p_fail bounds)."""
+line.  All checks are exact: integer arithmetic, polynomial identities and
+ranks over Q(r, c)."""
 
 import itertools
 import random
@@ -335,7 +335,7 @@ def test_criterion_09_operator_suite():
         reports.append(run_case("additive_product", prime=p, trials=3, seed=p))
     reports.append(run_case("span4_qdiff", trials=100, seed=9))
     for rep in reports:
-        ok = ok and rep.ok and rep.p_fail < 2 ** -40
+        ok = ok and rep.verdict == "equal"
     _report(9, "operator identity suite", ok)
 
 

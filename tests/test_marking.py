@@ -121,6 +121,35 @@ def test_surface_keyed_caches_are_bounded():
         assert info.hits > 0 and info.currsize <= info.maxsize
 
 
+def test_surface_keyed_caches_evict_and_stay_correct():
+    # 1089 surfaces F0 with q = (a, b) and their two roots +-(s - f): more
+    # (surface, root) pairs than is_root_effective holds and more surfaces
+    # than _grading_class holds.  Asked twice in the same order, every key is
+    # evicted before it is asked again; each answer still equals the uncached
+    # one, and each cache stays full at its bound
+    from ncsurf.cones import _grading_class
+    from ncsurf.presets import _f0
+
+    surfaces = [_f0((a, b)) for a in range(-16, 17) for b in range(-16, 17)]
+    queries = [(S, DivClass((k, -k), S.sig)) for S in surfaces for k in (1, -1)]
+    assert len(queries) > is_root_effective.cache_info().maxsize
+    assert len(surfaces) > _grading_class.cache_info().maxsize
+    want = [(is_root_effective.__wrapped__(S, alpha), _grading_class.__wrapped__(S)) for S, alpha in queries]
+    assert {w[0][0] for w in want} == {True, False}
+    for cached in (is_root_effective, _grading_class):
+        cached.cache_clear()
+    misses = []
+    for _ in range(2):
+        for (S, alpha), w in zip(queries, want):
+            assert (is_root_effective(S, alpha), _grading_class(S)) == w
+        misses.append([cached.cache_info().misses for cached in (is_root_effective, _grading_class)])
+    assert misses[1][0] - misses[0][0] >= len(queries)
+    assert misses[1][1] - misses[0][1] >= len(surfaces)
+    for cached in (is_root_effective, _grading_class):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize
+
+
 def test_marking_group_add_checks_lengths():
     P = MarkingGroup(1, (3,))
     assert P.add((1, 2), (1, 2)) == (2, 1)

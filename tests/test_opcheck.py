@@ -2,10 +2,12 @@ import random
 from math import comb
 
 import pytest
-from sympy import GF, QQ
+from sympy import GF, QQ, ZZ, Matrix
+from sympy.polys.rings import ring
 from sympy.polys.fields import field as frac_field
 
-from ncsurf.opcases import CASES, Report, identity_check, run_case
+from ncsurf import cli, opcases
+from ncsurf.opcases import CASES, identity_check, run_case
 from ncsurf.ore import OreAlgebra
 from ncsurf.series import TruncSeries
 
@@ -15,7 +17,6 @@ def test_all_catalog_cases_pass():
         rep = run_case(case, trials=2, seed=7)
         assert rep.ok, (case, rep.details)
         assert rep.case == case
-        assert rep.p_fail < 2 ** -40
 
 
 def test_ore_mul_examples():
@@ -65,43 +66,42 @@ def test_lead_coefficient_multiplicative():
         assert not (prod.lead() - want)
 
 
-def test_catalog_p_fail_is_zero_except_span4():
-    # every check but span4_qdiff's ranks at random points is exact
+def test_catalog_is_equal_at_every_trials_count():
+    # every verdict is exact: each case answers equal, with one detail line per
+    # check (four for span4_qdiff, whatever trials is)
     for case in CASES:
-        for trials in (0, 1, 2):
+        for trials in (1, 3):
             rep = run_case(case, trials=trials, seed=7)
+            assert rep.verdict == "equal", (case, trials, rep.details)
+            assert all(line.endswith(": equal") for line in rep.details), rep.details
             if case == "span4_qdiff":
-                assert 0 < rep.p_fail < 2 ** -40
-            else:
-                assert rep.p_fail == 0.0, (case, trials)
+                assert len(rep.details) == 4
 
 
 def test_identity_check_verdicts():
     F, z = frac_field("z", QQ)
     alg = OreAlgebra(F, "diff")
     D, X = alg.S(1), alg.mult(z)
-    # the verdict is exact: an equal pair reports p_fail 0
-    v, p, w = identity_check(D * X, alg.op({1: z, 0: 1}))
-    assert (v, p, w) == ("equal", 0.0, None)
+    v, w = identity_check(D * X, alg.op({1: z, 0: 1}))
+    assert (v, w) == ("equal", None)
     # D.z vs z.D differ by the constant term 1
-    v, p, w = identity_check(D * X, X * D)
-    assert v == "counterexample" and p == 0.0
+    v, w = identity_check(D * X, X * D)
+    assert v == "counterexample"
     assert w[0] == 0 and w[1] == 1  # the witness is the S^0 coefficient
     # additive: [T, z] = T
     F2, z2 = frac_field("z", QQ)
     alg2 = OreAlgebra(F2, "ashift", step=F2.one)
     T, X2 = alg2.S(1), alg2.mult(z2)
-    v, _, _ = identity_check(T * X2 - X2 * T, T)
+    v, _ = identity_check(T * X2 - X2 * T, T)
     assert v == "equal"
 
 
 def test_identity_check_symbolic_is_exact():
-    # every identity check is symbolic: an equal pair is certain, p_fail 0
+    # every identity check is symbolic: an equal pair is certain
     F, z = frac_field("z", QQ)
     alg = OreAlgebra(F, "diff")
     D, X = alg.S(1), alg.mult(z)
-    v, p, _ = identity_check(D * X, alg.op({1: z, 0: 1}))
-    assert v == "equal" and p == 0.0
+    assert identity_check(D * X, alg.op({1: z, 0: 1})) == ("equal", None)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -111,18 +111,21 @@ def test_mutated_middle_convolution_fails(n):
     alg = OreAlgebra(F, "diff")
     D, M = alg.S(1), alg.mult(z - u)
     rhs = (M * D + alg.mult(F.one * n)) * D ** n
-    v, p, w = identity_check(D ** (n + 1) * M, rhs)
-    assert v == "counterexample" and p == 0.0
+    v, w = identity_check(D ** (n + 1) * M, rhs)
+    assert v == "counterexample"
     k, c = w
     assert k == n and c == 1
 
 
-def test_report_summary_format():
+def test_report_summary_format(capsys):
+    # the plain summary of `opcheck run` is the verdict alone, and each detail
+    # line is "name: verdict"
     rep = run_case("frobenius_power", trials=2, seed=3)
-    assert rep.summary() == "equal  p_fail=0"
+    assert (rep.verdict, rep.details) == ("equal", ["f #0: equal", "f #1: equal"])
     rep = run_case("span4_qdiff", trials=2, seed=3)
-    assert rep.summary() == "equal  p_fail<2^-40"
-    assert Report("x", "counterexample", 0.0, []).summary().startswith("counterexample")
+    assert rep.verdict == "equal" and rep.details == SPAN4_EQUAL
+    assert cli.main(["opcheck", "run", "span4_qdiff"]) == 0
+    assert capsys.readouterr().out == "equal\n"
 
 
 def test_frobenius_power_primes():
@@ -174,6 +177,96 @@ def test_tau_additivity_and_span_rank():
     assert rep.ok, rep.details
 
 
+# ------------------------------------------------ span4_qdiff, exactly
+# Reference definitions, evaluated mod a 61-bit prime: m_u(x) = x + 1/x - u
+# - 1/u, and the (T^(1/2), T^(-1/2)) coefficients of D_q(c v^(+-1)).
+
+P61 = (1 << 61) - 1
+
+SPAN4_EQUAL = [
+    "dim span A = 4: equal",
+    "dim span B = 4: equal",
+    "span B in span A: equal",
+    "span A in span B: equal",
+]
+
+
+def _m_u(x, u, P=P61):
+    return (x + pow(x, -1, P) - u - pow(u, -1, P)) % P
+
+
+def _dq_coeffs(z, c, v, P=P61):
+    w = pow(pow(z, -1, P) - z, -1, P)
+    return _m_u(c * z, v) * w % P, -_m_u(c * pow(z, -1, P), v) * w % P
+
+
+def _eval_row(rows, r, c, U, V, z, P=P61):
+    """The two halves of sum U^a V^b X_ab at (r, c, z), mod P."""
+    halves = [0, 0]
+    for (a, b), row in rows.items():
+        for col, entry in row.items():
+            e = sum(k * pow(r, i, P) * pow(c, j, P) for (i, j, *_), k in entry.terms())
+            halves[col // 5] += e * pow(U, a, P) * pow(V, b, P) * pow(z, col % 5, P)
+    return [h % P for h in halves]
+
+
+def test_span4_rows_match_direct_evaluation():
+    # each row of the Z[r, c] matrix, summed with weights U^a V^b, is r c z^2
+    # (1/z - z) times the coefficients of A_{u,v} = D_q(c v^(+-1)) m_u and of
+    # B_{u,v} = m_u D_q(r c v^(+-1))
+    rng = random.Random(61)
+    X, Y = opcases._span4_rows()
+    P = P61
+    for _ in range(5):
+        r, c, u, v, z = (rng.randrange(2, P) for _ in range(5))
+        U, V = (u + pow(u, -1, P)) % P, (v + pow(v, -1, P)) % P
+        scale = r * c * z * z * (pow(z, -1, P) - z) % P
+        ir = pow(r, -1, P)
+        pl, mi = _dq_coeffs(z, c, v)
+        A = [pl * _m_u(r * z, u) % P, mi * _m_u(z * ir, u) % P]
+        pl, mi = _dq_coeffs(z, r * c, v)
+        B = [_m_u(z, u) * pl % P, _m_u(z, u) * mi % P]
+        assert _eval_row(X, r, c, U, V, z) == [scale * a % P for a in A]
+        assert _eval_row(Y, r, c, U, V, z) == [scale * b % P for b in B]
+
+
+def test_mutated_span4_family_is_a_counterexample(monkeypatch):
+    # r in place of r c in B's D_q: span B leaves span A, rank(X u Y) = 5
+    rows, r = opcases._span4_rows, opcases._R.gens[0]
+    monkeypatch.setattr(opcases, "_span4_rows", lambda: rows(rc=r))
+    rep = run_case("span4_qdiff")
+    assert rep.verdict == "counterexample"
+    assert rep.details == SPAN4_EQUAL[:2] + [
+        "span B in span A: counterexample witness=(4, 4, 5)",
+        "span A in span B: counterexample witness=(4, 4, 5)",
+    ]
+
+
+def test_span4_report_does_not_depend_on_trials_or_seed():
+    want = run_case("span4_qdiff")
+    assert want.verdict == "equal" and want.details == SPAN4_EQUAL
+    for trials in range(1, 5):
+        for seed in range(10):
+            assert run_case("span4_qdiff", trials=trials, seed=seed) == want
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_rank_of_a_product_of_rank_k(k):
+    # a 5 x k times k x 6 product of polynomial matrices has rank <= k over
+    # Q(x, y); its rank k at an integer point makes the rank exactly k
+    R, x, y = ring("x, y", ZZ)
+    rng = random.Random(k)
+
+    def rand():
+        return sum(rng.randint(-3, 3) * x ** i * y ** j for i in range(2) for j in range(2))
+
+    L = [[rand() for _ in range(k)] for _ in range(5)]
+    Rt = [[rand() for _ in range(6)] for _ in range(k)]
+    M = [[sum((L[i][t] * Rt[t][j] for t in range(k)), R.zero) for j in range(6)] for i in range(5)]
+    assert Matrix([[e(2, -3) for e in row] for row in M]).rank() == k
+    assert opcases._rank([{j: e for j, e in enumerate(row) if e} for row in M]) == k
+
+
 def test_algebra_argument_validation():
     F, z = frac_field("z", QQ)
     with pytest.raises(ValueError):
@@ -196,13 +289,15 @@ def test_algebra_argument_validation():
         dict(prime=1),
         dict(prime=4),
         dict(prime=9),
+        dict(trials=0),
+        dict(trials=True),
     ],
 )
 @pytest.mark.parametrize("case", ["weyl", "frobenius_power", "additive_product", "tau_invariance"])
 def test_run_case_rejects_bad_arguments(case, kwargs):
     # prime=1 used to loop forever drawing a nonzero denominator, 4 and 9
     # crashed or (additive_product) reported a false counterexample, 0 ran
-    # as the default prime, and negative trials gave p_fail > 1
+    # as the default prime, trials=0 ran one trial and trials=True passed
     with pytest.raises(ValueError):
         run_case(case, **kwargs)
 
