@@ -2,7 +2,8 @@
 
 Every verdict is exact.  An operator identity is decided by the zero test of
 the difference (`ore` keeps every coefficient as a numerator over an
-unreduced denominator), and `span4_qdiff` by ranks over Q(r, c).  Only the
+unreduced denominator), and `span4_qdiff` by ranks over Q(r, c), eliminating
+on ints that each pack one entry of Z[r, c] (see `_rank`).  Only the
 `SEEDED` cases read `prime`, and draw `trials` random inputs from `seed`."""
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from sympy import GF, QQ, ZZ, isprime
 from sympy.polys.fields import field as frac_field
 from sympy.polys.rings import ring
 
+from .lattice import InvariantViolation
 from .ore import OreAlgebra, _add, _equal, _mul, _pow
 from .series import TruncSeries
 
@@ -117,7 +119,7 @@ def _case_middle_convolution(prime, trials, seed):
     checks = []
     for n in range(0, 7):
         lhs = D ** (n + 1) * M
-        rhs = (M * D + alg.mult(F.one * (n + 1))) * D ** n
+        rhs = (M * D + alg.mult(n + 1)) * D ** n
         checks.append(_check("n=%d" % n, lhs, rhs))
     return checks
 
@@ -205,9 +207,10 @@ def _case_additive_product(prime, trials, seed):
     return checks
 
 
-# -------- span4_qdiff: ranks over Z[r, c] by fraction-free elimination
+# ---- span4_qdiff: ranks over Z[r, c], each entry packed into one int
 
-_R = ring("r, c, z, U, V", ZZ)[0]
+_R = ring("z, U, V", ZZ)[0]
+_B, _K = 1 << 25, 17  # r = B, c = B^K (see `_rank`)
 
 
 def _m(a, b, W):
@@ -216,10 +219,11 @@ def _m(a, b, W):
 
 
 def _span4_rows(rc=None):
-    """[{(a, b): X_ab}, {(a, b): Y_ab}] (see `_case_span4_qdiff`); column 5 h + k
-    holds the z^k coefficient of the T^(1/2) (h = 0) or T^(-1/2) (h = 1) half.
-    rc (default r c) is the parameter of B's D_q."""
-    r, c, z, U, V = _R.gens
+    """[{(a, b): X_ab}, {(a, b): Y_ab}] (see `_case_span4_qdiff`) at r = B, c = B^K;
+    column 5 h + k holds the z^k coefficient of the T^(1/2) (h = 0) or T^(-1/2)
+    (h = 1) half.  rc (default r c) is the parameter of B's D_q."""
+    z, U, V = _R.gens
+    r, c = _B, _B ** _K
     rc = r * c if rc is None else rc
     A = (_m(c * z, 1, V) * _m(r * z, 1, U), -_m(c, z, V) * _m(z, r, U))
     B = (_m(z, 1, U) * _m(rc * z, 1, V), -_m(z, 1, U) * _m(rc, z, V))
@@ -227,9 +231,9 @@ def _span4_rows(rc=None):
     for family in (A, B):
         rows = {}
         for half, poly in enumerate(family):
-            for (i, j, k, a, b), coeff in poly.terms():
-                rows.setdefault((a, b), {}).setdefault(5 * half + k, {})[i, j, 0, 0, 0] = coeff
-        out.append({ab: {col: _R.from_dict(d) for col, d in row.items()} for ab, row in rows.items()})
+            for (k, a, b), coeff in poly.terms():
+                rows.setdefault((a, b), {})[5 * half + k] = int(coeff)
+        out.append(rows)
     return out
 
 
@@ -237,8 +241,13 @@ def _rank(rows):
     """Rank over the fraction field of a domain of rows {column: nonzero entry},
     by fraction-free elimination (Bareiss 1968): each step replaces every row
     by (p row - q pivot row) / p', p' the previous pivot.  The entries are
-    minors of the input (Sylvester's identity), so each division is exact."""
-    rows, rank, prev = [dict(row) for row in rows if row], 0, None
+    minors of the input (Sylvester's identity), so a division that is not
+    exact raises InvariantViolation.  `span4_qdiff` passes f(B, B^K) for each
+    entry f(r, c), a ring map, so divisions stay exact; its <= 8 rows have
+    entries of degree <= 2 in r and in c and 1-norm <= 2, so a minor of size s
+    has degree <= 2s < K in each and coefficients <= s! 2^s < B/2: distinct
+    minors have distinct balanced base-B digits, and zero tests agree."""
+    rows, rank, prev = [dict(row) for row in rows if row], 0, 1
     while rows:
         pivot = rows.pop()
         col, p = pivot.popitem()
@@ -248,9 +257,11 @@ def _rank(rows):
             new = {k: p * x for k, x in row.items()}
             for k, y in pivot.items() if q else ():
                 new[k] = new.get(k, 0) - q * y
-            new = {k: x if prev is None else x.exquo(prev) for k, x in new.items() if x}
+            new = {k: divmod(x, prev) for k, x in new.items() if x}
+            if any(rem for _, rem in new.values()):
+                raise InvariantViolation("inexact division in fraction-free elimination")
             if new:
-                reduced.append(new)
+                reduced.append({k: x for k, (x, _) in new.items()})
         rows, rank, prev = reduced, rank + 1, p
     return rank
 
@@ -264,11 +275,12 @@ def _case_span4_qdiff(prime, trials, seed):
     Multiplying every operator by r c z^2 (1/z - z) is injective and
     Q(r, c)-linear, so no rank changes, and makes each half of A_{u,v} and
     B_{u,v} a polynomial of degree <= 4 in z over Z[r, c][U, V], U = u + 1/u,
-    V = v + 1/v, of degree <= 1 in U and in V.  So A_{U,V} = X_00 + U X_10 + V X_01 + U V X_11 with rows X_ab
-    of 10 entries in Z[r, c], and B_{U,V} likewise with Y_ab.  Four operators
-    at U_1 != U_2 and V_1 != V_2 and the four rows differ by a change of basis
-    of determinant ((U_1 - U_2)(V_1 - V_2))^2, so the claim is rank X = rank Y
-    = rank(X u Y) = 4, decided exactly by `_rank`."""
+    V = v + 1/v, of degree <= 1 in U and in V.  So A_{U,V} = X_00 + U X_10 +
+    V X_01 + U V X_11 with rows X_ab of 10 entries in Z[r, c], and B_{U,V}
+    likewise with Y_ab.  Four operators at U_1 != U_2 and V_1 != V_2 and the
+    four rows differ by a change of basis of determinant ((U_1 - U_2)(V_1 -
+    V_2))^2, so the claim is rank X = rank Y = rank(X u Y) = 4, which `_rank`
+    decides exactly on the packed entries."""
     X, Y = (list(rows.values()) for rows in _span4_rows())
     ranks = ra, rb, rab = _rank(X), _rank(Y), _rank(X + Y)
     checks = [

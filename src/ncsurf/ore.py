@@ -15,9 +15,10 @@ product adds exponents, the derivative follows the quotient rule
 into each base, and an element is zero exactly when its numerator is.
 None of this takes a gcd, and degrees grow linearly along a derivative
 chain.  FracElements appear only at the boundary: the arguments of `op`,
-`mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in,
-and `terms`, `coeff`, `lead`, `sigma`, `delta` and `apply` cancel each
-result once, on the way out, with `FracField.new`.
+`mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in
+(an int skips F), and `terms`, `coeff`, `lead`, `sigma`, `delta` and `apply`
+cancel each result once, on the way out, with `FracField.new`.  Powers go
+by repeated squaring.
 
 Over GF(p)(z) with d/dz the numerators and bases are `_GFPoly`s, dense int
 tuples mod p: sympy's ModularInteger coefficients cost more than the
@@ -217,6 +218,8 @@ class OreAlgebra:
     def _loc(self, g):
         if isinstance(g, _Loc):
             return g
+        if type(g) is int:
+            return _Loc(self._one * g, {})
         g = self.F(g)
         if self._p:
             return _over(*(_gfp([int(c) for c in P.to_dense()[::-1]], self._p) for P in (g.numer, g.denom)))
@@ -305,7 +308,7 @@ class OreAlgebra:
     def S(self, k=1):
         if self.kind == "diff" and k < 0:
             raise ValueError("differential operators have nonnegative degree")
-        return self.op({k: self.F.one})
+        return self.op({k: 1})
 
     def mult(self, g):
         return self.op({0: g})
@@ -314,7 +317,7 @@ class OreAlgebra:
         return self.op({})
 
     def one(self):
-        return self.op({0: self.F.one})
+        return self.op({0: 1})
 
 
 class OreOp:
@@ -383,9 +386,11 @@ class OreOp:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative operator powers are not supported")
-        out = self.alg.one()
-        for _ in range(n):
-            out = out * self
+        out = self if n else self.alg.one()
+        for bit in bin(n)[3:]:  # by squaring, from the leading bit down
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def _apply(self, g):
@@ -418,9 +423,6 @@ class OreOp:
         if not isinstance(other, OreOp):
             return NotImplemented
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("operators are mutable-style values; not hashable")
 
     def degree(self):
         return max(self._c) if self._c else None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsurf import cli, cones, presets, sections, snf, weyl
+from ncsurf import cli, cones, opcases, presets, sections, snf, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
     InvariantViolation,
@@ -88,6 +88,23 @@ def test_grading_class_checks_are_explicit(monkeypatch):
     monkeypatch.setattr(cones, "_signature_grading", lambda s, drop: zero_class(s))
     with pytest.raises(InvariantViolation, match="components"):
         cones._grading_class(S)
+
+
+class _Corrupt(int):
+    """A pivot whose products are off by one."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+
+def test_fraction_free_rank_checks_each_division():
+    # the first pivot's products break Sylvester's identity, so the next step
+    # divides by that pivot with a remainder
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 10}]
+    assert opcases._rank(rows) == 3
+    rows[2][2] = _Corrupt(10)
+    with pytest.raises(InvariantViolation, match="inexact division"):
+        opcases._rank(rows)
 
 
 def test_cli_maps_invariant_violation_to_exit_3(capsys, monkeypatch):

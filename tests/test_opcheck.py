@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from sympy import GF, QQ, ZZ, Matrix
@@ -200,6 +200,33 @@ def _dq_coeffs(z, c, v, P=P61):
     return _m_u(c * z, v) * w % P, -_m_u(c * pow(z, -1, P), v) * w % P
 
 
+# The symbolic rows over Z[r, c] that `opcases._span4_rows` packs into ints
+# at r = B, c = B^K.
+
+_RS = ring("r, c, z, U, V", ZZ)[0]
+
+
+def _m_ref(a, b, W):
+    return a ** 2 + b ** 2 - W * a * b
+
+
+def _symbolic_span4_rows(rc=None):
+    """[{(a, b): X_ab}, {(a, b): Y_ab}] with entries in Z[r, c]; column 5 h + k
+    holds the z^k coefficient of the T^(1/2) (h = 0) or T^(-1/2) (h = 1) half."""
+    r, c, z, U, V = _RS.gens
+    rc = r * c if rc is None else rc
+    A = (_m_ref(c * z, 1, V) * _m_ref(r * z, 1, U), -_m_ref(c, z, V) * _m_ref(z, r, U))
+    B = (_m_ref(z, 1, U) * _m_ref(rc * z, 1, V), -_m_ref(z, 1, U) * _m_ref(rc, z, V))
+    out = []
+    for family in (A, B):
+        rows = {}
+        for half, poly in enumerate(family):
+            for (i, j, k, a, b), coeff in poly.terms():
+                rows.setdefault((a, b), {}).setdefault(5 * half + k, {})[i, j, 0, 0, 0] = coeff
+        out.append({ab: {col: _RS.from_dict(d) for col, d in row.items()} for ab, row in rows.items()})
+    return out
+
+
 def _eval_row(rows, r, c, U, V, z, P=P61):
     """The two halves of sum U^a V^b X_ab at (r, c, z), mod P."""
     halves = [0, 0]
@@ -215,7 +242,7 @@ def test_span4_rows_match_direct_evaluation():
     # (1/z - z) times the coefficients of A_{u,v} = D_q(c v^(+-1)) m_u and of
     # B_{u,v} = m_u D_q(r c v^(+-1))
     rng = random.Random(61)
-    X, Y = opcases._span4_rows()
+    X, Y = _symbolic_span4_rows()
     P = P61
     for _ in range(5):
         r, c, u, v, z = (rng.randrange(2, P) for _ in range(5))
@@ -230,10 +257,41 @@ def test_span4_rows_match_direct_evaluation():
         assert _eval_row(Y, r, c, U, V, z) == [scale * b % P for b in B]
 
 
+@pytest.mark.parametrize("mutated", [False, True], ids=["rc", "r"])
+def test_span4_packing_is_exact(mutated):
+    # the premises of the bound in `opcases._rank`, on the true family and on
+    # the one with r in place of r c: 8 rows with entries of degree <= 2 in r
+    # and in c and 1-norm <= 2, so the Bareiss minors (size <= 8) have degree
+    # <= 16 < K and coefficients below 8! 2^8 < B/2
+    B, K = opcases._B, opcases._K
+    assert 2 * 8 < K and factorial(8) * 2 ** 8 < B // 2
+    X, Y = _symbolic_span4_rows(rc=_RS.gens[0] if mutated else None)
+    rows = list(X.values()) + list(Y.values())
+    assert len(rows) == 8
+    for row in rows:
+        for entry in row.values():
+            assert entry.degree(0) <= 2 and entry.degree(1) <= 2
+            assert sum(abs(k) for k in entry.coeffs()) <= 2
+    # each packed entry is the symbolic entry at (B, B^K)
+    packed = opcases._span4_rows(rc=B if mutated else None)
+    want = [
+        {ab: {col: sum(k * B ** (i + K * j) for (i, j, *_), k in e.terms()) for col, e in row.items()}
+         for ab, row in family.items()}
+        for family in (X, Y)
+    ]
+    assert packed == want
+    # and the packed ranks are the ranks over Z[r, c]
+    Xs, Ys = list(X.values()), list(Y.values())
+    Xp, Yp = (list(family.values()) for family in packed)
+    ranks = [opcases._rank(M) for M in (Xs, Ys, Xs + Ys)]
+    assert ranks == [4, 4, 5 if mutated else 4]
+    assert [opcases._rank(M) for M in (Xp, Yp, Xp + Yp)] == ranks
+
+
 def test_mutated_span4_family_is_a_counterexample(monkeypatch):
     # r in place of r c in B's D_q: span B leaves span A, rank(X u Y) = 5
-    rows, r = opcases._span4_rows, opcases._R.gens[0]
-    monkeypatch.setattr(opcases, "_span4_rows", lambda: rows(rc=r))
+    rows = opcases._span4_rows
+    monkeypatch.setattr(opcases, "_span4_rows", lambda: rows(rc=opcases._B))
     rep = run_case("span4_qdiff")
     assert rep.verdict == "counterexample"
     assert rep.details == SPAN4_EQUAL[:2] + [
@@ -265,6 +323,13 @@ def test_rank_of_a_product_of_rank_k(k):
     M = [[sum((L[i][t] * Rt[t][j] for t in range(k)), R.zero) for j in range(6)] for i in range(5)]
     assert Matrix([[e(2, -3) for e in row] for row in M]).rank() == k
     assert opcases._rank([{j: e for j, e in enumerate(row) if e} for row in M]) == k
+    # packed as in span4_qdiff: entries have degree <= 2 in x and in y and
+    # 1-norm <= 5 * 12^2, so the minors (size <= 5) have degree <= 10 < K
+    # and coefficients below 5! 720^5 < B/2
+    B, K = 1 << 57, 11
+    assert all(e.degree(0) <= 2 and e.degree(1) <= 2 and sum(map(abs, e.coeffs())) <= 720 for row in M for e in row)
+    assert factorial(5) * 720 ** 5 < B // 2
+    assert opcases._rank([{j: e(B, B ** K) for j, e in enumerate(row) if e} for row in M]) == k
 
 
 def test_algebra_argument_validation():
@@ -444,6 +509,47 @@ def test_product_matches_fracelement_reference(setting):
                 assert not (alg.sigma(g, n) - _ref_sigma(alg, g, n))
         for n in range(5):
             assert not (alg.delta(g, n) - _ref_delta(alg, g, n))
+
+
+def _power_settings():
+    """(label, algebra, operator): diff, ashift and qshift over QQ(z, u), and
+    diff over GF(3)(z) and GF(5)(z)."""
+    F, z, u = frac_field("z, u", QQ)
+    out = [
+        ("QQ(z,u) diff", OreAlgebra(F, "diff"), {0: z / (z + u), 1: u}),
+        ("QQ(z,u) ashift u", OreAlgebra(F, "ashift", step=u), {0: 1 / z, 1: 1}),
+        ("QQ(z,u) qshift u", OreAlgebra(F, "qshift", step=u), {-1: 1, 0: 1 / z, 1: u}),
+    ]
+    for p in (3, 5):
+        F, z = frac_field("z", GF(p))
+        out.append(("GF(%d)(z) diff" % p, OreAlgebra(F, "diff"), {0: (z + 2) / (z ** 2 + 1), 1: 1}))
+    return [(label, alg, alg.op(terms)) for label, alg, terms in out]
+
+
+@pytest.mark.parametrize("setting", _power_settings(), ids=lambda s: s[0])
+def test_power_is_the_repeated_product(setting):
+    _, alg, op = setting
+    prod = alg.op({0: alg.F.one})
+    for n in range(10):
+        power = op ** n
+        assert power.support() == prod.support() and power == prod, n
+        prod = prod * op
+    assert (op ** 0).terms == alg.one().terms == {0: alg.F.one}
+    with pytest.raises(ValueError):
+        op ** -1
+
+
+@pytest.mark.parametrize("setting", _ore_settings(), ids=lambda s: s[0])
+def test_int_scalars_match_field_scalars(setting):
+    # an int skips the fraction field; k = 0 mod p included
+    label, F, _, alg, _ = setting
+    p = F.domain.characteristic() or 5
+    for k in (-3, 0, 1, p, 7):
+        op, ref = alg.mult(k), alg.mult(F(k))
+        assert op == ref, (label, k)
+        _assert_same(op, ref.terms)
+        assert op.is_zero() == (k % p == 0 if F.domain.characteristic() else k == 0)
+    assert alg.mult(True) == alg.one()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
