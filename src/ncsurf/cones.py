@@ -10,7 +10,6 @@ from functools import lru_cache
 from operator import add, sub
 
 from .lattice import (
-    BudgetExhausted,
     InvariantViolation,
     _coeffs,
     _dot,
@@ -219,15 +218,15 @@ def _cone_loop(S, D, stop_on_subtract):
             return True, cert, None
     # grade by a dual-interior class: every nonzero effective class has
     # grade >= 1, so the residue grade drops by >= 1 per subtraction and a
-    # negative grade certifies ineffectivity
+    # negative grade certifies ineffectivity; the grade bounds the loop, which
+    # runs at most grade + 2 times
     A_row = _row(sig, _grading_class(S).coeffs)
     grade = _dot(A_row, x)
     if grade < 0:
         return False, None, _negative_witness(S, D) if stop_on_subtract else None
-    budget = grade + sig.m + 8
     word = None
     subtracted = []
-    for _ in range(budget):
+    while True:
         row = _row(sig, x)
         if _dot(row, P[f]) < 0:  # D.f < 0
             return False, None, _new(P[f], sig)
@@ -256,8 +255,6 @@ def _cone_loop(S, D, stop_on_subtract):
             return False, None, None
         subtracted.append(y)
         x = tuple(map(sub, x, y))
-    else:
-        raise BudgetExhausted("cone membership loop", _new(x, sig), budget, budget)
     # in the chamber, nonnegative on extras and all components: accept
     total = x
     for y in subtracted:

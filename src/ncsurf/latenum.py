@@ -1,20 +1,18 @@
 """Exact enumeration of lattice vectors with prescribed pairing and
 self-intersection.  The slices {x : x.Da = t} of the Neron-Severi lattice are
 negative definite once Da^2 > 0, so the fibers of the quadratic form are
-finite and can be walked recursively (Fincke-Pohst style) with exact rational
-arithmetic."""
+finite.  classes_with_pairing solves the one equation x.Da = t (snf.solve),
+writes x = x0 + sum y_a k_a over the kernel basis with the lattice pairing,
+and walks the fiber in y recursively (Fincke-Pohst, Math. Comp. 44, 1985)
+with exact rational arithmetic on one LDL factorisation per slice."""
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import snf
-from .lattice import _dot, _new, _row, canonical_class, intersect
+from .lattice import _axpy, _dot, _new, _pair, _row, canonical_class, intersect
 from .weyl import in_neg1_orbit
-
-
-def _gram(sig):
-    return [list(row) for row in sig.gram()]
 
 
 def _ldl(M):
@@ -45,15 +43,23 @@ def _isqrt_floor(fr):
     return math.isqrt(fr.numerator // fr.denominator)
 
 
-def qf_solutions(M, h, target):
-    """All integer vectors y with (y+h)^T M (y+h) = target, for M negative
-    definite with integer entries and h rational."""
+def qf_solutions(M, w, c):
+    """All integer vectors y with y^T M y + 2 w.y = c, for M negative
+    definite with integer entries and w, c integral."""
     n = len(M)
     if n == 0:
-        return [()] if target == 0 else []
-    Mneg = [[-M[i][j] for j in range(n)] for i in range(n)]  # positive definite
-    d, L = _ldl(Mneg)
-    V = Fraction(-target)  # want sum d_i (y_i + u_i)^2 = V
+        return [()] if c == 0 else []
+    d, L = _ldl([[-a for a in row] for row in M])  # -M = L^T D L, positive definite
+    # complete the square: M h = w, so the equation reads
+    # (y+h)^T (-M) (y+h) = V with V = -(c + w.h); solve L^T D L h = -w by
+    # forward substitution in L^T, then back substitution in L
+    z = [Fraction(0)] * n
+    for i in range(n):
+        z[i] = -w[i] - sum(L[j][i] * z[j] for j in range(i))
+    h = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        h[i] = z[i] / d[i] - sum(L[i][j] * h[j] for j in range(i + 1, n))
+    V = -(c + sum(wi * hi for wi, hi in zip(w, h)))  # want sum d_i (y_i + u_i)^2 = V
     if V < 0:
         return []
     out = []
@@ -64,9 +70,9 @@ def qf_solutions(M, h, target):
             if remaining == 0:
                 out.append(tuple(y))
             return
-        u = Fraction(h[i])
+        u = h[i]
         for j in range(i + 1, n):
-            u += L[i][j] * (y[j] + Fraction(h[j]))
+            u += L[i][j] * (y[j] + h[j])
         # d[i]*(y_i+u)^2 <= remaining; the radius sqrt(bound) is irrational in
         # general, so over-cover by one and let the val check filter
         bound = remaining / d[i]
@@ -90,53 +96,23 @@ def classes_with_pairing(sig, Da, t, sq):
     """All classes x with x.Da = t and x^2 = sq; requires Da^2 > 0."""
     if intersect(Da, Da) <= 0:
         raise ValueError("reference class must have positive self-intersection")
-    n = sig.rank
-    G = _gram(sig)
-    v = [sum(G[i][j] * Da.coeffs[j] for j in range(n)) for i in range(n)]
-    sol = snf.solve([v], [t])
+    sol = snf.solve([_row(sig, Da.coeffs)], [t])
     if sol is None:
         return []
     x0, kernel = sol
-    k = len(kernel)
-    # x = x0 + B y; quadratic form in y
-    B = [[kernel[j][i] for j in range(k)] for i in range(n)]  # n x k
-    Gx0 = [sum(G[i][j] * x0[j] for j in range(n)) for i in range(n)]
-    c0 = sum(x0[i] * Gx0[i] for i in range(n))
-    w = [sum(B[i][a] * Gx0[i] for i in range(n)) for a in range(k)]  # B^T G x0
-    M = [
-        [
-            sum(B[i][a] * G[i][j] * B[j][b] for i in range(n) for j in range(n))
-            for b in range(k)
-        ]
-        for a in range(k)
-    ]
-    # (x0+By)^2 = y^T M y + 2 w.y + c0 = sq;  complete the square: h = M^{-1} w
-    h = _solve_rational(M, w)
-    # (y+h)^T M (y+h) = sq - c0 + h^T M h = sq - c0 + w.h
-    target = Fraction(sq - c0) + sum(Fraction(wi) * hi for wi, hi in zip(w, h))
+    x0 = tuple(x0)
+    kernel = [tuple(k) for k in kernel]
+    # (x0 + sum y_a k_a)^2 = y^T M y + 2 w.y + x0^2 = sq
+    M = [[_pair(sig, a, b) for b in kernel] for a in kernel]
+    w = [_pair(sig, a, x0) for a in kernel]
     out = []
-    for yv in qf_solutions(M, h, target):
-        coeffs = tuple(
-            x0[i] + sum(B[i][a] * yv[a] for a in range(k)) for i in range(n)
-        )
-        out.append(_new(coeffs, sig))
+    for yv in qf_solutions(M, w, sq - _pair(sig, x0, x0)):
+        x = x0
+        for ya, ka in zip(yv, kernel):
+            if ya:
+                x = _axpy(x, ya, ka)
+        out.append(_new(x, sig))
     return out
-
-
-def _solve_rational(M, w):
-    """Solve M h = w over the rationals (M invertible)."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(w[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [a / pv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                fac = A[r][col]
-                A[r] = [a - fac * b for a, b in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
 
 
 def chamber_interior_class(sig):

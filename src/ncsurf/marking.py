@@ -1,14 +1,16 @@
 """Marking data of a surface beyond its lattice: the anticanonical
 decomposition, an abstract finitely generated abelian group playing the role
 of Pic^0 of the anticanonical curve (with distinguished element q), and the
-effectiveness oracles for -2-roots and -1-classes built on them."""
+effectiveness oracles for -2-roots and -1-classes built on them.  Whether
+lambda(beta) lies in <q> is one equation a*q = x in the group: a free
+coordinate fixes a, and the torsion coordinates are congruences joined by
+the Chinese remainder theorem (cyclic_membership)."""
 
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 import math
 
-from . import snf
 from .lattice import (
     BudgetExhausted,
     DivClass,
@@ -77,34 +79,34 @@ def cyclic_membership(P, x, q):
     a in a0 + d*Z (d = 0 means the solution is unique), or None."""
     x = P.reduce(x)
     q = P.reduce(q)
-    R = P.free_rank
-    T = len(P.torsion)
-    # unknowns: (a, k_1..k_T); equations: free coords exactly, torsion mod n_j
-    A = []
-    b = []
-    for i in range(R):
-        A.append([q[i]] + [0] * T)
-        b.append(x[i])
-    for j in range(T):
-        row = [q[R + j]] + [0] * T
-        row[1 + j] = P.torsion[j]
-        A.append(row)
-        b.append(x[R + j])
-    if not A:  # trivial group
-        return (0, 1)
-    sol = snf.solve(A, b)
-    if sol is None:
-        return None
-    x0, kernel = sol
-    a0 = x0[0]
-    d = 0
-    for v in kernel:
-        d = math.gcd(d, v[0])
-    if d:
-        a0 %= d
+    sol = _multiples(P, x, q)
     # re-verify by group arithmetic
-    if not P.eq(P.smul(a0, q), x):
+    if sol is not None and not P.eq(P.smul(sol[0], q), x):
         raise InvariantViolation("cyclic membership witness failed to verify")
+    return sol
+
+
+def _multiples(P, x, q):
+    """The coset (a0, d) of the a with a*q = x, for reduced x and q: a0 is
+    reduced mod d, and d = 0 when a is unique; or None."""
+    R = P.free_rank
+    i = next((i for i in range(R) if q[i]), None)
+    if i is not None:  # one free coordinate fixes a; check it on all
+        a = x[i] // q[i]
+        return (a, 0) if P._reduce(tuple([a * c for c in q])) == x else None
+    if any(x[:R]):
+        return None
+    # join the torsion congruences q_j a = x_j (mod n_j) one at a time: with
+    # a = a0 + d*k so far, each is the congruence (q_j d) k = x_j - q_j a0
+    a0, d = 0, 1
+    for qj, xj, n in zip(q[R:], x[R:], P.torsion):
+        c, e = qj * d, xj - qj * a0
+        g = math.gcd(c, n)
+        if e % g:
+            return None
+        n //= g
+        a0 += d * (e // g * pow(c // g, -1, n) % n)
+        d *= n
     return (a0, d)
 
 

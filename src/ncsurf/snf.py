@@ -1,124 +1,51 @@
-"""Smith normal form over the integers, with transform matrices, and the
-integer linear solver built on it (particular solution + kernel lattice)."""
+"""One linear equation a.x = t over the integers: a particular solution and a
+basis of the solution lattice of a.x = 0.
 
-
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_form(A):
-    """Return (D, L, R) with L*A*R = D in Smith normal form.
-
-    A is a list of int rows; D, L, R are lists of int rows.  L and R are
-    unimodular.  Diagonal entries of D are nonnegative and each divides the
-    next.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    D = [list(map(int, row)) for row in A]
-    L = _eye(rows)
-    R = _eye(cols)
-
-    def row_op(i, j, k):  # row_i -= k*row_j
-        D[i] = [a - k * b for a, b in zip(D[i], D[j])]
-        L[i] = [a - k * b for a, b in zip(L[i], L[j])]
-
-    def col_op(i, j, k):  # col_i -= k*col_j
-        for r in range(rows):
-            D[r][i] -= k * D[r][j]
-        for r in range(cols):
-            R[r][i] -= k * R[r][j]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        L[i], L[j] = L[j], L[i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(cols):
-            R[r][i], R[r][j] = R[r][j], R[r][i]
-
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        L[i] = [-a for a in L[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a pivot: smallest nonzero entry in the remaining block
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0 and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        if D[t][t] < 0:
-            row_negate(t)
-        # clear the edging; pivot may need refreshing when remainders appear
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t] != 0:
-                    k = D[i][t] // D[t][t]
-                    row_op(i, t, k)
-                    if D[i][t] != 0:  # nonzero remainder: smaller pivot found
-                        row_swap(t, i)
-                        if D[t][t] < 0:
-                            row_negate(t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j] != 0:
-                    k = D[t][j] // D[t][t]
-                    col_op(j, t, k)
-                    if D[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-        # enforce divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t] != 0:
-                    row_op(t, i, -1)  # add row i to row t, then restart block
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        t += 1
-    return D, L, R
+This is the Smith normal form of a single row, computed by Euclid's algorithm
+on its columns (Cohen, A Course in Computational Algebraic Number Theory,
+section 2.4): unimodular column operations, recorded in R, reduce a to
+(g, 0, ..., 0) with g = gcd(a).  Then x0 = (t/g) R e_1, and the other columns
+of R span the kernel."""
 
 
 def solve(A, b):
-    """Solve A x = b over the integers.
+    """Solve A x = b over the integers for A = [a], a single row.
 
     Returns (x0, kernel) where x0 is one solution (list of ints) and kernel is
-    a list of basis vectors of the solution lattice of A x = 0; or None when
+    a list of basis vectors of the solution lattice of a.x = 0; or None when
     there is no solution.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if len(b) != rows:
-        raise ValueError("dimension mismatch")
-    D, L, R = smith_form(A)
-    c = [sum(L[i][j] * b[j] for j in range(rows)) for i in range(rows)]
-    rank = 0
-    while rank < min(rows, cols) and D[rank][rank] != 0:
-        rank += 1
-    y = [0] * cols
-    for i in range(rank):
-        if c[i] % D[i][i] != 0:
-            return None
-        y[i] = c[i] // D[i][i]
-    for i in range(rank, rows):
-        if c[i] != 0:
-            return None
-    x0 = [sum(R[i][j] * y[j] for j in range(cols)) for i in range(cols)]
-    kernel = []
-    for j in range(rank, cols):
-        kernel.append([R[i][j] for i in range(cols)])
-    return x0, kernel
+    if len(A) != 1 or len(b) != 1:
+        raise ValueError("snf.solve takes one equation a.x = t, got %d rows and %d right sides" % (len(A), len(b)))
+    a = [int(c) for c in A[0]]
+    t = int(b[0])
+    n = len(a)
+    R = [[int(i == j) for i in range(n)] for j in range(n)]  # the columns of R
+    # pivot: the first entry of least absolute value, made positive by
+    # negating the equation
+    piv = min((j for j in range(n) if a[j]), key=lambda j: abs(a[j]), default=None)
+    if piv is None:
+        return None if t else ([0] * n, R)
+    a[0], a[piv] = a[piv], a[0]
+    R[0], R[piv] = R[piv], R[0]
+    if a[0] < 0:
+        a = [-c for c in a]
+        t = -t
+    # reduce every other column by the pivot; a nonzero remainder is a
+    # smaller positive pivot, so swap it in and sweep again
+    dirty = True
+    while dirty:
+        dirty = False
+        for j in range(1, n):
+            if a[j]:
+                k = a[j] // a[0]
+                a[j] -= k * a[0]
+                R[j] = [u - k * v for u, v in zip(R[j], R[0])]
+                if a[j]:
+                    a[0], a[j] = a[j], a[0]
+                    R[0], R[j] = R[j], R[0]
+                    dirty = True
+    if t % a[0]:
+        return None
+    y = t // a[0]
+    return [y * u for u in R[0]], R[1:]

@@ -192,3 +192,42 @@ def test_strongly_ample():
     )
     assert validate(S1) == []
     assert not is_strongly_ample(S1, div(sig1, 1, 1))
+
+
+def _pvi_m12_pieces():
+    """Twelve classes on pvi_m12 that is_effective accepts one by one: the
+    components 2(s-e6-e8-e10-e12), e2-e4 and s-e5-e7-e9-e11, then the formal
+    -1-classes e12, 3e9, 2e11, s+f-e2-e4-e7 and s+f-e2-e7-e10."""
+    S = get_preset("pvi_m12")
+    sig = S.sig
+    s, f = basis_s(sig), basis_f(sig)
+
+    def e(i):
+        return basis_e(sig, i)
+
+    pieces = [s - e(6) - e(8) - e(10) - e(12)] * 2 + [e(2) - e(4), s - e(5) - e(7) - e(9) - e(11), e(12)]
+    pieces += [e(9)] * 3 + [e(11)] * 2 + [s + f - e(2) - e(4) - e(7), s + f - e(2) - e(7) - e(10)]
+    return S, pieces
+
+
+def test_pvi_m12_pieces_and_their_partial_sums_are_effective():
+    S, pieces = _pvi_m12_pieces()
+    partial = zero_class(S.sig)
+    for D in pieces:
+        assert is_effective(S, D), render_div(D)
+        assert is_effective(S, partial), render_div(partial)
+        partial = partial + D
+    assert partial == div(S.sig, 5, 2, 0, -1, 0, -2, -1, -2, -3, -2, 2, -3, 1, -1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="is_effective is not additive on pvi_m12: the cone loop ends in the f-cut on this sum "
+    "of accepted classes (ROADMAP item 5)",
+)
+def test_effective_classes_on_pvi_m12_have_an_effective_sum():
+    S, pieces = _pvi_m12_pieces()
+    D = zero_class(S.sig)
+    for piece in pieces:
+        D = D + piece
+    assert is_effective(S, D)

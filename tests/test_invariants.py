@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsurf import cli, cones, opcases, presets, sections, snf, weyl
+from ncsurf import cli, cones, marking, opcases, presets, sections, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
     InvariantViolation,
@@ -49,7 +49,7 @@ def test_preset_validation_is_checked(monkeypatch):
 def test_cyclic_membership_witness_is_checked(monkeypatch):
     P = MarkingGroup(1, (7,))
     # (2, 3) is no multiple of (1, 1); a wrong solver answer must not pass
-    monkeypatch.setattr(snf, "solve", lambda A, b: ([1, 0], []))
+    monkeypatch.setattr(marking, "_multiples", lambda P, x, q: (1, 0))
     cyclic_membership.cache_clear()
     with pytest.raises(InvariantViolation):
         cyclic_membership(P, (2, 3), (1, 1))
