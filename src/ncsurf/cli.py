@@ -77,15 +77,10 @@ def _elt(tokens, P, where):
     """Parse a marking element 'a1 .. aR ; t1 .. tk'; where names its place
     in error messages."""
     text = " ".join(tokens)
-    if ";" in text:
-        free_s, tors_s = text.split(";", 1)
-        free = free_s.split()
-        tors = tors_s.split()
-    else:
-        free, tors = text.split(), []
+    free_s, _, tors_s = text.partition(";")
     try:
-        free = [int(x) for x in free]
-        tors = [int(x) for x in tors]
+        free = [int(x) for x in free_s.split()]
+        tors = [int(x) for x in tors_s.split()]
     except ValueError:
         raise InputError("%s: bad marking element %r" % (where, text))
     if len(free) != P.free_rank or len(tors) != len(P.torsion):
@@ -137,14 +132,11 @@ def parse_surface(text):
     toks = val.split()
     if not toks or toks[0] != "free":
         raise InputError("line %d: marking must start with 'free R'" % lineno)
+    if len(toks) > 2 and toks[2] != "torsion":
+        raise InputError("line %d: expected 'torsion n1 ...'" % lineno)
     try:
         free_rank = int(toks[1])
-        if len(toks) > 2:
-            if toks[2] != "torsion":
-                raise InputError("line %d: expected 'torsion n1 ...'" % lineno)
-            torsion = tuple(int(x) for x in toks[3:])
-        else:
-            torsion = ()
+        torsion = tuple(int(x) for x in toks[3:])
     except (IndexError, ValueError):
         raise InputError("line %d: bad marking specification" % lineno)
     P = marking.MarkingGroup(free_rank, torsion)

@@ -4,12 +4,14 @@ enumeration of effective-cone generators.
 The main loop alternates chamber reduction by ineffective-root reflections
 with subtraction of effective classes (components, effective roots, the
 terminal -1-classes e_m and f-e_1) that pair negatively; acceptance is the
-dual-monoid condition in the fundamental chamber."""
+dual-monoid condition in the fundamental chamber.  The walks end at the fiber
+cut (weyl._chamber_walk), the loop at the grade of a dual-interior class."""
 
 from functools import lru_cache
 from operator import add, sub
 
 from .lattice import (
+    BudgetExhausted,
     InvariantViolation,
     _coeffs,
     _dot,
@@ -103,20 +105,10 @@ def _grading_class(S):
     for comp in S.components:
         if intersect(comp.cls, basis_f(sig)) != 0:
             drop = max(drop, -comp.cls.coeffs[1])
-    A = _signature_grading(sig, drop)
-    if not all(intersect(A, comp.cls) >= 1 for comp in S.components):
-        raise InvariantViolation("grading class fails to dominate the components")
-    return A
-
-
-@lru_cache(maxsize=None)
-def _signature_grading(sig, drop):
-    """The grading class of a fiber drop, checked against the roots and extras of sig."""
-    m = sig.m
     # A = a*s + b*f - sum(c_i e_i); geometric weights c_i = 2^(m-i) make
     # each weight beat the sum of all later ones, so A dominates every
     # lexicographically positive class supported on the e_i
-    cs = [2 ** (m - i) for i in range(1, m + 1)]
+    cs = [2 ** (sig.m - i) for i in range(1, sig.m + 1)]
     total_c = sum(cs)
     a = 2 + total_c
     b = a * (1 + drop) + 1 + total_c
@@ -124,6 +116,8 @@ def _signature_grading(sig, drop):
     table, row = _pull_table(sig), _row(sig, A.coeffs)
     if not all(_dot(row, v) >= 1 for v in table.base[:table.f]):
         raise InvariantViolation("grading class fails to dominate the simple roots and extras")
+    if not all(_dot(row, comp.cls.coeffs) >= 1 for comp in S.components):
+        raise InvariantViolation("grading class fails to dominate the components")
     return A
 
 
@@ -136,11 +130,8 @@ def _blocked_subtraction(S, x, alpha):
     eff, wit = is_root_effective(S, _new(alpha, sig))
     if not eff:
         raise InvariantViolation("blocked root is not effective")
-    pieces = wit.get("pieces") or ()
-    if not pieces:
-        return alpha
     K = canonical_class(sig)
-    for p in pieces:
+    for p in wit.get("pieces") or ():
         if _pair(sig, x, p.coeffs) < 0:
             if p.coeffs != alpha and intersect(p, p) == -2 and intersect(p, K) == 0:
                 return _blocked_subtraction(S, x, p.coeffs)
@@ -164,10 +155,10 @@ def _effective_classes(S, Da, t):
 def _negative_witness(S, D):
     """An effective class pairing negatively with D, for nef counterexamples
     discovered by the ineffectivity cut (where the loop has no subtraction
-    step to report).  Nef classes are effective, so one must exist."""
+    step to report).  Nef classes are effective, so one must exist; raises
+    BudgetExhausted when the search bound passes without one."""
     sig = S.sig
-    f = basis_f(sig)
-    cands = [f] + [comp.cls for comp in S.components] + [anticanonical_class(sig)]
+    cands = [basis_f(sig)] + [comp.cls for comp in S.components] + [anticanonical_class(sig)]
     for x in cands:
         if intersect(D, x) < 0:
             return x
@@ -180,7 +171,7 @@ def _negative_witness(S, D):
                     x = _new(x, sig)
                     if sq == -1 or is_root_effective(S, x)[0]:
                         return x
-    return None
+    raise BudgetExhausted("nef witness search", D, bound, bound)
 
 
 def _cone_loop(S, D, stop_on_subtract):
@@ -203,17 +194,13 @@ def _cone_loop(S, D, stop_on_subtract):
     level = _dot(Q_row, x)
     if q_nef and level < 0:
         return False, None, _new(q, sig) if stop_on_subtract else None
-    P, f = table.base, table.f
-    # at anticanonical degree 0 with irreducible Q of square 0 the chamber
-    # walk acts through the level-0 affine action and only multiples of Q
-    # (plus effective roots, which block the walk) ever reach the chamber;
-    # the walk is then cut below the chamber-interior class
-    rho_cut = irreducible_q and _dot(Q_row, q) == 0 and level == 0
-    if rho_cut:
+    # at anticanonical degree 0 with irreducible Q of square 0, a multiple
+    # cQ is effective exactly when c >= 0, with c copies of Q as certificate
+    if irreducible_q and _dot(Q_row, q) == 0 and level == 0:
         c = _multiple_of(x, q)
         if c is not None:
             if c < 0:
-                return False, None, _new(P[f], sig) if stop_on_subtract else None
+                return False, None, basis_f(sig) if stop_on_subtract else None
             cert = {"subtracted": [_new(q, sig)] * c, "residue": zero_class(sig)}
             return True, cert, None
     # grade by a dual-interior class: every nonzero effective class has
@@ -224,16 +211,15 @@ def _cone_loop(S, D, stop_on_subtract):
     grade = _dot(A_row, x)
     if grade < 0:
         return False, None, _negative_witness(S, D) if stop_on_subtract else None
-    word = None
+    P, word, f = list(table.base), [], table.f
     subtracted = []
     while True:
         row = _row(sig, x)
         if _dot(row, P[f]) < 0:  # D.f < 0
             return False, None, _new(P[f], sig)
-        P, word, cut, k = _chamber_walk(S, x, row, table, P, word, rho_cut)
+        cut, k = _chamber_walk(S, x, row, table, P, word)
         if cut:
-            witness = _negative_witness(S, D) if stop_on_subtract else None
-            return False, None, witness
+            return False, None, _negative_witness(S, D) if stop_on_subtract else None
         if k is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it

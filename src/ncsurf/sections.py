@@ -81,7 +81,7 @@ def dim_gamma(S, D, trace=None):
     table = _pull_table(sig)
     q, Q_row = table.q, table.q_row
     roots, n = table.roots, len(table.roots)
-    x, P, word = _coeffs(D, sig), table.base, None
+    x, P, word = _coeffs(D, sig), list(table.base), []
     plus = 0  # the 1 of each 1 + dim_gamma(D - Q) taken
 
     def here(y):  # an input-frame tuple, shown in the current frame
@@ -117,7 +117,7 @@ def dim_gamma(S, D, trace=None):
             eff, wit = is_root_effective(S, _new(beta, sig))
             if not eff:
                 note("reflect %s", beta)
-                P, word = _step(table, P, word, k)
+                _step(table, P, word, k)
                 continue
             # effective root: twist-aware case split
             if any(wit["components"]):
@@ -142,9 +142,9 @@ def dim_gamma(S, D, trace=None):
             else:
                 note("reflect %s (effective, twist %d)", beta, l)
                 x = _axpy(_push(x, word, roots), t, alpha.coeffs)
-                for j in (word or []) + [k]:
+                for j in word + [k]:
                     S = reflect_surface(S, roots[j][0])
-                P, word = table.base, None
+                P, word = list(table.base), []
                 if not is_effective(S, _new(x, sig)):
                     return plus
             continue

@@ -1,6 +1,8 @@
 """Weyl-group machinery on blowdown structures: simple roots, reflections,
 elementary transformations, chamber reduction, blowdown search for formal
--1-classes, and bounded orbit enumeration."""
+-1-classes, and bounded orbit enumeration.  One cached table per signature,
+_pull_table, holds the facts that depend only on the signature; the chamber
+walks extend one frame each in place and end at the fiber cut D.f < 0."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -55,33 +57,8 @@ class ReductionTrace:
 def simple_roots(sig):
     """(roots, extras): the simple roots in reduction order and the extra
     chamber-defining classes (e_m, and f-e_1 when m = 1)."""
-    roots, extras = _simple_roots(sig)
-    return list(roots), list(extras)
-
-
-@lru_cache(maxsize=None)
-def _simple_roots(sig):
-    # cached: the roots depend only on the signature, and every walk step
-    # of every query asks for them
-    m = sig.m
-    rational = sig.genera == (0, 0)
-    roots = []
-    if sig.parity == "even":
-        if rational or m == 0:
-            roots.append(basis_s(sig) - basis_f(sig))
-    else:
-        if rational and m >= 1:
-            roots.append(basis_s(sig) - basis_e(sig, 1))
-    if m >= 2:
-        roots.append(basis_f(sig) - basis_e(sig, 1) - basis_e(sig, 2))
-    for i in range(1, m):
-        roots.append(basis_e(sig, i) - basis_e(sig, i + 1))
-    extras = []
-    if m >= 1:
-        extras.append(basis_e(sig, m))
-        if m == 1:
-            extras.append(basis_f(sig) - basis_e(sig, 1))
-    return tuple(roots), tuple(extras)
+    table = _pull_table(sig)
+    return list(table.simple), list(table.terminal)
 
 
 def _reflect(x, root):
@@ -163,76 +140,80 @@ def _walk_budget(x, slack=1):
     return 64 * len(x) * (slack + max(map(abs, x)))
 
 
-_PullTable = namedtuple("_PullTable", "roots base moves extras f rho q q_row")
+_PullTable = namedtuple("_PullTable", "roots base moves extras f q q_row simple terminal")
 
 
 @lru_cache(maxsize=None)
 def _pull_table(sig):
-    """Per-signature data of the walks, which run in the input surface's
-    frame.  A reflection at an ineffective simple root changes the blowdown
-    structure, not the surface, so a walk keeps its class fixed and moves
-    the frame: P[j] = w(base[j]) for the word w walked so far.  base lists
-    the walk roots (the K-fixing simple roots in reduction order; roots pairs
-    each with its Gram row), then the extras, f and rho (latenum's
-    chamber-interior class), at the indices extras, f and rho.  Appending
-    the reflection at walk root k adds c*P[k] to P[j] for each (j, c) in
-    moves[k] (Bjorner-Brenti, ch. 4).  q = -K is fixed by every walk root.
-    The -2 check of the simple roots is paid here, once per signature."""
-    from .latenum import chamber_interior_class  # latenum imports weyl
-
-    roots, extras = _simple_roots(sig)
+    """The facts that depend only on the signature: simple_roots' two lists
+    (simple, terminal) and the data of the walks, which run in the input
+    surface's frame.  A reflection at an ineffective simple root changes the
+    blowdown structure, not the surface, so a walk keeps its class fixed and
+    moves the frame: P[j] = w(base[j]) for the word w walked so far.  base
+    lists the walk roots (the K-fixing simple roots; roots pairs each with its
+    Gram row), then the terminal classes and f, at the indices extras and f.
+    Appending the reflection at walk root k adds c*P[k] to P[j] for each
+    (j, c) in moves[k] (Bjorner-Brenti, ch. 4).  q = -K is fixed by every
+    walk root.  The -2 check of the simple roots is paid here, once."""
+    m = sig.m
+    rational = sig.genera == (0, 0)
+    f = basis_f(sig)
+    roots = []
+    if sig.parity == "even":
+        if rational or m == 0:
+            roots.append(basis_s(sig) - f)
+    elif rational and m >= 1:
+        roots.append(basis_s(sig) - basis_e(sig, 1))
+    if m >= 2:
+        roots.append(f - basis_e(sig, 1) - basis_e(sig, 2))
+    roots += [basis_e(sig, i) - basis_e(sig, i + 1) for i in range(1, m)]
+    extras = [basis_e(sig, m)] if m >= 1 else []
+    if m == 1:
+        extras.append(f - basis_e(sig, 1))
     K = canonical_class(sig)
     for alpha in roots:
         if _pair(sig, alpha.coeffs, alpha.coeffs) != -2:
             raise InvariantViolation("simple root %s is not a -2 class" % render_div(alpha))
     # an even m = 0 ruling class for g > 0 is no K-fixing root
     walk = tuple((a, _row(sig, a.coeffs)) for a in roots if intersect(a, K) == 0)
-    rho = chamber_interior_class(sig).coeffs
-    base = tuple(a.coeffs for a, _ in walk) + tuple(e.coeffs for e in extras) + (basis_f(sig).coeffs, rho)
+    base = tuple(a.coeffs for a, _ in walk) + tuple(x.coeffs for x in extras) + (f.coeffs,)
     moves = tuple(tuple((j, c) for j, v in enumerate(base) for c in (_dot(row, v),) if c) for _, row in walk)
-    n, f, q = len(walk), len(walk) + len(extras), (-K).coeffs
-    return _PullTable(walk, base, moves, range(n, f), f, f + 1, q, _row(sig, q))
+    n, fi, q = len(walk), len(walk) + len(extras), (-K).coeffs
+    return _PullTable(walk, base, moves, range(n, fi), fi, q, _row(sig, q), tuple(roots), tuple(extras))
 
 
 def _step(table, P, word, k):
-    """Append the reflection at walk root k to the word (P, word).  The empty
-    word (table.base, None) allocates nothing until its first reflection."""
-    if word is None:
-        P, word = list(P), []
+    """Append the reflection at walk root k to the frame (P, word), in place."""
     beta = P[k]
     for j, c in table.moves[k]:
         P[j] = _axpy(P[j], c, beta)
     word.append(k)
-    return P, word
 
 
 def _push(x, word, roots):
     """The input-frame tuple x in the current frame of the word."""
-    for k in word or ():
+    for k in word:
         x = _reflect(x, roots[k])
     return x
 
 
-def _chamber_walk(S, x, row, table, P, word=None, rho_cut=False):
+def _chamber_walk(S, x, row, table, P, word):
     """The walk of reduce_to_chamber on the input-frame tuple x (Gram row
-    row) from the frame (P, word).  Returns (P, word, cut, k): the frame
-    reached, whether the walk was cut (x.f < 0, or x.rho < 0 with rho_cut)
-    and the effective walk root that blocked it (or None).  Every effective
-    class pairs >= 0 with rho, and reflections can only lower the pairing,
-    so the rho cut bounds the walk on the infinite (m >= 8) groups."""
-    n, fi, ri = len(table.roots), table.f, table.rho
+    row), extending the frame (P, word) in place.  Returns (cut, k): whether
+    the walk was cut because x.f < 0 (f is nef, so x is not effective), and
+    the effective walk root that blocked it (or None).  Only the ruling root
+    changes x.f, and a reflection at it lowers x.f; the other simple roots
+    generate the finite Weyl group of type D_m (Bjorner-Brenti, ch. 4).  So
+    the fiber cut bounds every walk, also on the infinite (m >= 8) groups."""
+    n, fi = len(table.roots), table.f
     budget = _walk_budget(x)
     for _ in range(budget):
-        # the fiber class is nef on every marked surface, so a negative
-        # D.f certifies ineffectivity; only the ruling reflection changes
-        # D.f (strictly downward), and the remaining simple roots generate a
-        # finite D_m group, so this cut also makes the walk finite
-        if _dot(row, P[fi]) < 0 or (rho_cut and _dot(row, P[ri]) < 0):
-            return P, word, True, None
+        if _dot(row, P[fi]) < 0:
+            return True, None
         k = next((k for k in range(n) if _dot(row, P[k]) < 0), None)
         if k is None or is_root_effective(S, _new(P[k], S.sig))[0]:
-            return P, word, False, k
-        P, word = _step(table, P, word, k)
+            return False, k
+        _step(table, P, word, k)
     raise BudgetExhausted("chamber reduction", _new(_push(x, word, table.roots), S.sig), budget, budget)
 
 
@@ -244,10 +225,11 @@ def reduce_to_chamber(S, D):
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
-    _, word, cut, k = _chamber_walk(S, x, _row(sig, x), table, table.base)
+    word = []
+    cut, k = _chamber_walk(S, x, _row(sig, x), table, list(table.base), word)
     blocking = None if k is None else table.roots[k][0]
     trace = ReductionTrace(start=D, cut=cut, blocked=k is not None, blocking=blocking)
-    for j in word or ():
+    for j in word:
         root = table.roots[j]
         x = _reflect(x, root)
         S = reflect_surface(S, root[0])
@@ -350,11 +332,17 @@ def in_neg1_orbit(sig, e):
 
 def enumerate_orbit(sig, seed, Da, bound, budget=200000):
     """All classes in the reflection-group orbit of seed with pairing <= bound
-    against Da (Da^2 > 0 required); breadth-first with the pairing bound as
-    frontier cutoff."""
+    against Da; breadth-first with the pairing bound as frontier cutoff.  Da
+    must have Da^2 > 0 and pair >= 0 with every simple root, so that no
+    reflection at a root pairing negatively with a class raises its pairing
+    with Da, which makes the cutoff complete."""
     if intersect(Da, Da) <= 0:
         raise ValueError("enumeration reference class must have Da^2 > 0")
     roots, _ = simple_roots(sig)
+    alpha = next((a for a in roots if intersect(Da, a) < 0), None)
+    if alpha is not None:
+        msg = "enumeration reference class %s pairs negatively with the simple root %s"
+        raise ValueError(msg % (render_div(Da), render_div(alpha)))
     out = set()
     frontier = []
     if intersect(seed, Da) <= bound:

@@ -214,6 +214,36 @@ lambda f = 0 0
 component = 2 0 * 1
 """
 
+F0 = """genus = 0 0
+parity = even
+m = 0
+marking = free 2
+q = 1 0
+lambda s = 0 1
+lambda f = 0 0
+component = 2 2 * 1
+"""
+
+# f0_generic in the accepted forms its rendering does not use (blank and
+# comment-only lines, a trailing comment, a component without '* mult'),
+# then files with one defect each
+SURFACE_FILES = {
+    "commented.ncs": "# f0_generic\n\n" + F0.replace("q = 1 0", "q = 1 0  # generic").replace(" * 1", ""),
+    "bad_element.ncs": F0.replace("q = 1 0", "q = 1 x"),
+    "lambda_no_basis.ncs": F0.replace("lambda f =", "lambda ="),
+    "bad_genus.ncs": F0.replace("genus = 0 0", "genus = 0"),
+    "bad_parity.ncs": F0.replace("parity = even", "parity = neither"),
+    "bad_m.ncs": F0.replace("m = 0", "m = zero"),
+    "bad_marking.ncs": F0.replace("marking = free 2", "marking = fixed 2"),
+    "no_free_rank.ncs": F0.replace("marking = free 2", "marking = free"),
+    "bad_torsion_keyword.ncs": F0.replace("marking = free 2", "marking = free 2 tors 3"),
+    "bad_torsion.ncs": F0.replace("marking = free 2", "marking = free 2 torsion x"),
+    "no_lambda.ncs": F0.replace("lambda f = 0 0\n", ""),
+    "bad_mult.ncs": F0.replace("* 1", "* one"),
+    "short_component.ncs": F0.replace("2 2 * 1", "2 * 1"),
+    "bad_component.ncs": F0.replace("2 2 * 1", "2 x * 1"),
+}
+
 GOLDEN = [
     ('validate --surface pvi_m12', 'ok\n'),
     ('validate --surface pvi_m12 --json', {"answer": "ok"}),
@@ -298,6 +328,7 @@ GOLDEN = [
     ('preset show f2_type', 'genus = 0 0\nparity = even\nm = 0\nmarking = free 1\nq = 1\nlambda s = 3\nlambda f = 0\ncomponent = 2 2 * 1\n'),
     ('validate --surface quasi_ruled.ncs', 'ok\n'),
     ('intersect --surface quasi_ruled.ncs s s', '0\n'),
+    ('gamma --surface commented.ncs s+f', '4\n'),
 ]
 
 # (command line, start of the last stderr line); exit code 2, empty stdout
@@ -346,12 +377,28 @@ INPUT_ERRORS = [
     # an option that the chosen k0 operation or moduli kind does not read
     ('moduli hilb --n 3 --c1 junk --rank 7', 'error: moduli hilb does not take --rank --c1'),
     ('k0 theta 1 s 0 --kz junk --r 0 --surface m2_generic', 'error: k0 theta does not take --r --kz'),
+    # surface files, one defect each (SURFACE_FILES)
+    ('validate --surface bad_element.ncs', "error: line 5: bad marking element '1 x'"),
+    ('validate --surface lambda_no_basis.ncs', "error: line 7: expected 'lambda <basis> = ...'"),
+    ('validate --surface bad_genus.ncs', 'error: line 1: genus needs two integers'),
+    ('validate --surface bad_parity.ncs', 'error: line 2: parity must be even or odd'),
+    ('validate --surface bad_m.ncs', 'error: line 3: m must be an integer'),
+    ('validate --surface bad_marking.ncs', "error: line 4: marking must start with 'free R'"),
+    ('validate --surface no_free_rank.ncs', 'error: line 4: bad marking specification'),
+    ('validate --surface bad_torsion_keyword.ncs', "error: line 4: expected 'torsion n1 ...'"),
+    ('validate --surface bad_torsion.ncs', 'error: line 4: bad marking specification'),
+    ('validate --surface no_lambda.ncs', 'error: missing key lambda f'),
+    ('validate --surface bad_mult.ncs', 'error: line 8: bad component multiplicity'),
+    ('validate --surface short_component.ncs', 'error: line 8: component needs 2 integers'),
+    ('validate --surface bad_component.ncs', 'error: line 8: component needs 2 integers'),
 ]
 
 
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
     (tmp_path / "quasi_ruled.ncs").write_text(QUASI_RULED)
+    for name, text in SURFACE_FILES.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
 
 

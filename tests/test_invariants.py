@@ -82,12 +82,28 @@ def test_grading_class_checks_are_explicit(monkeypatch):
     extra = table._replace(base=table.base[:table.f] + (neg_f,) + table.base[table.f:], f=table.f + 1)
     monkeypatch.setattr(cones, "_pull_table", lambda s: extra)
     cones._grading_class.cache_clear()
-    cones._signature_grading.cache_clear()
     with pytest.raises(InvariantViolation, match="simple roots"):
         cones._grading_class(S)
-    monkeypatch.setattr(cones, "_signature_grading", lambda s, drop: zero_class(s))
+    monkeypatch.undo()
+    # a component -e_1, which validation would refuse: no grading class
+    # pairs positively with it
+    bad = marking.QComponent(-basis_e(sig, 1), 1)
+    S = marking.SurfaceData(sig, S.components + (bad,), S.marking, S.q, S.lam)
     with pytest.raises(InvariantViolation, match="components"):
         cones._grading_class(S)
+
+
+def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):
+    # with empty reference shells the search finds no witness for s-f on
+    # m1_generic, which is not nef
+    monkeypatch.setattr(cones.latenum, "_reference_shell", lambda sig, t, sq: ())
+    S = m1_generic()
+    with pytest.raises(BudgetExhausted) as info:
+        cones.nef_witness(S, div(S.sig, 1, -1, 0))
+    report = info.value.report
+    assert (report["search"], report["class"], report["steps"]) == ("nef witness search", "s-f", 24)
+    assert cli.main(["nef", "--surface", "m1_generic", "s-f"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: nef witness search exceeded its step budget")
 
 
 class _Corrupt(int):

@@ -16,7 +16,7 @@ from ncsurf.lattice import (
     mukai_pairing,
     zero_class,
 )
-from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, validate
+from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, blow_up, validate
 from ncsurf.presets import dp9_torsion, f0_commutative, f0_generic, get_preset
 from ncsurf.sections import (
     HomDims,
@@ -56,6 +56,32 @@ def test_dim_gamma_anticanonical_multiples():
     # in particular the 2lQ example
     S = dp9_torsion(2)
     assert dim_gamma(S, 4 * anticanonical_class(S.sig)) == 3
+
+
+def halphen_pencil():
+    """dp9_torsion's free marking without its torsion factor: lambda(Q) = 0,
+    a Halphen pencil of index 1, where h^0(kQ) = k + 1."""
+    sig = LatticeSignature(8, "even")
+    lam = ((18, 101), (0, 1)) + tuple((i, i * i) for i in range(1, 9))
+    S = SurfaceData(sig, (QComponent(anticanonical_class(sig), 1),), MarkingGroup(2), (1, 0), lam)
+    assert validate(S) == []
+    return S
+
+
+def test_dim_gamma_passes_to_d_minus_q_when_the_restriction_is_trivial():
+    S = halphen_pencil()
+    Q = anticanonical_class(S.sig)
+    for k, want in ((1, 2), (2, 3), (3, 4)):
+        trace = []
+        assert dim_gamma(S, k * Q, trace=trace) == want
+        if k == 1:
+            assert trace == ["restriction to Q trivial: 1 + dim of 0"]
+    # the m >= 9 half: blown up once more at e8's marked point, D - Q is a
+    # nonzero nef class of positive anticanonical degree
+    S = blow_up(S, 0, [1], (8, 64))
+    trace = []
+    assert dim_gamma(S, div(S.sig, 4, 4, -2, -2, -2, -2, -2, -2, -2, -1, -1), trace=trace) == 3
+    assert trace == ["restriction to Q trivial: 1 + dim of 2s+2f-e1-e2-e3-e4-e5-e6-e7"]
 
 
 def test_dim_gamma_commutative_kunneth():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -257,3 +258,41 @@ def test_enumerate_orbit():
     K = canonical_class(sig)
     for x in enumerate_orbit(sig, basis_e(sig, 2), Da, 3):
         assert intersect(x, x) == -1 and intersect(x, K) == -1
+
+
+def test_enumerate_orbit_refuses_a_reference_outside_the_chamber():
+    # Da = s+3f-e1-2e2 (Da^2 = 1) pairs -2 with the root f-e1-e2; the
+    # pairing cutoff would miss e1, f-e1, f-e2 and s-e2, all in the orbit of
+    # e2 and pairing <= 1 with Da
+    sig = LatticeSignature(2, "even")
+    Da = div(sig, 1, 3, -1, -2)
+    with pytest.raises(ValueError, match="simple root f-e1-e2"):
+        enumerate_orbit(sig, basis_e(sig, 2), Da, 1)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_enumerate_orbit_matches_the_slices_for_chamber_references(m, parity):
+    """For Da in the chamber the orbit of e_m with pairing <= bound is the set
+    of -1-classes in that orbit with pairing in [e_m.Da, bound]: e_m pairs
+    >= 0 with every simple root, so no class of its orbit pairs below e_m.Da."""
+    sig = LatticeSignature(m, parity)
+    roots, _ = simple_roots(sig)
+    K, e = canonical_class(sig), basis_e(sig, m)
+    refs = []
+    for a in range(5):
+        for b in range(5):
+            for cs in itertools.product(range(3), repeat=m):
+                Da = div(sig, a, b, *(-c for c in cs))
+                if intersect(Da, Da) > 0 and all(intersect(Da, r) >= 0 for r in roots):
+                    refs.append(Da)
+    for Da in refs[:: len(refs) // 3]:
+        for bound in (1, 2, 3):
+            got = {x.coeffs for x in enumerate_orbit(sig, e, Da, bound)}
+            want = {
+                x.coeffs
+                for t in range(intersect(e, Da), bound + 1)
+                for x in classes_with_pairing(sig, Da, t, -1)
+                if intersect(x, K) == -1 and in_neg1_orbit(sig, x)
+            }
+            assert got == want, (render_div(Da), bound)
