@@ -5,9 +5,9 @@ The main loop alternates chamber reduction by ineffective-root reflections
 with subtraction of effective classes (components, effective roots, the
 terminal -1-classes e_m and f-e_1) that pair negatively; acceptance is the
 dual-monoid condition in the fundamental chamber.  The walks end at the fiber
-cut (weyl._chamber_walk), the loop at the grade of a dual-interior class."""
+cut (weyl._chamber_walk), the loop at the grade of the dual-interior class
+that marking._surface_table holds with the other facts of the surface."""
 
-from functools import lru_cache
 from operator import add, sub
 
 from .lattice import (
@@ -27,7 +27,7 @@ from .lattice import (
     zero_class,
 )
 from . import latenum
-from .marking import is_root_effective
+from .marking import _surface_table, is_root_effective
 from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
@@ -93,34 +93,6 @@ def is_nef(S, D):
     return nef_witness(S, D)[0]
 
 
-@lru_cache(maxsize=256)  # bounded: one entry per surface asked about
-def _grading_class(S):
-    """An integer class pairing >= 1 with every simple root, terminal
-    -1-class and component.  The effective monoid is contained in the monoid
-    these generate, so any nonzero effective class has grade >= 1; each
-    subtraction step in the cone loop then strictly lowers the grade, which
-    bounds the loop even on the infinite reflection groups."""
-    sig = S.sig
-    drop = 0  # most negative fiber coefficient among horizontal components
-    for comp in S.components:
-        if intersect(comp.cls, basis_f(sig)) != 0:
-            drop = max(drop, -comp.cls.coeffs[1])
-    # A = a*s + b*f - sum(c_i e_i); geometric weights c_i = 2^(m-i) make
-    # each weight beat the sum of all later ones, so A dominates every
-    # lexicographically positive class supported on the e_i
-    cs = [2 ** (sig.m - i) for i in range(1, sig.m + 1)]
-    total_c = sum(cs)
-    a = 2 + total_c
-    b = a * (1 + drop) + 1 + total_c
-    A = _new((a, b) + tuple(-c for c in cs), sig)
-    table, row = _pull_table(sig), _row(sig, A.coeffs)
-    if not all(_dot(row, v) >= 1 for v in table.base[:table.f]):
-        raise InvariantViolation("grading class fails to dominate the simple roots and extras")
-    if not all(_dot(row, comp.cls.coeffs) >= 1 for comp in S.components):
-        raise InvariantViolation("grading class fails to dominate the components")
-    return A
-
-
 def _blocked_subtraction(S, x, alpha):
     """What to subtract when an effective root alpha pairs negatively with x
     (tuples in S's frame): an irreducible piece of alpha's decomposition that
@@ -184,31 +156,28 @@ def _cone_loop(S, D, stop_on_subtract):
     x = _coeffs(D, sig)
     table = _pull_table(sig)
     q, Q_row = table.q, table.q_row
-    comps = S.components
+    T = _surface_table(S)
     # Q is fixed by every root reflection, and when Q is nef it pairs >= 0
     # with every effective-cone generator; then D.Q < 0 forces D ineffective
     # (with Q itself as a nef witness).  This bounds the walk on the infinite
     # (m >= 8) reflection groups for negative anticanonical degree.
-    q_nef = all(_dot(Q_row, comp.cls.coeffs) >= 0 for comp in comps)
-    irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == q
     level = _dot(Q_row, x)
-    if q_nef and level < 0:
+    if T.q_nef and level < 0:
         return False, None, _new(q, sig) if stop_on_subtract else None
     # at anticanonical degree 0 with irreducible Q of square 0, a multiple
     # cQ is effective exactly when c >= 0, with c copies of Q as certificate
-    if irreducible_q and _dot(Q_row, q) == 0 and level == 0:
+    if T.irreducible_q and _dot(Q_row, q) == 0 and level == 0:
         c = _multiple_of(x, q)
         if c is not None:
             if c < 0:
                 return False, None, basis_f(sig) if stop_on_subtract else None
             cert = {"subtracted": [_new(q, sig)] * c, "residue": zero_class(sig)}
             return True, cert, None
-    # grade by a dual-interior class: every nonzero effective class has
-    # grade >= 1, so the residue grade drops by >= 1 per subtraction and a
-    # negative grade certifies ineffectivity; the grade bounds the loop, which
-    # runs at most grade + 2 times
-    A_row = _row(sig, _grading_class(S).coeffs)
-    grade = _dot(A_row, x)
+    # grade by the dual-interior class of the surface table: every nonzero
+    # effective class has grade >= 1, so the residue grade drops by >= 1 per
+    # subtraction and a negative grade certifies ineffectivity; the grade
+    # bounds the loop, which runs at most grade + 2 times
+    grade = _dot(T.grading_row, x)
     if grade < 0:
         return False, None, _negative_witness(S, D) if stop_on_subtract else None
     P, word, f = list(table.base), [], table.f
@@ -228,12 +197,12 @@ def _cone_loop(S, D, stop_on_subtract):
             # the terminal -1-classes of the chamber, then the components
             y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
             if y is None:
-                y = next((c.cls.coeffs for c in comps if _dot(row, c.cls.coeffs) < 0), None)
+                y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
             break
         if stop_on_subtract:
             return False, None, _new(y, sig)
-        drop = _dot(A_row, y)
+        drop = _dot(T.grading_row, y)
         if drop < 1:
             raise InvariantViolation("subtracted class escaped the effective grading")
         grade -= drop

@@ -4,9 +4,10 @@ of Pic^0 of the anticanonical curve (with distinguished element q), and the
 effectiveness oracles for -2-roots and -1-classes built on them.  Whether
 lambda(beta) lies in <q> is one equation a*q = x in the group: a free
 coordinate fixes a, and the torsion coordinates are congruences joined by
-the Chinese remainder theorem (cyclic_membership)."""
+the Chinese remainder theorem (cyclic_membership).  What the oracle and the
+cone loop need of a surface besides that is computed once (_surface_table)."""
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -225,19 +226,58 @@ def element_order(P, x):
     return order
 
 
-@lru_cache(maxsize=None)
 def _effective_neg1_classes(sig):
-    """-1 classes effective on every surface of this signature: the e_i and
-    the orbit classes f - e_i."""
-    from . import weyl
+    """-1 classes effective on every surface of this signature: the e_i, then
+    the f - e_i.  Each f - e_i is in the orbit of e_m: interchanges take it to
+    f - e_1, the elementary transformation takes that to e_1, and
+    interchanges take e_1 to e_m."""
+    es = tuple(basis_e(sig, i) for i in range(1, sig.m + 1))
+    return es + tuple(basis_f(sig) - e for e in es)
 
-    out = [basis_e(sig, i) for i in range(1, sig.m + 1)]
-    f = basis_f(sig)
-    for i in range(1, sig.m + 1):
-        c = f - out[i - 1]
-        if weyl.in_neg1_orbit(sig, c):
-            out.append(c)
-    return tuple(out)
+
+_SurfaceTable = namedtuple("_SurfaceTable", "grading grading_row comp_rows caps ncap budget neg1_rows q_nef irreducible_q")
+
+
+@lru_cache(maxsize=256)  # bounded: one entry per surface asked about
+def _surface_table(S):
+    """The facts that depend only on the surface, read by the root oracle and
+    the cone loop.  grading pairs >= 1 with every simple root, terminal
+    -1-class and component, so a nonzero effective class has grade >= 1 and
+    each subtraction of the cone loop lowers the grade.  The rows pair the
+    components and the always-effective -1-classes with their Gram rows;
+    caps, ncap and budget bound the root search."""
+    from . import weyl  # local import: weyl imports marking
+
+    sig, comps = S.sig, S.components
+    # the most negative fiber coefficient among horizontal components
+    drop = max([0] + [-c.cls.coeffs[1] for c in comps if intersect(c.cls, basis_f(sig)) != 0])
+    # A = a*s + b*f - sum(c_i e_i); geometric weights c_i = 2^(m-i) make
+    # each weight beat the sum of all later ones, so A dominates every
+    # lexicographically positive class supported on the e_i
+    cs = [2 ** (sig.m - i) for i in range(1, sig.m + 1)]
+    total_c = sum(cs)
+    a = 2 + total_c
+    b = a * (1 + drop) + 1 + total_c
+    A = _new((a, b) + tuple(-c for c in cs), sig)
+    table, rowA = weyl._pull_table(sig), _row(sig, A.coeffs)
+    if not all(_dot(rowA, v) >= 1 for v in table.base[:table.f]):
+        raise InvariantViolation("grading class fails to dominate the simple roots and extras")
+    if not all(_dot(rowA, comp.cls.coeffs) >= 1 for comp in comps):
+        raise InvariantViolation("grading class fails to dominate the components")
+    # a root can only contain each component of Q with small multiplicity;
+    # cap the search so it stays total on looping configurations
+    caps = tuple(2 * c.mult + 2 for c in comps)
+    # pairing with K: 0 = alpha.K = sum n_j (C_j.K) - (#-1 classes), so the
+    # component caps bound how many -1 classes a decomposition can use
+    K = canonical_class(sig)
+    ncap = sum(cap * max(intersect(c.cls, K), 0) for cap, c in zip(caps, comps))
+    budget = max(64, 64 * sig.m * (1 + sum(c.mult for c in comps)))
+    q_nef = all(_dot(table.q_row, c.cls.coeffs) >= 0 for c in comps)
+    irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == table.q
+    return _SurfaceTable(
+        A, rowA, tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps), caps, ncap, budget,
+        tuple((c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig)), q_nef, irreducible_q,
+    )
 
 
 @lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 470 (surface, root) pairs
@@ -246,7 +286,9 @@ def is_root_effective(S, alpha):
 
     Returns (bool, witness) where the witness records the subtracted component
     multiplicities and, for the marked branch, the coset of exponents a with
-    lambda(beta) = a*q.
+    lambda(beta) = a*q.  Decompositions may pass through the -1-classes that
+    are effective on every surface (e.g. a section component plus leftover
+    exceptionals); the surface's facts come from _surface_table.
     """
     K = canonical_class(S.sig)
     if intersect(alpha, alpha) != -2 or intersect(alpha, K) != 0:
@@ -254,31 +296,14 @@ def is_root_effective(S, alpha):
             "%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha)
         )
     sig = S.sig
-    comps = S.components
-    # -1 classes that are effective on every surface; decompositions can
-    # pass through them (e.g. a section component plus leftover exceptionals)
-    neg1 = _effective_neg1_classes(sig)
-    # a root can only contain each component of Q with small multiplicity;
-    # cap the search so it stays total on looping configurations
-    caps = [2 * c.mult + 2 for c in comps]
-    # pairing with K: 0 = alpha.K = sum n_j (C_j.K) - (#-1 classes), so the
-    # component caps bound how many -1 classes a decomposition can use
-    ncap = sum(
-        cap * max(intersect(c.cls, K), 0) for cap, c in zip(caps, comps)
-    )
-    budget = max(64, 64 * sig.m * (1 + sum(c.mult for c in comps)))
+    T = _surface_table(S)
     # prune via the dual-interior grading: every effective class (and every
     # residue on a successful decomposition path) has nonnegative grade
-    from .cones import _grading_class
-
-    A = _grading_class(S)
-    if intersect(alpha, A) < 0:
+    rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
+    if _dot(rowA, alpha.coeffs) < 0:
         return False, None
-    rowA = _row(sig, A.coeffs)
-    comp_rows = [(comp.cls, _row(sig, comp.cls.coeffs)) for comp in comps]
-    neg1_rows = [(c, _row(sig, c.coeffs)) for c in neg1]
     seen = {alpha.coeffs}
-    queue = deque([(alpha.coeffs, (0,) * len(comps), 0, ())])
+    queue = deque([(alpha.coeffs, (0,) * len(comp_rows), 0, ())])
     steps = 0
     while queue:
         beta, n, nsub, pieces = queue.popleft()
@@ -306,7 +331,7 @@ def is_root_effective(S, alpha):
                     queue.append((b2, n2, nsub, pieces + (c,)))
         # and on always-effective -1 classes pairing negatively with it
         if nsub < ncap:
-            for c, row in neg1_rows:
+            for c, row in T.neg1_rows:
                 if _dot(row, beta) < 0:
                     b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
                     if b2 not in seen and _dot(rowA, b2) >= 0:

@@ -2,7 +2,8 @@
 elementary transformations, chamber reduction, blowdown search for formal
 -1-classes, and bounded orbit enumeration.  One cached table per signature,
 _pull_table, holds the facts that depend only on the signature; the chamber
-walks extend one frame each in place and end at the fiber cut D.f < 0."""
+walks extend one frame each in place, update their pairings with it, and end
+at the fiber cut D.f < 0."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -205,15 +206,19 @@ def _chamber_walk(S, x, row, table, P, word):
     changes x.f, and a reflection at it lowers x.f; the other simple roots
     generate the finite Weyl group of type D_m (Bjorner-Brenti, ch. 4).  So
     the fiber cut bounds every walk, also on the infinite (m >= 8) groups."""
-    n, fi = len(table.roots), table.f
+    n, fi, moves = len(table.roots), table.f, table.moves
     budget = _walk_budget(x)
+    v = [_dot(row, p) for p in P]  # v[j] = x.P[j], moved with the frame
     for _ in range(budget):
-        if _dot(row, P[fi]) < 0:
+        if v[fi] < 0:
             return True, None
-        k = next((k for k in range(n) if _dot(row, P[k]) < 0), None)
+        k = next((k for k in range(n) if v[k] < 0), None)
         if k is None or is_root_effective(S, _new(P[k], S.sig))[0]:
             return False, k
         _step(table, P, word, k)
+        vk = v[k]
+        for j, c in moves[k]:
+            v[j] += c * vk
     raise BudgetExhausted("chamber reduction", _new(_push(x, word, table.roots), S.sig), budget, budget)
 
 

@@ -80,17 +80,17 @@ def test_grading_class_checks_are_explicit(monkeypatch):
     table = weyl._pull_table(sig)
     neg_f = (-basis_f(sig)).coeffs  # a generator no grading class can dominate
     extra = table._replace(base=table.base[:table.f] + (neg_f,) + table.base[table.f:], f=table.f + 1)
-    monkeypatch.setattr(cones, "_pull_table", lambda s: extra)
-    cones._grading_class.cache_clear()
+    monkeypatch.setattr(weyl, "_pull_table", lambda s: extra)
+    marking._surface_table.cache_clear()
     with pytest.raises(InvariantViolation, match="simple roots"):
-        cones._grading_class(S)
+        marking._surface_table(S)
     monkeypatch.undo()
     # a component -e_1, which validation would refuse: no grading class
     # pairs positively with it
     bad = marking.QComponent(-basis_e(sig, 1), 1)
     S = marking.SurfaceData(sig, S.components + (bad,), S.marking, S.q, S.lam)
     with pytest.raises(InvariantViolation, match="components"):
-        cones._grading_class(S)
+        marking._surface_table(S)
 
 
 def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):

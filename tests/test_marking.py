@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from ncsurf import marking, weyl
 from ncsurf.lattice import (
+    BudgetExhausted,
     DivClass,
     LatticeSignature,
     anticanonical_class,
@@ -18,6 +20,8 @@ from ncsurf.marking import (
     MarkingGroup,
     QComponent,
     SurfaceData,
+    _effective_neg1_classes,
+    _surface_table,
     blow_up,
     cyclic_membership,
     element_order,
@@ -95,11 +99,9 @@ def test_cyclic_membership_cache_is_bounded():
 
 
 def test_surface_keyed_caches_are_bounded():
-    # is_root_effective and cones._grading_class are keyed by SurfaceData:
+    # is_root_effective and marking._surface_table are keyed by SurfaceData:
     # both have a bound, every answer is the uncached one, on the first call
     # and when asked again, and neither cache grows past its bound
-    from ncsurf.cones import _grading_class
-
     queries = []
     for name in ("f0_generic", "f2_type", "m1_generic", "m2_generic", "m3_generic", "m4_generic", "dp9_torsion"):
         S = get_preset(name)
@@ -109,14 +111,14 @@ def test_surface_keyed_caches_are_bounded():
             if intersect(alpha, alpha) == -2 and intersect(alpha, K) == 0:
                 queries.append((S, alpha))
     assert len(queries) > 300
-    for cached in (is_root_effective, _grading_class):
+    for cached in (is_root_effective, _surface_table):
         assert cached.cache_info().maxsize is not None
         cached.cache_clear()
     for _ in range(2):
         for S, alpha in queries:
             assert is_root_effective(S, alpha) == is_root_effective.__wrapped__(S, alpha)
-            assert _grading_class(S) == _grading_class.__wrapped__(S)
-    for cached in (is_root_effective, _grading_class):
+            assert _surface_table(S) == _surface_table.__wrapped__(S)
+    for cached in (is_root_effective, _surface_table):
         info = cached.cache_info()
         assert info.hits > 0 and info.currsize <= info.maxsize
 
@@ -124,28 +126,27 @@ def test_surface_keyed_caches_are_bounded():
 def test_surface_keyed_caches_evict_and_stay_correct():
     # 1089 surfaces F0 with q = (a, b) and their two roots +-(s - f): more
     # (surface, root) pairs than is_root_effective holds and more surfaces
-    # than _grading_class holds.  Asked twice in the same order, every key is
+    # than _surface_table holds.  Asked twice in the same order, every key is
     # evicted before it is asked again; each answer still equals the uncached
     # one, and each cache stays full at its bound
-    from ncsurf.cones import _grading_class
     from ncsurf.presets import _f0
 
     surfaces = [_f0((a, b)) for a in range(-16, 17) for b in range(-16, 17)]
     queries = [(S, DivClass((k, -k), S.sig)) for S in surfaces for k in (1, -1)]
     assert len(queries) > is_root_effective.cache_info().maxsize
-    assert len(surfaces) > _grading_class.cache_info().maxsize
-    want = [(is_root_effective.__wrapped__(S, alpha), _grading_class.__wrapped__(S)) for S, alpha in queries]
+    assert len(surfaces) > _surface_table.cache_info().maxsize
+    want = [(is_root_effective.__wrapped__(S, alpha), _surface_table.__wrapped__(S)) for S, alpha in queries]
     assert {w[0][0] for w in want} == {True, False}
-    for cached in (is_root_effective, _grading_class):
+    for cached in (is_root_effective, _surface_table):
         cached.cache_clear()
     misses = []
     for _ in range(2):
         for (S, alpha), w in zip(queries, want):
-            assert (is_root_effective(S, alpha), _grading_class(S)) == w
-        misses.append([cached.cache_info().misses for cached in (is_root_effective, _grading_class)])
+            assert (is_root_effective(S, alpha), _surface_table(S)) == w
+        misses.append([cached.cache_info().misses for cached in (is_root_effective, _surface_table)])
     assert misses[1][0] - misses[0][0] >= len(queries)
     assert misses[1][1] - misses[0][1] >= len(surfaces)
-    for cached in (is_root_effective, _grading_class):
+    for cached in (is_root_effective, _surface_table):
         info = cached.cache_info()
         assert info.currsize == info.maxsize
 
@@ -230,6 +231,30 @@ def test_neg1_classes():
     Seq = SurfaceData(sig, S.components, S.marking, S.q, tuple(lam))
     assert is_neg1_effective(Seq, basis_e(sig, 1))
     assert not is_neg1_irreducible(Seq, basis_e(sig, 1))
+
+
+@pytest.mark.parametrize("genera", [(0, 0), (1, 1), (2, 0), (0, 3)])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_effective_neg1_classes_are_the_walk_filtered_list(parity, genera):
+    # the closed form against the blowdown walk, which stays the independent check
+    for m in range(14):
+        sig = LatticeSignature(m, parity, genera)
+        es = [basis_e(sig, i) for i in range(1, m + 1)]
+        want = es + [c for c in (basis_f(sig) - e for e in es) if weyl.in_neg1_orbit(sig, c)]
+        assert list(_effective_neg1_classes(sig)) == want, sig
+
+
+def test_root_search_reports_an_exhausted_budget(monkeypatch):
+    # e1-e3 is a component of pvi_m12: the first pop subtracts it, and the
+    # second, which would find the empty residue, is over the budget
+    S = get_preset("pvi_m12")
+    alpha = basis_e(S.sig, 1) - basis_e(S.sig, 3)
+    assert is_root_effective.__wrapped__(S, alpha)[0]
+    monkeypatch.setattr(marking, "_surface_table", lambda S: _surface_table(S)._replace(budget=1))
+    with pytest.raises(BudgetExhausted) as info:
+        is_root_effective.__wrapped__(S, alpha)
+    report = info.value.report
+    assert (report["search"], report["class"], report["steps"], report["budget"]) == ("root effectiveness search", "e1-e3", 1, 1)
 
 
 def test_blow_up_bookkeeping():

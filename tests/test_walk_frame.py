@@ -1,7 +1,7 @@
 """The walks of is_effective, is_nef and dim_gamma stay in the input
 surface's frame: a reflection at an ineffective simple root moves the frame,
 so none of them builds a reflected surface, and the per-surface caches of
-the root oracle and the grading class hold input surfaces only.
+the root oracle and the surface table hold input surfaces only.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
@@ -53,7 +53,7 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
     for mod in (marking, weyl, cones, sections):
         monkeypatch.setattr(mod, "is_root_effective", recorded)
     oracle.cache_clear()
-    cones._grading_class.cache_clear()
+    marking._surface_table.cache_clear()
     queries = m2_box() + pool_slice()
     surfaces = {S for S, _ in queries}
     for S, D in queries:
@@ -70,5 +70,5 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
         pytest.fail("the root oracle was asked on %d surfaces that are no input" % len(strangers))
     if oracle.cache_info().currsize > len(asked):
         pytest.fail("%d root-oracle cache entries for %d distinct (surface, root) pairs" % (oracle.cache_info().currsize, len(asked)))
-    if cones._grading_class.cache_info().currsize > len(surfaces):
-        pytest.fail("grading classes cached for %d surfaces, %d inputs" % (cones._grading_class.cache_info().currsize, len(surfaces)))
+    if marking._surface_table.cache_info().currsize > len(surfaces):
+        pytest.fail("surface tables cached for %d surfaces, %d inputs" % (marking._surface_table.cache_info().currsize, len(surfaces)))

@@ -270,6 +270,18 @@ def test_enumerate_orbit_refuses_a_reference_outside_the_chamber():
         enumerate_orbit(sig, basis_e(sig, 2), Da, 1)
 
 
+@pytest.mark.xfail(strict=True, reason="the search starts only from the seed, which pairs above the bound (ROADMAP item 6)")
+def test_enumerate_orbit_does_not_depend_on_the_seed():
+    # s+f-e1-e2-e3 pairs 3 with Da = s+2f and lies in the orbit of e3
+    sig = LatticeSignature(3, "even")
+    Da = basis_s(sig) + 2 * basis_f(sig)
+    want = {"e1", "e2", "e3", "f-e1", "f-e2", "f-e3"}
+    assert {render_div(x) for x in enumerate_orbit(sig, basis_e(sig, 3), Da, 1)} == want
+    seed = div(sig, 1, 1, -1, -1, -1)
+    assert in_neg1_orbit(sig, seed) and intersect(seed, Da) == 3
+    assert {render_div(x) for x in enumerate_orbit(sig, seed, Da, 1)} == want
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_enumerate_orbit_matches_the_slices_for_chamber_references(m, parity):
