@@ -44,7 +44,6 @@ from .weyl import (
     BlowdownError,
     ReductionTrace,
     elementary_transformation,
-    enumerate_orbit,
     find_blowdown,
     in_neg1_orbit,
     reduce_to_chamber,

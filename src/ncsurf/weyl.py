@@ -1,13 +1,13 @@
-"""Weyl-group machinery on blowdown structures: simple roots, reflections,
-elementary transformations, chamber reduction, blowdown search for formal
--1-classes, and bounded orbit enumeration.  One cached table per signature,
-_pull_table, holds the facts that depend only on the signature; the chamber
-walks extend one frame each in place, update their pairings with it, and end
-at the fiber cut D.f < 0."""
+"""Weyl-group machinery on blowdown structures: simple roots, reflections and
+elementary transformations (both move a surface by one transport,
+_moved_surface), chamber reduction, and blowdown search for formal
+-1-classes.  One cached table per signature, _pull_table, holds the facts that
+depend only on the signature; the chamber walks extend one frame each in
+place, update their pairings with it, and end at the fiber cut D.f < 0."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattice import (
     BudgetExhausted,
@@ -76,27 +76,26 @@ def reflect(D, alpha):
 
 
 def reflect_surface(S, alpha):
-    """Apply the reflection as a change of blowdown structure: components are
-    reflected and lambda is precomposed with the reflection."""
+    """The reflection at the root alpha as a change of blowdown structure."""
     sig = S.sig
     a = _coeffs(alpha, sig)
     if _pair(sig, a, a) != -2:
         raise ValueError("reflection root must have self-intersection -2")
     row = _row(sig, a)
-    P = S.marking
-    lam_alpha = S._lam(a)
+    r = partial(_reflect, root=(alpha, row))  # an involution
+    return _moved_surface(S, sig, r, r, [i for i, c in enumerate(row) if c])
+
+
+def _moved_surface(S, sig2, fwd, back, changed):
+    """S read in another blowdown structure, of signature sig2: the lattice
+    isometry fwd moves the components, and lambda is precomposed with its
+    inverse back.  back fixes the basis vectors outside the indices changed,
+    so only their lambda is recomputed."""
     lam = list(S.lam)
-    # lambda(b_i) gains (b_i.alpha) lambda(alpha), and b_i.alpha = row[i]
-    for i, c in enumerate(row):
-        if c:
-            lam[i] = P._reduce(_axpy(lam[i], c, lam_alpha))
-    comps = []
-    for comp in S.components:
-        t = _dot(row, comp.cls.coeffs)
-        if t:
-            comp = QComponent(_new(_axpy(comp.cls.coeffs, t, a), sig), comp.mult)
-        comps.append(comp)
-    return _surface(sig, tuple(comps), P, S.q, tuple(lam))
+    for i in changed:
+        lam[i] = S._lam(back(tuple([int(j == i) for j in range(sig2.rank)])))
+    comps = tuple(QComponent(_new(fwd(c.cls.coeffs), sig2), c.mult) for c in S.components)
+    return _surface(sig2, comps, S.marking, S.q, tuple(lam))
 
 
 def _et_coeffs(coeffs, parity_from):
@@ -122,18 +121,10 @@ def elementary_transformation(D):
 
 
 def et_surface(S):
-    sig = S.sig
-    sig2 = _et_signature(sig)
-    # lambda of each new basis vector, written in old coordinates
-    new_lam = tuple(
-        S._lam(_et_coeffs(tuple(1 if j == i else 0 for j in range(sig.rank)), sig2.parity))
-        for i in range(sig.rank)
-    )
-    new_comps = tuple(
-        QComponent(_new(_et_coeffs(c.cls.coeffs, sig.parity), sig2), c.mult)
-        for c in S.components
-    )
-    return _surface(sig2, new_comps, S.marking, S.q, new_lam)
+    """The elementary transformation as a change of blowdown structure; it
+    moves only s, f and e_1."""
+    p, sig2 = S.sig.parity, _et_signature(S.sig)
+    return _moved_surface(S, sig2, lambda x: _et_coeffs(x, p), lambda x: _et_coeffs(x, sig2.parity), range(3))
 
 
 def _walk_budget(x, slack=1):
@@ -225,8 +216,8 @@ def _chamber_walk(S, x, row, table, P, word):
 def reduce_to_chamber(S, D):
     """Reflect D (and the surface) at ineffective simple roots, first violation
     first, until D pairs >= 0 with every simple root; stops blocked when an
-    effective simple root pairs negatively.  The reflected surface is built
-    once, from the word of the walk."""
+    effective simple root pairs negatively.  The walk moves only a frame; the
+    reflected surface is built after it, one reflection of the word at a time."""
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
@@ -333,33 +324,3 @@ def in_neg1_orbit(sig, e):
     except BlowdownError:
         return False
     return True
-
-
-def enumerate_orbit(sig, seed, Da, bound, budget=200000):
-    """All classes in the reflection-group orbit of seed with pairing <= bound
-    against Da; breadth-first with the pairing bound as frontier cutoff.  Da
-    must have Da^2 > 0 and pair >= 0 with every simple root, so that no
-    reflection at a root pairing negatively with a class raises its pairing
-    with Da, which makes the cutoff complete."""
-    if intersect(Da, Da) <= 0:
-        raise ValueError("enumeration reference class must have Da^2 > 0")
-    roots, _ = simple_roots(sig)
-    alpha = next((a for a in roots if intersect(Da, a) < 0), None)
-    if alpha is not None:
-        msg = "enumeration reference class %s pairs negatively with the simple root %s"
-        raise ValueError(msg % (render_div(Da), render_div(alpha)))
-    out = set()
-    frontier = []
-    if intersect(seed, Da) <= bound:
-        out.add(seed.coeffs)
-        frontier.append(seed)
-    while frontier:
-        cur = frontier.pop()
-        for alpha in roots:
-            nxt = reflect(cur, alpha)
-            if nxt.coeffs not in out and intersect(nxt, Da) <= bound:
-                if len(out) >= budget:
-                    raise BudgetExhausted("orbit enumeration", nxt, len(out), budget)
-                out.add(nxt.coeffs)
-                frontier.append(nxt)
-    return {_new(c, sig) for c in out}

@@ -14,10 +14,8 @@ from ncsurf import cli, cones, marking, opcases, presets, sections, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
     InvariantViolation,
-    LatticeSignature,
     basis_e,
     basis_f,
-    basis_s,
     div,
     zero_class,
 )
@@ -146,12 +144,4 @@ def test_chamber_budget_reports_where_it_stopped(monkeypatch):
     assert err.cls.sig == sig and err.cls != D  # one reflection was made
     assert err.report["class"] in str(err)
 
-
-def test_orbit_budget_reports_where_it_stopped():
-    sig = LatticeSignature(3, "even")
-    Da = basis_s(sig) + 2 * basis_f(sig)
-    with pytest.raises(BudgetExhausted) as info:
-        weyl.enumerate_orbit(sig, basis_e(sig, 3), Da, 4, budget=3)
-    report = info.value.report
-    assert (report["search"], report["steps"], report["budget"]) == ("orbit enumeration", 3, 3)
 
