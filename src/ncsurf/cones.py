@@ -3,16 +3,19 @@ enumeration of effective-cone generators.
 
 The main loop alternates chamber reduction by ineffective-root reflections
 with subtraction of effective classes (components, effective roots, the
-terminal -1-classes e_m and f-e_1) that pair negatively; acceptance is the
-dual-monoid condition in the fundamental chamber.  The walks end at the fiber
-cut (weyl._chamber_walk), the loop at the grade of the dual-interior class
-that marking._surface_table holds with the other facts of the surface."""
+terminal -1-classes e_m and f-e_1, each with its whole multiplicity) that
+pair negatively; acceptance is the dual-monoid condition in the fundamental
+chamber.  Nef queries first screen f, the components, the e_i and f - e_i.
+The walks end at the fiber cut (weyl._chamber_walk), the loop at the grade
+of the dual-interior class that marking._surface_table holds with the other
+facts of the surface."""
 
-from operator import add, sub
+from operator import add
 
 from .lattice import (
     BudgetExhausted,
     InvariantViolation,
+    _axpy,
     _coeffs,
     _dot,
     _new,
@@ -125,15 +128,11 @@ def _effective_classes(S, Da, t):
 
 
 def _negative_witness(S, D):
-    """An effective class pairing negatively with D, for nef counterexamples
-    discovered by the ineffectivity cut (where the loop has no subtraction
-    step to report).  Nef classes are effective, so one must exist; raises
-    BudgetExhausted when the search bound passes without one."""
+    """An effective class pairing negatively with D, from the reference
+    shells: for nef counterexamples past the cone loop's screen, found by a
+    negative grade or the ineffectivity cut.  Nef classes are effective, so
+    one exists; raises BudgetExhausted when the search bound passes first."""
     sig = S.sig
-    cands = [basis_f(sig)] + [comp.cls for comp in S.components] + [anticanonical_class(sig)]
-    for x in cands:
-        if intersect(D, x) < 0:
-            return x
     row = _row(sig, D.coeffs)
     bound = 4 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
     for t in range(1, bound + 1):
@@ -150,8 +149,9 @@ def _cone_loop(S, D, stop_on_subtract):
     """Shared effectiveness/nef loop for m >= 1, on coefficient tuples in S's
     frame: the walks move the frame (weyl._pull_table), not the class.
 
-    Returns (ok, certificate, witness); with stop_on_subtract the first needed
-    subtraction returns ok = False and the subtracted class as witness."""
+    Returns (ok, certificate, witness); with stop_on_subtract the first class
+    of the surface table's screen, else the first needed subtraction, that
+    pairs negatively with D is the witness (ok = False)."""
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
@@ -178,25 +178,36 @@ def _cone_loop(S, D, stop_on_subtract):
     # subtraction and a negative grade certifies ineffectivity; the grade
     # bounds the loop, which runs at most grade + 2 times
     grade = _dot(T.grading_row, x)
-    if grade < 0:
-        return False, None, _negative_witness(S, D) if stop_on_subtract else None
+    if grade < 0 and not stop_on_subtract:
+        return False, None, None
+    row = _row(sig, x)
+    if stop_on_subtract:
+        # the nef screen: an always-effective class pairing negatively
+        y = next((y for y in T.screen if _dot(row, y) < 0), None)
+        if y is not None:
+            return False, None, _new(y, sig)
+        if grade < 0:
+            return False, None, _negative_witness(S, D)
     P, word, f = list(table.base), [], table.f
     subtracted = []
     while True:
-        row = _row(sig, x)
         if _dot(row, P[f]) < 0:  # D.f < 0
             return False, None, _new(P[f], sig)
         cut, k = _chamber_walk(S, x, row, table, P, word)
         if cut:
             return False, None, _negative_witness(S, D) if stop_on_subtract else None
+        n = 1
         if k is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
             y = _blocked_subtraction(S, x, P[k])
         else:
-            # the terminal -1-classes of the chamber, then the components
+            # the terminal -1-classes E, each a fixed component of multiplicity
+            # n = -x.E as (x - iE).E < 0 for i < n; then the components
             y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
-            if y is None:
+            if y is not None:
+                n = -_dot(row, y)
+            else:
                 y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
             break
@@ -205,11 +216,12 @@ def _cone_loop(S, D, stop_on_subtract):
         drop = _dot(T.grading_row, y)
         if drop < 1:
             raise InvariantViolation("subtracted class escaped the effective grading")
-        grade -= drop
+        grade -= n * drop
         if grade < 0:
             return False, None, None
-        subtracted.append(y)
-        x = tuple(map(sub, x, y))
+        subtracted += [y] * n
+        x = _axpy(x, -n, y)
+        row = _row(sig, x)
     # in the chamber, nonnegative on extras and all components: accept
     total = x
     for y in subtracted:

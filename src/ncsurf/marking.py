@@ -235,17 +235,18 @@ def _effective_neg1_classes(sig):
     return es + tuple(basis_f(sig) - e for e in es)
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "grading grading_row comp_rows caps ncap budget neg1_rows q_nef irreducible_q")
+_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1_rows screen q_nef irreducible_q")
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
 def _surface_table(S):
     """The facts that depend only on the surface, read by the root oracle and
-    the cone loop.  grading pairs >= 1 with every simple root, terminal
-    -1-class and component, so a nonzero effective class has grade >= 1 and
-    each subtraction of the cone loop lowers the grade.  The rows pair the
-    components and the always-effective -1-classes with their Gram rows;
-    caps, ncap and budget bound the root search."""
+    the cone loop.  The class A of grading_row pairs >= 1 with every simple
+    root, terminal -1-class and component, so a nonzero effective class has
+    grade >= 1 and each subtraction of the cone loop lowers the grade.  The
+    rows pair the components and the always-effective -1-classes with their
+    Gram rows; caps, ncap and budget bound the root search.  screen lists f,
+    the components, the e_i and the f - e_i: the cone loop's nef screen."""
     from . import weyl  # local import: weyl imports marking
 
     sig, comps = S.sig, S.components
@@ -258,8 +259,7 @@ def _surface_table(S):
     total_c = sum(cs)
     a = 2 + total_c
     b = a * (1 + drop) + 1 + total_c
-    A = _new((a, b) + tuple(-c for c in cs), sig)
-    table, rowA = weyl._pull_table(sig), _row(sig, A.coeffs)
+    table, rowA = weyl._pull_table(sig), _row(sig, (a, b) + tuple(-c for c in cs))
     if not all(_dot(rowA, v) >= 1 for v in table.base[:table.f]):
         raise InvariantViolation("grading class fails to dominate the simple roots and extras")
     if not all(_dot(rowA, comp.cls.coeffs) >= 1 for comp in comps):
@@ -274,10 +274,10 @@ def _surface_table(S):
     budget = max(64, 64 * sig.m * (1 + sum(c.mult for c in comps)))
     q_nef = all(_dot(table.q_row, c.cls.coeffs) >= 0 for c in comps)
     irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == table.q
-    return _SurfaceTable(
-        A, rowA, tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps), caps, ncap, budget,
-        tuple((c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig)), q_nef, irreducible_q,
-    )
+    neg1_rows = tuple((c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig))
+    screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c, _ in neg1_rows)
+    comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
+    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1_rows, screen, q_nef, irreducible_q)
 
 
 @lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 470 (surface, root) pairs

@@ -194,13 +194,17 @@ def _chamber_walk(S, x, row, table, P, word):
     row), extending the frame (P, word) in place.  Returns (cut, k): whether
     the walk was cut because x.f < 0 (f is nef, so x is not effective), and
     the effective walk root that blocked it (or None).  Only the ruling root
-    changes x.f, and a reflection at it lowers x.f; the other simple roots
-    generate the finite Weyl group of type D_m (Bjorner-Brenti, ch. 4).  So
-    the fiber cut bounds every walk, also on the infinite (m >= 8) groups."""
+    (the first walk root, if it pairs with f) changes x.f, and a reflection
+    at it lowers x.f; the other walk roots generate the finite Weyl group of
+    type D_m, and a reflection at one pairing negatively removes one of its
+    m(m - 1) positive roots from the inversion set (Bjorner-Brenti, ch. 4).
+    So a walk makes at most (x.f + 1) + (x.f + 2)*m(m - 1) reflections, or
+    m(m - 1) without a ruling root; passing that bound breaks the theorem."""
     n, fi, moves = len(table.roots), table.f, table.moves
-    budget = _walk_budget(x)
     v = [_dot(row, p) for p in P]  # v[j] = x.P[j], moved with the frame
-    for _ in range(budget):
+    dm, xf = S.sig.m * (S.sig.m - 1), max(v[fi], 0)
+    bound = xf + 1 + (xf + 2) * dm if n and any(j == fi for j, _ in moves[0]) else dm
+    for _ in range(bound + 1):
         if v[fi] < 0:
             return True, None
         k = next((k for k in range(n) if v[k] < 0), None)
@@ -210,7 +214,8 @@ def _chamber_walk(S, x, row, table, P, word):
         vk = v[k]
         for j, c in moves[k]:
             v[j] += c * vk
-    raise BudgetExhausted("chamber reduction", _new(_push(x, word, table.roots), S.sig), budget, budget)
+    at = render_div(_new(_push(x, word, table.roots), S.sig))
+    raise InvariantViolation("chamber walk passed its bound of %d reflections at %s" % (bound, at))
 
 
 def reduce_to_chamber(S, D):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from ncsurf.presets import (
     m1_generic,
     m2_generic,
 )
+from ncsurf.weyl import in_neg1_orbit
 
 
 def rand_div(sig, rng, bound=4):
@@ -231,3 +233,47 @@ def test_effective_classes_on_pvi_m12_have_an_effective_sum():
     for piece in pieces:
         D = D + piece
     assert is_effective(S, D)
+
+
+def _witness_classes():
+    """Every 3rd class of the [-4,4] boxes of m1-m3_generic, and 300 seeded
+    classes each of m4_generic and pvi_m12."""
+    out = []
+    for name in ("m1_generic", "m2_generic", "m3_generic"):
+        S = get_preset(name)
+        box = itertools.product(range(-4, 5), repeat=S.sig.rank)
+        out += [(S, DivClass(c, S.sig)) for c in itertools.islice(box, 0, None, 3)]
+    rng = random.Random(18)
+    for name in ("m4_generic", "pvi_m12"):
+        S = get_preset(name)
+        out += [(S, rand_div(S.sig, rng, 3)) for _ in range(300)]
+    return out
+
+
+def test_every_witness_and_summand_checks_out():
+    # nef witnesses come from the screen, a walk's subtraction step or the
+    # reference shells; certificate summands from the terminal -1-classes
+    # (with their whole multiplicity), blocked-root pieces and components
+    formal = {}
+    for S, D in _witness_classes():
+        sig = S.sig
+        K = canonical_class(sig)
+        ok, witness = nef_witness(S, D)
+        if ok != (witness is None):
+            pytest.fail("nef verdict %s with witness %r on %s" % (ok, witness, render_div(D)))
+        if witness is not None and not (intersect(D, witness) < 0 and is_effective(S, witness)):
+            pytest.fail("bad nef witness %s of %s" % (render_div(witness), render_div(D)))
+        ok, cert = effective_cert(S, D)
+        if not ok:
+            continue
+        comps = {c.cls for c in S.components}
+        total = cert["residue"]
+        for x in cert["subtracted"]:
+            if x not in comps:
+                if x not in formal:
+                    formal[x] = intersect(x, x) == intersect(x, K) == -1 and in_neg1_orbit(sig, x)
+                if not formal[x]:
+                    pytest.fail("summand %s of %s is neither a component nor a formal -1-class" % (render_div(x), render_div(D)))
+            total = total + x
+        if total != D:
+            pytest.fail("summands and residue of %s sum to %s" % (render_div(D), render_div(total)))

@@ -130,18 +130,20 @@ def test_cli_maps_invariant_violation_to_exit_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error:")
 
 
-def test_chamber_budget_reports_where_it_stopped(monkeypatch):
+def test_chamber_walk_overrun_breaks_its_bound(monkeypatch):
+    # with the frame's pairings frozen, the walk reflects at one root
+    # forever; past the proved bound (m(m - 1) = 2 reflections here, as the
+    # frozen table has no ruling root) that is an invariant violation, not a
+    # spent budget, and it says where the walk stopped
     S = m2_generic()
     sig = S.sig
     D = div(sig, 2, 2, -3, 0)
     assert len(weyl.reduce_to_chamber(S, D).moves) >= 2
-    monkeypatch.setattr(weyl, "_walk_budget", lambda x, slack=1: 1)
-    with pytest.raises(BudgetExhausted) as info:
+    table = weyl._pull_table(sig)
+    frozen = table._replace(moves=((),) * len(table.moves))
+    monkeypatch.setattr(weyl, "_pull_table", lambda sig: frozen)
+    with pytest.raises(InvariantViolation, match="chamber walk passed its bound of 2 reflections at ") as info:
         weyl.reduce_to_chamber(S, D)
-    err = info.value
-    assert err.report["search"] == "chamber reduction"
-    assert (err.report["steps"], err.report["budget"]) == (1, 1)
-    assert err.cls.sig == sig and err.cls != D  # one reflection was made
-    assert err.report["class"] in str(err)
+    assert not str(info.value).endswith(" at 2s+2f-3e1")  # three reflections were made
 
 

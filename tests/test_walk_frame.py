@@ -1,7 +1,8 @@
 """The walks of is_effective, is_nef and dim_gamma stay in the input
 surface's frame: a reflection at an ineffective simple root moves the frame,
 so none of them builds a reflected surface, and the per-surface caches of
-the root oracle and the surface table hold input surfaces only.
+the root oracle and the surface table hold input surfaces only.  No chamber
+walk makes more reflections than its proved bound.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
@@ -13,7 +14,7 @@ import pytest
 
 from ncsurf import cones, marking, sections, weyl
 from ncsurf.cones import is_effective, is_nef
-from ncsurf.lattice import BudgetExhausted, DivClass
+from ncsurf.lattice import BudgetExhausted, DivClass, _row
 from ncsurf.presets import get_preset
 from ncsurf.sections import UnclassifiedState, dim_gamma
 
@@ -25,11 +26,11 @@ def m2_box():
     return [(S, DivClass(c, S.sig)) for c in itertools.product(range(-4, 5), repeat=S.sig.rank)]
 
 
-def pool_slice():
+def pool_slice(every=8):
     out = []
     for name, entries in sorted(json.loads(POOL.read_text())["pool"].items()):
         S = get_preset(name)
-        out += [(S, DivClass(tuple(coeffs), S.sig)) for _, coeffs, _, _ in entries[::8]]
+        out += [(S, DivClass(tuple(coeffs), S.sig)) for _, coeffs, _, _ in entries[::every]]
     return out
 
 
@@ -72,3 +73,49 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
         pytest.fail("%d root-oracle cache entries for %d distinct (surface, root) pairs" % (oracle.cache_info().currsize, len(asked)))
     if marking._surface_table.cache_info().currsize > len(surfaces):
         pytest.fail("surface tables cached for %d surfaces, %d inputs" % (marking._surface_table.cache_info().currsize, len(surfaces)))
+
+
+def walk_bound(sig, xf):
+    """The proved bound on the reflections of a chamber walk from a class x
+    with x.f = xf >= 0: at most xf + 1 at the ruling root (s - f, or s - e1 on
+    odd rational signatures), and at most m(m - 1), the number of positive
+    roots of D_m, at the other walk roots before, between and after them."""
+    m = sig.m
+    dm = m * (m - 1)
+    if sig.genera == (0, 0) and (sig.parity == "even" or m >= 1):
+        return xf + 1 + (xf + 2) * dm
+    return dm
+
+
+def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
+    walks = []
+    real = weyl._chamber_walk
+
+    def measured(S, x, row, table, P, word):
+        xf = max(sum(a * b for a, b in zip(row, P[table.f])), 0)  # x.f in the walk's frame
+        start = len(word)
+        try:
+            return real(S, x, row, table, P, word)
+        finally:
+            walks.append((S.sig, xf, len(word) - start))
+
+    for mod in (weyl, cones):
+        monkeypatch.setattr(mod, "_chamber_walk", measured)
+    for S, D in pool_slice(every=1):
+        is_effective(S, D)
+        is_nef(S, D)
+        weyl.reduce_to_chamber(S, D)
+    # on the boxes, is_nef's one walk is is_effective's first, from the same
+    # class and frame; reduce_to_chamber's walk is run without its surfaces
+    for name in ("m1_generic", "m2_generic", "m3_generic"):
+        S = get_preset(name)
+        table = weyl._pull_table(S.sig)
+        for c in itertools.product(range(-4, 5), repeat=S.sig.rank):
+            is_effective(S, DivClass(c, S.sig))
+            weyl._chamber_walk(S, c, _row(S.sig, c), table, list(table.base), [])
+    over = [w for w in walks if w[2] > walk_bound(w[0], w[1])]
+    if over:
+        pytest.fail("%d of %d walks passed the bound, first %r" % (len(over), len(walks), over[0]))
+    # the bound is attained, so the count is no loose overestimate
+    if not any(steps and steps == walk_bound(sig, xf) for sig, xf, steps in walks):
+        pytest.fail("no walk of %d attained the bound" % len(walks))
