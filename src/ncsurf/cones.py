@@ -129,9 +129,9 @@ def _effective_classes(S, Da, t):
 
 def _negative_witness(S, D):
     """An effective class pairing negatively with D, from the reference
-    shells: for nef counterexamples past the cone loop's screen, found by a
-    negative grade or the ineffectivity cut.  Nef classes are effective, so
-    one exists; raises BudgetExhausted when the search bound passes first."""
+    shells: for nef counterexamples with a negative grade past the cone
+    loop's screen.  One exists, as nef classes are effective; passing the
+    search cap on the shells first raises BudgetExhausted."""
     sig = S.sig
     row = _row(sig, D.coeffs)
     bound = 4 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
@@ -188,14 +188,11 @@ def _cone_loop(S, D, stop_on_subtract):
             return False, None, _new(y, sig)
         if grade < 0:
             return False, None, _negative_witness(S, D)
-    P, word, f = list(table.base), [], table.f
-    subtracted = []
+    P, word, subtracted = list(table.base), [], []
     while True:
-        if _dot(row, P[f]) < 0:  # D.f < 0
-            return False, None, _new(P[f], sig)
         cut, k = _chamber_walk(S, x, row, table, P, word)
-        if cut:
-            return False, None, _negative_witness(S, D) if stop_on_subtract else None
+        if cut:  # D.P[f] < 0 for P[f], the fiber of the structure reached
+            return False, None, _new(P[table.f], sig)
         n = 1
         if k is not None:
             # an effective simple root pairs negatively; subtract an

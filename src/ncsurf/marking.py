@@ -11,14 +11,17 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+from operator import sub
 
 from .lattice import (
     BudgetExhausted,
     DivClass,
     InvariantViolation,
     _as_int,
+    _coeffs,
     _dot,
     _new,
+    _pair,
     _row,
     anticanonical_class,
     basis_e,
@@ -235,7 +238,13 @@ def _effective_neg1_classes(sig):
     return es + tuple(basis_f(sig) - e for e in es)
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1_rows screen q_nef irreducible_q")
+def _neg1_pairings(x):
+    """x = a*s + b*f + sum c_i e_i paired with _effective_neg1_classes, in
+    order: e_i.x = -c_i, then (f - e_i).x = a + c_i, for either parity."""
+    return [-c for c in x[2:]] + [x[0] + c for c in x[2:]]
+
+
+_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q")
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
@@ -244,8 +253,8 @@ def _surface_table(S):
     the cone loop.  The class A of grading_row pairs >= 1 with every simple
     root, terminal -1-class and component, so a nonzero effective class has
     grade >= 1 and each subtraction of the cone loop lowers the grade.  The
-    rows pair the components and the always-effective -1-classes with their
-    Gram rows; caps, ncap and budget bound the root search.  screen lists f,
+    components come with their Gram rows, the always-effective -1-classes
+    without; caps, ncap and budget bound the root search.  screen lists f,
     the components, the e_i and the f - e_i: the cone loop's nef screen."""
     from . import weyl  # local import: weyl imports marking
 
@@ -274,10 +283,10 @@ def _surface_table(S):
     budget = max(64, 64 * sig.m * (1 + sum(c.mult for c in comps)))
     q_nef = all(_dot(table.q_row, c.cls.coeffs) >= 0 for c in comps)
     irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == table.q
-    neg1_rows = tuple((c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig))
-    screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c, _ in neg1_rows)
+    neg1 = _effective_neg1_classes(sig)
+    screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
-    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1_rows, screen, q_nef, irreducible_q)
+    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q)
 
 
 @lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 470 (surface, root) pairs
@@ -288,22 +297,19 @@ def is_root_effective(S, alpha):
     multiplicities and, for the marked branch, the coset of exponents a with
     lambda(beta) = a*q.  Decompositions may pass through the -1-classes that
     are effective on every surface (e.g. a section component plus leftover
-    exceptionals); the surface's facts come from _surface_table.
-    """
-    K = canonical_class(S.sig)
-    if intersect(alpha, alpha) != -2 or intersect(alpha, K) != 0:
-        raise ValueError(
-            "%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha)
-        )
-    sig = S.sig
+    exceptionals), paired with a residue by _neg1_pairings; the surface's
+    facts come from _surface_table."""
+    sig, a = S.sig, alpha.coeffs
+    if _pair(alpha.sig, a, a) != -2 or _pair(alpha.sig, a, _coeffs(canonical_class(sig), alpha.sig)):
+        raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha))
     T = _surface_table(S)
     # prune via the dual-interior grading: every effective class (and every
     # residue on a successful decomposition path) has nonnegative grade
     rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
-    if _dot(rowA, alpha.coeffs) < 0:
+    if _dot(rowA, a) < 0:
         return False, None
-    seen = {alpha.coeffs}
-    queue = deque([(alpha.coeffs, (0,) * len(comp_rows), 0, ())])
+    seen = {a}
+    queue = deque([(a, (0,) * len(comp_rows), 0, ())])
     steps = 0
     while queue:
         beta, n, nsub, pieces = queue.popleft()
@@ -311,32 +317,24 @@ def is_root_effective(S, alpha):
         if steps > budget:
             raise BudgetExhausted("root effectiveness search", alpha, steps - 1, budget)
         degs = [_dot(row, beta) for _, row in comp_rows]
-        if not any(beta):
-            if any(n) or nsub:
-                return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
-            # alpha = 0 cannot happen (alpha^2 = -2)
+        if not any(beta):  # reached by subtractions: alpha^2 = -2, so alpha != 0
+            return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
         elif not any(degs):
             wit = cyclic_membership(S.marking, S._lam(beta), S.q)
             if wit is not None:
                 out = pieces + (_new(beta, sig),) if pieces else ()
                 return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}
-        # recurse on components pairing negatively with the residue
-        for j, d in enumerate(degs):
-            if d < 0 and n[j] < caps[j]:
-                c = comp_rows[j][0]
-                b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
-                if b2 not in seen and _dot(rowA, b2) >= 0:
-                    seen.add(b2)
-                    n2 = n[:j] + (n[j] + 1,) + n[j + 1:]
-                    queue.append((b2, n2, nsub, pieces + (c,)))
-        # and on always-effective -1 classes pairing negatively with it
+        # recurse on the components pairing negatively with the residue, then
+        # on the always-effective -1-classes that do
+        nexts = [(comp_rows[j][0], n[:j] + (n[j] + 1,) + n[j + 1:], nsub)
+                 for j, d in enumerate(degs) if d < 0 and n[j] < caps[j]]
         if nsub < ncap:
-            for c, row in T.neg1_rows:
-                if _dot(row, beta) < 0:
-                    b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
-                    if b2 not in seen and _dot(rowA, b2) >= 0:
-                        seen.add(b2)
-                        queue.append((b2, n, nsub + 1, pieces + (c,)))
+            nexts += [(c, n, nsub + 1) for c, d in zip(T.neg1, _neg1_pairings(beta)) if d < 0]
+        for c, n2, nsub2 in nexts:
+            b2 = tuple(map(sub, beta, c.coeffs))
+            if b2 not in seen and _dot(rowA, b2) >= 0:
+                seen.add(b2)
+                queue.append((b2, n2, nsub2, pieces + (c,)))
     return False, None
 
 

@@ -71,7 +71,7 @@ def dim_gamma(S, D, trace=None):
     The reflection at an effective root can leave the cone (s - f on f2_type)
     and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q).
 
-    The walk keeps D in S's frame and moves the frame (weyl._pull_table).
+    The walk keeps D in S's frame and moves the frame and its pairings (weyl._step).
     Only the reflection at an effective root, no isomorphism, builds a
     surface: the one along the word, reflected; a new word begins there.
     D - Q is checked on S; trace lines show the walk's current frame."""
@@ -94,30 +94,32 @@ def dim_gamma(S, D, trace=None):
     if any(x) and not is_effective(S, D):
         return 0
     steps, budget = 0, _walk_budget(x, slack=4)
+    paired = None  # the x of the pairings v[j] = x.P[j], moved with the frame
     while True:
         if steps == budget:
             raise BudgetExhausted("section dimension loop", _new(_push(x, word, roots), sig), budget, budget)
         steps += 1
         if not any(x):
             return plus + 1
-        row = _row(sig, x)
-        # components pairing negatively restrict trivially; then the
-        # terminal -1-classes
-        y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
-        if y is None:
-            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
+        y = None
+        if x is not paired:  # a new x (each new frame comes with one): pair anew
+            # components pairing negatively restrict trivially; no reflection moves them
+            row, paired = _row(sig, x), x
+            y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
+            v = [_dot(row, p) for p in P]
+        if y is None:  # then the terminal -1-classes
+            y = next((P[j] for j in table.extras if v[j] < 0), None)
         if y is not None:
             note("subtract %s", y)
             x = tuple(map(sub, x, y))
             continue
-        k = next((k for k in range(n) if _dot(row, P[k]) < 0), None)
+        k = next((k for k in range(n) if v[k] < 0), None)
         if k is not None:
-            alpha, beta = roots[k][0], P[k]
-            t = _dot(row, beta)
+            alpha, beta, t = roots[k][0], P[k], v[k]
             eff, wit = is_root_effective(S, _new(beta, sig))
             if not eff:
                 note("reflect %s", beta)
-                _step(table, P, word, k)
+                _step(table, P, v, word, k)
                 continue
             # effective root: twist-aware case split
             if any(wit["components"]):

@@ -8,6 +8,7 @@ place, update their pairings with it, and end at the fiber cut D.f < 0."""
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import add, neg
 
 from .lattice import (
     BudgetExhausted,
@@ -170,15 +171,20 @@ def _pull_table(sig):
     walk = tuple((a, _row(sig, a.coeffs)) for a in roots if intersect(a, K) == 0)
     base = tuple(a.coeffs for a, _ in walk) + tuple(x.coeffs for x in extras) + (f.coeffs,)
     moves = tuple(tuple((j, c) for j, v in enumerate(base) for c in (_dot(row, v),) if c) for _, row in walk)
+    # _step relies on the simply-laced form: -2 at the root itself, 1 elsewhere
+    if any(c != (-2 if j == k else 1) for k, mv in enumerate(moves) for j, c in mv):
+        raise InvariantViolation("a pull-back move is not -2 at its root and 1 at a neighbour")
     n, fi, q = len(walk), len(walk) + len(extras), (-K).coeffs
     return _PullTable(walk, base, moves, range(n, fi), fi, q, _row(sig, q), tuple(roots), tuple(extras))
 
 
-def _step(table, P, word, k):
-    """Append the reflection at walk root k to the frame (P, word), in place."""
-    beta = P[k]
+def _step(table, P, v, word, k):
+    """Append the reflection at walk root k to the frame (P, word) and the
+    pairings v[j] = x.P[j], in place: P[k] is negated, its neighbours gain it."""
+    beta, t = P[k], v[k]
     for j, c in table.moves[k]:
-        P[j] = _axpy(P[j], c, beta)
+        P[j] = tuple(map(add, P[j], beta)) if c == 1 else tuple(map(neg, beta))
+        v[j] += c * t
     word.append(k)
 
 
@@ -210,10 +216,7 @@ def _chamber_walk(S, x, row, table, P, word):
         k = next((k for k in range(n) if v[k] < 0), None)
         if k is None or is_root_effective(S, _new(P[k], S.sig))[0]:
             return False, k
-        _step(table, P, word, k)
-        vk = v[k]
-        for j, c in moves[k]:
-            v[j] += c * vk
+        _step(table, P, v, word, k)
     at = render_div(_new(_push(x, word, table.roots), S.sig))
     raise InvariantViolation("chamber walk passed its bound of %d reflections at %s" % (bound, at))
 

@@ -92,16 +92,28 @@ def test_grading_class_checks_are_explicit(monkeypatch):
 
 
 def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):
-    # with empty reference shells the search finds no witness for s-f on
-    # m1_generic, which is not nef
-    monkeypatch.setattr(cones.latenum, "_reference_shell", lambda sig, t, sq: ())
+    # the cone loop asks the shell search only after a negative grade past
+    # its screen, which no preset's box reaches (a cut walk's witness is the
+    # fiber it reached), so the search is called directly: with empty
+    # reference shells it finds no witness for s-f on m1_generic, which is
+    # not nef
     S = m1_generic()
+    D = div(S.sig, 1, -1, 0)
+    assert cones.nef_witness(S, D) == (False, div(S.sig, 1, 0, 0))
+    monkeypatch.setattr(cones.latenum, "_reference_shell", lambda sig, t, sq: ())
     with pytest.raises(BudgetExhausted) as info:
-        cones.nef_witness(S, div(S.sig, 1, -1, 0))
+        cones._negative_witness(S, D)
     report = info.value.report
     assert (report["search"], report["class"], report["steps"]) == ("nef witness search", "s-f", 24)
-    assert cli.main(["nef", "--surface", "m1_generic", "s-f"]) == 3
-    assert capsys.readouterr().err.startswith("internal error: nef witness search exceeded its step budget")
+    # the CLI reports a spent budget with exit code 3: here the root search's,
+    # asked at the ruling root s-f by the walk of the same query
+    monkeypatch.setattr(marking, "_surface_table", lambda S, real=marking._surface_table: real(S)._replace(budget=0))
+    marking.is_root_effective.cache_clear()
+    try:
+        assert cli.main(["nef", "--surface", "m1_generic", "s-f"]) == 3
+    finally:
+        marking.is_root_effective.cache_clear()
+    assert capsys.readouterr().err.startswith("internal error: root effectiveness search exceeded its step budget (0 of 0 steps) at s-f")
 
 
 class _Corrupt(int):

@@ -1,13 +1,19 @@
+import importlib.util
 import itertools
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from ncsurf import marking, weyl
+import ncsurf
+from ncsurf import cones, marking, sections, weyl
 from ncsurf.lattice import (
     BudgetExhausted,
     DivClass,
     LatticeSignature,
+    _dot,
+    _row,
     anticanonical_class,
     basis_e,
     basis_f,
@@ -15,12 +21,14 @@ from ncsurf.lattice import (
     canonical_class,
     div,
     intersect,
+    render_div,
 )
 from ncsurf.marking import (
     MarkingGroup,
     QComponent,
     SurfaceData,
     _effective_neg1_classes,
+    _neg1_pairings,
     _surface_table,
     blow_up,
     cyclic_membership,
@@ -33,7 +41,9 @@ from ncsurf.marking import (
     ord_q,
     validate,
 )
-from ncsurf.presets import f0_generic, f0_commutative, f2_type, get_preset, m2_generic
+from ncsurf.presets import PRESETS, f0_generic, f0_commutative, f2_type, get_preset, m2_generic
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_validate_presets_ok():
@@ -308,3 +318,133 @@ def test_moduli_stack_dim():
     assert moduli_stack_dim(0, 5) == 8
     assert moduli_stack_dim(1, 0) == 1
     assert moduli_stack_dim(3, 2) == 6
+
+
+def reference_root_search(S, alpha):
+    """The root search as it was before its pairings with the always-effective
+    -1-classes were read off the coefficients: checked intersections for the
+    root test, and one Gram-row dot per -1-class and search state."""
+    K = canonical_class(S.sig)
+    if intersect(alpha, alpha) != -2 or intersect(alpha, K) != 0:
+        raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha))
+    sig = S.sig
+    T = _surface_table(S)
+    neg1_rows = [(c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig)]
+    rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
+    if _dot(rowA, alpha.coeffs) < 0:
+        return False, None
+    seen = {alpha.coeffs}
+    queue = deque([(alpha.coeffs, (0,) * len(comp_rows), 0, ())])
+    steps = 0
+    while queue:
+        beta, n, nsub, pieces = queue.popleft()
+        steps += 1
+        if steps > budget:
+            raise BudgetExhausted("root effectiveness search", alpha, steps - 1, budget)
+        degs = [_dot(row, beta) for _, row in comp_rows]
+        if not any(beta):
+            if any(n) or nsub:
+                return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
+        elif not any(degs):
+            wit = cyclic_membership(S.marking, S._lam(beta), S.q)
+            if wit is not None:
+                out = pieces + (DivClass(beta, sig),) if pieces else ()
+                return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}
+        for j, d in enumerate(degs):
+            if d < 0 and n[j] < caps[j]:
+                c = comp_rows[j][0]
+                b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
+                if b2 not in seen and _dot(rowA, b2) >= 0:
+                    seen.add(b2)
+                    n2 = n[:j] + (n[j] + 1,) + n[j + 1:]
+                    queue.append((b2, n2, nsub, pieces + (c,)))
+        if nsub < ncap:
+            for c, row in neg1_rows:
+                if _dot(row, beta) < 0:
+                    b2 = tuple([u - v for u, v in zip(beta, c.coeffs)])
+                    if b2 not in seen and _dot(rowA, b2) >= 0:
+                        seen.add(b2)
+                        queue.append((b2, n, nsub + 1, pieces + (c,)))
+    return False, None
+
+
+def benchmark_pass_roots(monkeypatch):
+    """The (surface, root) pairs that one cone_sweep pass and one
+    section_fuzz pass of the benchmark (seed 1) ask the root oracle."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    asked = []
+    oracle = marking.is_root_effective
+
+    def recorded(S, alpha):
+        asked.append((S, alpha))
+        return oracle(S, alpha)
+
+    for mod in (marking, weyl, cones, sections):
+        monkeypatch.setattr(mod, "is_root_effective", recorded)
+    for workload in ("cone_sweep", "section_fuzz"):
+        queries = workloads.make_queries(workload, 1, workloads.load_reference(workload))
+        for q, inp in zip(queries, workloads.build_inputs(ncsurf, queries)):
+            try:
+                workloads.answer(ncsurf, q, inp)
+            except workloads.failure_types(ncsurf):
+                pass  # the known failures of the pool; their roots still count
+    monkeypatch.undo()
+    return asked
+
+
+def walk_roots(rng, words=40):
+    """Roots along random words of walk-root reflections, on every preset
+    with m >= 1 (pvi_m12 is the one whose search may use -1-classes)."""
+    out = []
+    for name in sorted(PRESETS):
+        S = get_preset(name)
+        table = weyl._pull_table(S.sig)
+        if S.sig.m < 1 or not table.roots:
+            continue
+        for _ in range(words):
+            P, word = list(table.base), []
+            for _ in range(rng.randrange(1, 30)):
+                k = rng.randrange(len(table.roots))
+                weyl._step(table, P, [0] * len(P), word, k)
+                out.append((S, DivClass(P[k], S.sig)))
+    return out
+
+
+def outcome(search, S, alpha):
+    try:
+        ok, wit = search(S, alpha)
+    except (ValueError, BudgetExhausted) as e:
+        return type(e).__name__, str(e)
+    if wit is None:
+        return ok, None
+    return ok, (wit["a"], wit["d"], wit["components"], tuple(p.coeffs for p in wit["pieces"]))
+
+
+def test_root_search_matches_the_reference_search(monkeypatch):
+    pairs = list(dict.fromkeys(benchmark_pass_roots(monkeypatch) + walk_roots(random.Random(19))))
+    if len({S for S, _ in pairs if _surface_table(S).ncap > 0}) == 0:
+        pytest.fail("no asked surface lets the search use the -1-classes")
+    wrong = []
+    for S, alpha in pairs:
+        got, want = outcome(is_root_effective.__wrapped__, S, alpha), outcome(reference_root_search, S, alpha)
+        if got != want:
+            wrong.append((S.sig, render_div(alpha), got, want))
+    if wrong:
+        pytest.fail("%d of %d roots differ from the reference search, first %r" % (len(wrong), len(pairs), wrong[0]))
+    if not any(o[0] is True for o in (outcome(reference_root_search, S, a) for S, a in pairs)):
+        pytest.fail("no effective root among the %d asked" % len(pairs))
+
+
+@pytest.mark.parametrize("genera", [(0, 0), (1, 1), (2, 0), (0, 3)])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_closed_form_neg1_pairings_are_the_gram_row_dots(parity, genera):
+    rng = random.Random("%s%s" % (parity, genera))
+    for m in range(14):
+        sig = LatticeSignature(m, parity, genera)
+        rows = [_row(sig, c.coeffs) for c in _effective_neg1_classes(sig)]
+        for _ in range(50):
+            x = tuple(rng.randint(-9, 9) for _ in range(sig.rank))
+            if _neg1_pairings(x) != [_dot(row, x) for row in rows]:
+                pytest.fail("%r: closed-form pairings of %r differ from the Gram-row dots" % (sig, x))

@@ -117,7 +117,7 @@ def test_incremental_pull_back_matches_the_naive_one(name):
     P, word = list(table.base), []
     for step in range(120):
         k = rng.choice([j for j in range(len(roots)) if not word or j != word[-1]])
-        _step(table, P, word, k)
+        _step(table, P, [0] * len(P), word, k)
         if step % 20 == 19 or step < 4:
             for j, v in enumerate(table.base):
                 if P[j] != pull_back(v, word, roots):

@@ -2,20 +2,22 @@
 surface's frame: a reflection at an ineffective simple root moves the frame,
 so none of them builds a reflected surface, and the per-surface caches of
 the root oracle and the surface table hold input surfaces only.  No chamber
-walk makes more reflections than its proved bound.
+walk makes more reflections than its proved bound.  A frame step moves the
+frame by the two move coefficients -2 and 1, which the pull table checks.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from ncsurf import cones, marking, sections, weyl
 from ncsurf.cones import is_effective, is_nef
-from ncsurf.lattice import BudgetExhausted, DivClass, _row
-from ncsurf.presets import get_preset
+from ncsurf.lattice import BudgetExhausted, DivClass, InvariantViolation, _axpy, _dot, _row
+from ncsurf.presets import PRESETS, get_preset
 from ncsurf.sections import UnclassifiedState, dim_gamma
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "section_pool.json"
@@ -119,3 +121,42 @@ def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
     # the bound is attained, so the count is no loose overestimate
     if not any(steps and steps == walk_bound(sig, xf) for sig, xf, steps in walks):
         pytest.fail("no walk of %d attained the bound" % len(walks))
+
+
+@pytest.mark.parametrize("corrupt", ["neighbour", "root"])
+def test_pull_table_checks_the_two_move_coefficients(monkeypatch, corrupt):
+    # _step negates a root and adds it to its neighbours; a move coefficient
+    # other than -2 at the root and 1 at a neighbour must be refused, with no
+    # frame built from it.  The corrupted pairing is the first walk root's
+    # (s - f on m2_generic) with f, a neighbour, or with itself.
+    sig = get_preset("m2_generic").sig
+    table = weyl._pull_table(sig)
+    first, target = table.roots[0][1], table.base[table.f if corrupt == "neighbour" else 0]
+    real = weyl._dot
+    monkeypatch.setattr(weyl, "_dot", lambda row, v: real(row, v) + (row == first and v == target))
+    with pytest.raises(InvariantViolation, match="pull-back move"):
+        weyl._pull_table.__wrapped__(sig)
+
+
+def test_step_frames_match_the_axpy_frames():
+    # the two-coefficient step against the general update P[j] += c*P[k] for
+    # every move (j, c), and its pairings against the dots, along random words
+    rng = random.Random(19)
+    for name in sorted(PRESETS):
+        S = get_preset(name)
+        table = weyl._pull_table(S.sig)
+        if not table.roots:
+            continue
+        for _ in range(10):
+            x = tuple(rng.randint(-4, 4) for _ in range(S.sig.rank))
+            row = _row(S.sig, x)
+            P, word, Q = list(table.base), [], list(table.base)
+            v = [_dot(row, p) for p in P]
+            for step in range(40):
+                k = rng.randrange(len(table.roots))
+                weyl._step(table, P, v, word, k)
+                beta = Q[k]
+                for j, c in table.moves[k]:
+                    Q[j] = _axpy(Q[j], c, beta)
+                if P != Q or v != [_dot(row, p) for p in P]:
+                    pytest.fail("%s: the frame or its pairings differ after %d steps of %r" % (name, step + 1, word))
