@@ -63,21 +63,9 @@ class LatticeSignature:
         if g0 < 0 or g1 < 0:
             raise ValueError("genera must be nonnegative")
         object.__setattr__(self, "genera", (int(g0), int(g1)))
-        # the pairing data depends only on the signature: computed once here
-        n = self.m + 2
-        s_sq = 0 if self.parity == "even" else -1
-        G = [[0] * n for _ in range(n)]
-        G[0][0] = s_sq
-        G[0][1] = G[1][0] = 1
-        for i in range(2, n):
-            G[i][i] = -1
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "s_sq", s_sq)
-        object.__setattr__(self, "_gram", tuple(tuple(row) for row in G))
-
-    def gram(self):
-        """Gram matrix as a tuple of row tuples."""
-        return self._gram
+        # the pairing reads only these two (see _pair and _row)
+        object.__setattr__(self, "rank", self.m + 2)
+        object.__setattr__(self, "s_sq", 0 if self.parity == "even" else -1)
 
 
 def _pair(sig, x, y):

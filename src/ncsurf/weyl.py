@@ -1,9 +1,11 @@
 """Weyl-group machinery on blowdown structures: simple roots, reflections and
-elementary transformations (both move a surface by one transport,
-_moved_surface), chamber reduction, and blowdown search for formal
+elementary transformations (on classes, and on surfaces through one
+transport, _moved_surface), chamber reduction, and blowdown search for formal
 -1-classes.  One cached table per signature, _pull_table, holds the facts that
 depend only on the signature; the chamber walks extend one frame each in
-place, update their pairings with it, and end at the fiber cut D.f < 0."""
+place, update their pairings with it, and end at the fiber cut D.f < 0.
+Neither reduce_to_chamber nor find_blowdown builds a surface: both ask the
+root oracle on the input surface at the pulled-back root."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -36,8 +38,8 @@ class BlowdownError(ValueError):
 
 @dataclass(frozen=True)
 class Move:
-    kind: str  # 'reflect', 'elementary_transformation', 'subtract'
-    cls: object = None  # root or subtracted class
+    kind: str  # 'reflect' or 'elementary_transformation'
+    cls: object = None  # the root of a reflection
     after: object = None  # class after the move
 
 
@@ -46,7 +48,6 @@ class ReductionTrace:
     start: object
     moves: list = field(default_factory=list)
     end: object = None
-    surface: object = None
     blocked: bool = False
     blocking: object = None
     cut: bool = False  # stopped because the class left the effective range
@@ -129,7 +130,8 @@ def et_surface(S):
 
 
 def _walk_budget(x, slack=1):
-    """Step budget of a chamber walk starting at the coefficient tuple x."""
+    """Step budget of dim_gamma's loop and of the blowdown search, starting
+    at the coefficient tuple x: a search cap that no proved bound gives."""
     return 64 * len(x) * (slack + max(map(abs, x)))
 
 
@@ -222,10 +224,10 @@ def _chamber_walk(S, x, row, table, P, word):
 
 
 def reduce_to_chamber(S, D):
-    """Reflect D (and the surface) at ineffective simple roots, first violation
-    first, until D pairs >= 0 with every simple root; stops blocked when an
-    effective simple root pairs negatively.  The walk moves only a frame; the
-    reflected surface is built after it, one reflection of the word at a time."""
+    """Reflect D at ineffective simple roots, first violation first, until D
+    pairs >= 0 with every simple root; stops blocked when an effective simple
+    root pairs negatively.  The walk moves only a frame; the trace replays its
+    word on D."""
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
@@ -236,9 +238,8 @@ def reduce_to_chamber(S, D):
     for j in word:
         root = table.roots[j]
         x = _reflect(x, root)
-        S = reflect_surface(S, root[0])
         trace.moves.append(Move("reflect", root[0], _new(x, sig)))
-    trace.end, trace.surface = _new(x, sig), S
+    trace.end = _new(x, sig)
     return trace
 
 
@@ -254,58 +255,57 @@ def _blowdown_walk(e, S=None):
     interchanges, ruling reflections and elementary transformations.
 
     With a surface S, every reflection root is first checked for
-    effectiveness (an effective one decomposes the class) and the surface is
-    carried along; with S None the walk is purely numeric.  Raises
-    BlowdownError when no move reaches a terminal."""
+    effectiveness (an effective one decomposes the class), on S at the root
+    pulled back through the moves so far (each an involution, last first);
+    with S None the walk is purely numeric.  Raises BlowdownError when no
+    move reaches a terminal, and BudgetExhausted past its search cap."""
     rational = e.sig.genera == (0, 0)
     trace = ReductionTrace(start=e)
     m = e.sig.m
-    cur_e, cur_S = e, S
     budget = _walk_budget(e.coeffs)
     for _ in range(budget):
-        csig = cur_e.sig
+        csig = e.sig
         roots, extras = simple_roots(csig)
         if m == 0:
-            if rational and csig.parity == "odd" and cur_e == basis_s(csig):
+            if rational and csig.parity == "odd" and e == basis_s(csig):
                 trace.terminal = "plane"
                 break
-            raise BlowdownError("not a formal -1-curve: stuck at %s with m = 0" % render_div(cur_e))
-        if cur_e == extras[0]:
+            raise BlowdownError("not a formal -1-curve: stuck at %s with m = 0" % render_div(e))
+        if e == extras[0]:
             trace.terminal = "e_m"
             break
         # interchanges of commuting blowups e_i - e_{i+1}, which simple_roots
         # lists last
-        alpha = next((a for a in roots[len(roots) - (m - 1):] if intersect(cur_e, a) < 0), None)
+        alpha = next((a for a in roots[len(roots) - (m - 1):] if intersect(e, a) < 0), None)
         if alpha is None:
-            if intersect(cur_e, extras[0]) < 0:
+            if intersect(e, extras[0]) < 0:
                 raise BlowdownError(
                     "not a formal -1-curve: %s pairs negatively with %s but differs from it"
-                    % (render_div(cur_e), render_div(extras[0]))
+                    % (render_div(e), render_div(extras[0]))
                 )
             # ruling reflection (rational surfaces), listed first
-            if rational and intersect(cur_e, roots[0]) < 0:
+            if rational and intersect(e, roots[0]) < 0:
                 alpha = roots[0]
         if alpha is not None:
-            if cur_S is not None:
-                if is_root_effective(cur_S, alpha)[0]:
-                    raise BlowdownError(_decomposes_msg(cur_e, alpha))
-                cur_S = reflect_surface(cur_S, alpha)
-            cur_e = reflect(cur_e, alpha)
-            trace.moves.append(Move("reflect", alpha, cur_e))
+            if S is not None:
+                beta = alpha
+                for mv in reversed(trace.moves):
+                    beta = reflect(beta, mv.cls) if mv.kind == "reflect" else elementary_transformation(beta)
+                if is_root_effective(S, beta)[0]:
+                    raise BlowdownError(_decomposes_msg(e, alpha))
+            e = reflect(e, alpha)
+            trace.moves.append(Move("reflect", alpha, e))
         # elementary transformation when it lowers the e_1 pairing
-        elif 2 * intersect(cur_e, basis_e(csig, 1)) > intersect(cur_e, basis_f(csig)):
-            cur_e = elementary_transformation(cur_e)
-            if cur_S is not None:
-                cur_S = et_surface(cur_S)
-            trace.moves.append(Move("elementary_transformation", None, cur_e))
+        elif 2 * intersect(e, basis_e(csig, 1)) > intersect(e, basis_f(csig)):
+            e = elementary_transformation(e)
+            trace.moves.append(Move("elementary_transformation", None, e))
         else:
             raise BlowdownError(
-                "not a formal -1-curve: no move applies to %s" % render_div(cur_e)
+                "not a formal -1-curve: no move applies to %s" % render_div(e)
             )
     else:
-        raise BudgetExhausted("blowdown search", cur_e, budget, budget)
-    trace.end = cur_e
-    trace.surface = cur_S
+        raise BudgetExhausted("blowdown search", e, budget, budget)
+    trace.end = e
     return trace
 
 

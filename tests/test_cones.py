@@ -51,6 +51,49 @@ def test_minimal_section():
     assert sp == div(S2.sig, 1, -1) and d0 == 1
 
 
+def _m0(parity, genera, *components):
+    """The m = 0 surface with the given reduced components (anticanonical
+    sum), MarkingGroup(1), q = (1,) and lambda = 0 on s and f."""
+    sig = LatticeSignature(0, parity, genera)
+    S = SurfaceData(sig, tuple(QComponent(c(sig), 1) for c in components), MarkingGroup(1), (1,), ((0,), (0,)))
+    if validate(S):
+        pytest.fail("%s m = 0 surface of genera %r: %s" % (parity, genera, validate(S)))
+    return S
+
+
+def test_odd_m0_cones_are_f1s():
+    # F_1 (odd, rational, m = 0) has the -1-curve s and the fiber f: a.s + b.f
+    # is effective iff a, b >= 0 and nef iff 0 <= a <= b, whatever splits -K
+    splits = {
+        "2s+3f": [anticanonical_class],
+        "s + (s+3f)": [basis_s, lambda sig: div(sig, 1, 3)],
+        "s + (s+2f) + f": [basis_s, lambda sig: div(sig, 1, 2), basis_f],
+    }
+    bad = []
+    for name, comps in splits.items():
+        S = _m0("odd", (0, 0), *comps)
+        for a, b in itertools.product(range(-6, 7), repeat=2):
+            D = div(S.sig, a, b)
+            got = (is_effective(S, D), is_nef(S, D))
+            if got != (a >= 0 and b >= 0, 0 <= a <= b):
+                bad.append((name, render_div(D), got))
+    if bad:
+        pytest.fail("%d answers differ from F_1's, first %r" % (len(bad), bad[0]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="minimal_section takes d0 only from components with C.f = 1, so the m = 0 forks "
+    "ignore a bisection Q (ROADMAP item 2)",
+)
+def test_m0_bisection_component_is_effective():
+    # even, genera (2, 2): Q = -K = 2s - 2f is the one component
+    S = _m0("even", (2, 2), anticanonical_class)
+    Q = S.components[0].cls
+    if not is_effective(S, Q):
+        pytest.fail("the component %s is not effective" % render_div(Q))
+
+
 def test_effective_examples():
     S = f0_generic()
     sig = S.sig
@@ -225,7 +268,7 @@ def test_pvi_m12_pieces_and_their_partial_sums_are_effective():
 @pytest.mark.xfail(
     strict=True,
     reason="is_effective is not additive on pvi_m12: the cone loop ends in the f-cut on this sum "
-    "of accepted classes (ROADMAP item 5)",
+    "of accepted classes (ROADMAP item 2)",
 )
 def test_effective_classes_on_pvi_m12_have_an_effective_sum():
     S, pieces = _pvi_m12_pieces()

@@ -9,6 +9,7 @@ from ncsurf.lattice import (
     K0Class,
     LatticeSignature,
     SignatureMismatch,
+    _pair,
     anticanonical_class,
     basis_e,
     basis_f,
@@ -97,14 +98,15 @@ def test_equal_but_distinct_signatures_combine():
 def test_gram_signature():
     # signature (+, -, ..., -): after the basis change (s+f, s-f, e_i) the
     # leading principal minors alternate +, -, +, ... (Jacobi's criterion),
-    # and the discriminant is (-1)^(rank-1)
+    # and the discriminant is (-1)^(rank-1); the Gram matrix is the pairing
+    # _pair on the unit tuples
     import sympy
 
     for m in range(9):
         for parity in ("even", "odd"):
             sig = LatticeSignature(m, parity)
-            gram = sig.gram()
-            G = sympy.Matrix(sig.rank, sig.rank, lambda i, j: gram[i][j])
+            unit = [tuple(int(i == j) for j in range(sig.rank)) for i in range(sig.rank)]
+            G = sympy.Matrix(sig.rank, sig.rank, lambda i, j: _pair(sig, unit[i], unit[j]))
             assert G.det() == (-1) ** (sig.rank - 1)
             B = sympy.eye(sig.rank)
             B[0, 0], B[0, 1], B[1, 0], B[1, 1] = 1, 1, 1, -1

@@ -1,12 +1,14 @@
-"""The walks of is_effective, is_nef and dim_gamma stay in the input
-surface's frame: a reflection at an ineffective simple root moves the frame,
-so none of them builds a reflected surface, and the per-surface caches of
-the root oracle and the surface table hold input surfaces only.  No chamber
+"""The walks of is_effective, is_nef, dim_gamma, reduce_to_chamber and
+find_blowdown stay in the input surface's frame: a reflection at an
+ineffective simple root (and an elementary transformation) moves the frame,
+so none of them builds a moved surface, and the per-surface caches of the
+root oracle and the surface table hold input surfaces only.  No chamber
 walk makes more reflections than its proved bound.  A frame step moves the
 frame by the two move coefficients -2 and 1, which the pull table checks.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -16,9 +18,23 @@ import pytest
 
 from ncsurf import cones, marking, sections, weyl
 from ncsurf.cones import is_effective, is_nef
-from ncsurf.lattice import BudgetExhausted, DivClass, InvariantViolation, _axpy, _dot, _row
+from ncsurf.latenum import chamber_interior_class, classes_with_pairing
+from ncsurf.lattice import (
+    BudgetExhausted,
+    DivClass,
+    InvariantViolation,
+    _axpy,
+    _dot,
+    _row,
+    basis_e,
+    basis_f,
+    canonical_class,
+    intersect,
+    render_div,
+)
 from ncsurf.presets import PRESETS, get_preset
 from ncsurf.sections import UnclassifiedState, dim_gamma
+from ncsurf.weyl import BlowdownError, elementary_transformation, et_surface, reflect, reflect_surface
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "section_pool.json"
 
@@ -75,6 +91,87 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
         pytest.fail("%d root-oracle cache entries for %d distinct (surface, root) pairs" % (oracle.cache_info().currsize, len(asked)))
     if marking._surface_table.cache_info().currsize > len(surfaces):
         pytest.fail("surface tables cached for %d surfaces, %d inputs" % (marking._surface_table.cache_info().currsize, len(surfaces)))
+
+
+def neg1_shells(top=4):
+    """(S, e) for the formal -1-classes e of the rho-shells t <= top on
+    m1-m4_generic, and on each with m >= 2 made special by lambda(e1) =
+    lambda(e2), which makes the root e1 - e2 effective."""
+    out = []
+    for name in ("m1_generic", "m2_generic", "m3_generic", "m4_generic"):
+        S = get_preset(name)
+        sig, K = S.sig, canonical_class(S.sig)
+        rho = chamber_interior_class(sig)
+        shells = [x for t in range(-4, top + 1) for x in classes_with_pairing(sig, rho, t, -1) if intersect(x, K) == -1]
+        special = [dataclasses.replace(S, lam=S.lam[:3] + S.lam[2:3] + S.lam[4:])] if sig.m >= 2 else []
+        out += [(T, x) for T in [S] + special for x in shells]
+    return out
+
+
+def carried_blowdown(S, e):
+    """find_blowdown as a walk that carries the surface along: each move is
+    applied to the surface too, and the root oracle is asked on the moved
+    surface at the current root.  Returns the terminal, the moves as (kind,
+    root, after) and the end, or the BlowdownError text.  For m >= 1."""
+    m, rational, moves = e.sig.m, e.sig.genera == (0, 0), []
+    for _ in range(weyl._walk_budget(e.coeffs)):
+        roots, extras = weyl.simple_roots(e.sig)
+        if e == extras[0]:
+            return "e_m", moves, e
+        alpha = next((a for a in roots[len(roots) - (m - 1):] if intersect(e, a) < 0), None)
+        if alpha is None and intersect(e, extras[0]) < 0:
+            return "not a formal -1-curve: %s pairs negatively with %s but differs from it" % (render_div(e), render_div(extras[0]))
+        if alpha is None and rational and intersect(e, roots[0]) < 0:
+            alpha = roots[0]
+        if alpha is not None:
+            if marking.is_root_effective(S, alpha)[0]:
+                return weyl._decomposes_msg(e, alpha)
+            S, e = reflect_surface(S, alpha), reflect(e, alpha)
+            moves.append(("reflect", alpha, e))
+        elif 2 * intersect(e, basis_e(e.sig, 1)) > intersect(e, basis_f(e.sig)):
+            S, e = et_surface(S), elementary_transformation(e)
+            moves.append(("elementary_transformation", None, e))
+        else:
+            return "not a formal -1-curve: no move applies to %s" % render_div(e)
+    pytest.fail("the reference walk spent its budget at %s" % render_div(e))
+
+
+def test_reduce_and_blowdown_build_no_surfaces(monkeypatch):
+    shells = neg1_shells()
+    want = [carried_blowdown(S, e) for S, e in shells]
+    built = []
+    for name in ("reflect_surface", "et_surface"):
+        real = getattr(weyl, name)
+        monkeypatch.setattr(weyl, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
+    asked = set()
+    oracle = marking.is_root_effective
+
+    def recorded(S, alpha):
+        asked.add(S)
+        return oracle(S, alpha)
+
+    monkeypatch.setattr(weyl, "is_root_effective", recorded)
+    box = m2_box()
+    for S, D in box:
+        weyl.reduce_to_chamber(S, D)
+    got = []
+    for S, e in shells:
+        try:
+            tr = weyl.find_blowdown(S, e)
+            got.append((tr.terminal, [(mv.kind, mv.cls, mv.after) for mv in tr.moves], tr.end))
+        except BlowdownError as err:
+            got.append(str(err))
+    if built:
+        pytest.fail("reduce_to_chamber and find_blowdown built %d moved surfaces (%s first)" % (len(built), built[0]))
+    strangers = asked - {S for S, _ in shells + box}
+    if strangers:
+        pytest.fail("the root oracle was asked on %d surfaces that are no input" % len(strangers))
+    diff = [(render_div(e), g, w) for (S, e), g, w in zip(shells, got, want) if g != w]
+    if diff:
+        pytest.fail("%d of %d blowdowns differ from the surface-carrying walk, first %r" % (len(diff), len(shells), diff[0]))
+    # the shells reach a decomposition, so the guard is exercised
+    if not any(isinstance(w, str) and "decomposes" in w for w in want):
+        pytest.fail("no shell class decomposes")
 
 
 def walk_bound(sig, xf):
