@@ -25,7 +25,7 @@ from .lattice import (
 )
 from .cones import _multiple_of, is_effective, is_nef
 from .marking import cyclic_membership, is_root_effective, ord_q
-from .weyl import _pull_table, _push, _step, _walk_budget, reflect_surface
+from .weyl import _pull_table, _push, _step, reflect_surface
 
 
 class UnclassifiedState(RuntimeError):
@@ -56,6 +56,12 @@ def _lambda_q_order(S):
         if cyclic_membership(P, acc, S.q) is not None:
             return k
     return None
+
+
+def _walk_budget(x):
+    """Step budget of dim_gamma's loop, starting at the coefficient tuple x:
+    a search cap that no proved bound gives."""
+    return 64 * len(x) * (4 + max(map(abs, x)))
 
 
 def dim_gamma(S, D, trace=None):
@@ -93,7 +99,7 @@ def dim_gamma(S, D, trace=None):
 
     if any(x) and not is_effective(S, D):
         return 0
-    steps, budget = 0, _walk_budget(x, slack=4)
+    steps, budget = 0, _walk_budget(x)
     paired = None  # the x of the pairings v[j] = x.P[j], moved with the frame
     while True:
         if steps == budget:
@@ -170,7 +176,7 @@ def dim_gamma(S, D, trace=None):
             plus, x = plus + 1, DQ
             if any(x) and not is_effective(S, _new(x, sig)):
                 return plus
-            steps, budget = 0, _walk_budget(_push(x, word, roots), slack=4)
+            steps, budget = 0, _walk_budget(_push(x, word, roots))
             continue
         if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form

@@ -1,11 +1,13 @@
 """Weyl-group machinery on blowdown structures: simple roots, reflections and
 elementary transformations (on classes, and on surfaces through one
-transport, _moved_surface), chamber reduction, and blowdown search for formal
--1-classes.  One cached table per signature, _pull_table, holds the facts that
-depend only on the signature; the chamber walks extend one frame each in
-place, update their pairings with it, and end at the fiber cut D.f < 0.
-Neither reduce_to_chamber nor find_blowdown builds a surface: both ask the
-root oracle on the input surface at the pulled-back root."""
+transport, _moved_surface), and one chamber walk, _chamber_walk, behind
+reduce_to_chamber, find_blowdown and in_neg1_orbit (and the cone loop).  One
+cached table per signature, _pull_table, holds the facts that depend only on
+the signature; a walk extends one frame in place, updates its pairings with
+it, and ends at the fiber cut D.f < 0.  A formal -1-class is in e_m's orbit
+iff its walk ends at a terminal class.  Neither reduce_to_chamber nor
+find_blowdown builds a surface: both ask the root oracle on the input
+surface at the pulled-back root."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -13,7 +15,6 @@ from functools import lru_cache, partial
 from operator import add, neg
 
 from .lattice import (
-    BudgetExhausted,
     InvariantViolation,
     LatticeSignature,
     _axpy,
@@ -129,13 +130,7 @@ def et_surface(S):
     return _moved_surface(S, sig2, lambda x: _et_coeffs(x, p), lambda x: _et_coeffs(x, sig2.parity), range(3))
 
 
-def _walk_budget(x, slack=1):
-    """Step budget of dim_gamma's loop and of the blowdown search, starting
-    at the coefficient tuple x: a search cap that no proved bound gives."""
-    return 64 * len(x) * (slack + max(map(abs, x)))
-
-
-_PullTable = namedtuple("_PullTable", "roots base moves extras f q q_row simple terminal")
+_PullTable = namedtuple("_PullTable", "sig roots base moves extras f q q_row simple terminal")
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +172,7 @@ def _pull_table(sig):
     if any(c != (-2 if j == k else 1) for k, mv in enumerate(moves) for j, c in mv):
         raise InvariantViolation("a pull-back move is not -2 at its root and 1 at a neighbour")
     n, fi, q = len(walk), len(walk) + len(extras), (-K).coeffs
-    return _PullTable(walk, base, moves, range(n, fi), fi, q, _row(sig, q), tuple(roots), tuple(extras))
+    return _PullTable(sig, walk, base, moves, range(n, fi), fi, q, _row(sig, q), tuple(roots), tuple(extras))
 
 
 def _step(table, P, v, word, k):
@@ -201,34 +196,33 @@ def _chamber_walk(S, x, row, table, P, word):
     """The walk of reduce_to_chamber on the input-frame tuple x (Gram row
     row), extending the frame (P, word) in place.  Returns (cut, k): whether
     the walk was cut because x.f < 0 (f is nef, so x is not effective), and
-    the effective walk root that blocked it (or None).  Only the ruling root
-    (the first walk root, if it pairs with f) changes x.f, and a reflection
-    at it lowers x.f; the other walk roots generate the finite Weyl group of
-    type D_m, and a reflection at one pairing negatively removes one of its
-    m(m - 1) positive roots from the inversion set (Bjorner-Brenti, ch. 4).
-    So a walk makes at most (x.f + 1) + (x.f + 2)*m(m - 1) reflections, or
-    m(m - 1) without a ruling root; passing that bound breaks the theorem."""
-    n, fi, moves = len(table.roots), table.f, table.moves
+    the effective walk root that blocked it (or None).  With S None no root
+    oracle is asked and no root blocks: the numeric walk of in_neg1_orbit.
+    Only the ruling root (the first walk root, if it pairs with f) changes
+    x.f, and a reflection at it lowers x.f; the other walk roots generate the
+    finite Weyl group of type D_m, and a reflection at one pairing negatively
+    removes one of its m(m - 1) positive roots from the inversion set
+    (Bjorner-Brenti, ch. 4).  So a walk makes at most (x.f + 1) +
+    (x.f + 2)*m(m - 1) reflections, or m(m - 1) without a ruling root;
+    passing that bound breaks the theorem."""
+    sig, n, fi, moves = table.sig, len(table.roots), table.f, table.moves
     v = [_dot(row, p) for p in P]  # v[j] = x.P[j], moved with the frame
-    dm, xf = S.sig.m * (S.sig.m - 1), max(v[fi], 0)
+    dm, xf = sig.m * (sig.m - 1), max(v[fi], 0)
     bound = xf + 1 + (xf + 2) * dm if n and any(j == fi for j, _ in moves[0]) else dm
     for _ in range(bound + 1):
         if v[fi] < 0:
             return True, None
         k = next((k for k in range(n) if v[k] < 0), None)
-        if k is None or is_root_effective(S, _new(P[k], S.sig))[0]:
+        if k is None or S is not None and is_root_effective(S, _new(P[k], sig))[0]:
             return False, k
         _step(table, P, v, word, k)
-    at = render_div(_new(_push(x, word, table.roots), S.sig))
+    at = render_div(_new(_push(x, word, table.roots), sig))
     raise InvariantViolation("chamber walk passed its bound of %d reflections at %s" % (bound, at))
 
 
-def reduce_to_chamber(S, D):
-    """Reflect D at ineffective simple roots, first violation first, until D
-    pairs >= 0 with every simple root; stops blocked when an effective simple
-    root pairs negatively.  The walk moves only a frame; the trace replays its
-    word on D."""
-    sig = S.sig
+def _walk_trace(S, sig, D):
+    """The chamber walk of D on S (numeric with S None), its word replayed on
+    D: the trace's end and blocking root are in the current frame."""
     x = _coeffs(D, sig)
     table = _pull_table(sig)
     word = []
@@ -243,6 +237,14 @@ def reduce_to_chamber(S, D):
     return trace
 
 
+def reduce_to_chamber(S, D):
+    """Reflect D at ineffective simple roots, first violation first, until D
+    pairs >= 0 with every simple root; stops blocked when an effective simple
+    root pairs negatively.  The walk moves only a frame; the trace replays its
+    word on D."""
+    return _walk_trace(S, S.sig, D)
+
+
 def _decomposes_msg(e, alpha):
     other = reflect(e, alpha)
     mult = -intersect(e, alpha)
@@ -250,85 +252,51 @@ def _decomposes_msg(e, alpha):
     return "class decomposes: %s = %s + %s" % (render_div(e), head, render_div(other))
 
 
-def _blowdown_walk(e, S=None):
-    """Move the formal -1-class e to e_m (or the plane terminal) by
-    interchanges, ruling reflections and elementary transformations.
-
-    With a surface S, every reflection root is first checked for
-    effectiveness (an effective one decomposes the class), on S at the root
-    pulled back through the moves so far (each an involution, last first);
-    with S None the walk is purely numeric.  Raises BlowdownError when no
-    move reaches a terminal, and BudgetExhausted past its search cap."""
-    rational = e.sig.genera == (0, 0)
-    trace = ReductionTrace(start=e)
-    m = e.sig.m
-    budget = _walk_budget(e.coeffs)
-    for _ in range(budget):
-        csig = e.sig
-        roots, extras = simple_roots(csig)
-        if m == 0:
-            if rational and csig.parity == "odd" and e == basis_s(csig):
-                trace.terminal = "plane"
-                break
-            raise BlowdownError("not a formal -1-curve: stuck at %s with m = 0" % render_div(e))
-        if e == extras[0]:
-            trace.terminal = "e_m"
-            break
-        # interchanges of commuting blowups e_i - e_{i+1}, which simple_roots
-        # lists last
-        alpha = next((a for a in roots[len(roots) - (m - 1):] if intersect(e, a) < 0), None)
-        if alpha is None:
-            if intersect(e, extras[0]) < 0:
-                raise BlowdownError(
-                    "not a formal -1-curve: %s pairs negatively with %s but differs from it"
-                    % (render_div(e), render_div(extras[0]))
-                )
-            # ruling reflection (rational surfaces), listed first
-            if rational and intersect(e, roots[0]) < 0:
-                alpha = roots[0]
-        if alpha is not None:
-            if S is not None:
-                beta = alpha
-                for mv in reversed(trace.moves):
-                    beta = reflect(beta, mv.cls) if mv.kind == "reflect" else elementary_transformation(beta)
-                if is_root_effective(S, beta)[0]:
-                    raise BlowdownError(_decomposes_msg(e, alpha))
-            e = reflect(e, alpha)
-            trace.moves.append(Move("reflect", alpha, e))
-        # elementary transformation when it lowers the e_1 pairing
-        elif 2 * intersect(e, basis_e(csig, 1)) > intersect(e, basis_f(csig)):
-            e = elementary_transformation(e)
-            trace.moves.append(Move("elementary_transformation", None, e))
-        else:
-            raise BlowdownError(
-                "not a formal -1-curve: no move applies to %s" % render_div(e)
-            )
+def _blowdown(S, sig, e):
+    """The chamber walk of the formal -1-class e, read as a blowdown: e is in
+    the orbit of e_m iff the walk ends at a terminal class, as e_m lies in the
+    closed chamber and an orbit meets it at most once (Bjorner-Brenti,
+    ch. 4).  At m = 1 an end at f - e_1 takes one elementary transformation
+    to e_1; on odd rational m = 0 surfaces the terminal is s, the plane's
+    blowup.  A cut end pairs negatively with f, so it is no terminal."""
+    trace = _walk_trace(S, sig, e)
+    end = trace.end
+    if trace.blocked:
+        raise BlowdownError(_decomposes_msg(end, trace.blocking))
+    if end in _pull_table(sig).terminal:
+        trace.terminal = "e_m"
+        if end != basis_e(sig, sig.m):
+            trace.end = elementary_transformation(end)
+            trace.moves.append(Move("elementary_transformation", None, trace.end))
+    elif sig.m == 0 and sig.parity == "odd" and sig.genera == (0, 0) and end == basis_s(sig):
+        trace.terminal = "plane"
     else:
-        raise BudgetExhausted("blowdown search", e, budget, budget)
-    trace.end = e
+        raise BlowdownError("not a formal -1-curve: its chamber walk ends at %s, no terminal class" % render_div(end))
     return trace
 
 
 def find_blowdown(S, e):
-    """Transform the blowdown structure by interchanges, elementary
-    transformations and ruling reflections until e becomes e_m (or the plane
-    terminal is reached); raises BlowdownError with a decomposition witness
-    when an effective class obstructs irreducibility."""
+    """Change the blowdown structure by reflections at ineffective simple
+    roots (the chamber walk of reduce_to_chamber) until e becomes e_m, or s
+    on an odd rational m = 0 surface (the "plane" terminal); at m = 1 a
+    final elementary transformation takes f - e_1 to e_1.  Raises
+    BlowdownError with a decomposition witness when an effective simple root
+    blocks the walk, and when the walk ends at no terminal class."""
     if intersect(e, e) != -1 or intersect(e, canonical_class(S.sig)) != -1:
         raise ValueError(
             "%s is not a formal -1-class (need e^2 = e.K = -1)" % render_div(e)
         )
-    return _blowdown_walk(e, S)
+    return _blowdown(S, S.sig, e)
 
 
 def in_neg1_orbit(sig, e):
     """Purely numeric test that e lies in the reflection-group orbit of e_m
-    (or reaches the plane terminal): find_blowdown without effectiveness
-    guards."""
+    (or reaches the plane terminal): find_blowdown's walk with no root
+    oracle."""
     if intersect(e, e) != -1 or intersect(e, canonical_class(sig)) != -1:
         return False
     try:
-        _blowdown_walk(e)
+        _blowdown(None, sig, e)
     except BlowdownError:
         return False
     return True

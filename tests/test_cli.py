@@ -287,10 +287,10 @@ GOLDEN = [
     ('reduce --surface m2_generic s+f-2e1 --trace --json', {"answer": "f-e1+e2", "trace": ["reflect f-e1-e2 -> s-e1+e2", "reflect s-f -> f-e1+e2"]}),
     ('blowdown --surface m2_generic e1', 'e_m  word=[e1-e2]\n'),
     ('blowdown --surface m2_generic e1 --json', {"answer": "e_m", "trace": ["reflect e1-e2 -> e2"]}),
-    ('blowdown --surface m3_generic s-e1', 'e_m  word=[s-f, elementary_transformation, e1-e2, e2-e3]\n'),
-    ('blowdown --surface m3_generic s-e1 --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "elementary_transformation -> e1", "reflect e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
-    ('blowdown --surface m3_generic s-e1 --trace', 'e_m  word=[s-f, elementary_transformation, e1-e2, e2-e3]\nreflect s-f -> f-e1\nelementary_transformation -> e1\nreflect e1-e2 -> e2\nreflect e2-e3 -> e3\n'),
-    ('blowdown --surface m3_generic s-e1 --trace --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "elementary_transformation -> e1", "reflect e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
+    ('blowdown --surface m3_generic s-e1', 'e_m  word=[s-f, f-e1-e2, e2-e3]\n'),
+    ('blowdown --surface m3_generic s-e1 --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "reflect f-e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
+    ('blowdown --surface m3_generic s-e1 --trace', 'e_m  word=[s-f, f-e1-e2, e2-e3]\nreflect s-f -> f-e1\nreflect f-e1-e2 -> e2\nreflect e2-e3 -> e3\n'),
+    ('blowdown --surface m3_generic s-e1 --trace --json', {"answer": "e_m", "trace": ["reflect s-f -> f-e1", "reflect f-e1-e2 -> e2", "reflect e2-e3 -> e3"]}),
     ("blowup --surface f0_generic --component 0 --mults 1 --pos '3 5'", 'genus = 0 0\nparity = even\nm = 1\nmarking = free 2\nq = 1 0\nlambda s = 0 1\nlambda f = 0 0\nlambda e1 = 3 5\ncomponent = 2 2 -1 * 1\n'),
     ("blowup --surface f0_generic --component 0 --mults 1 --pos '3 5' --json", {"answer": "genus = 0 0\nparity = even\nm = 1\nmarking = free 2\nq = 1 0\nlambda s = 0 1\nlambda f = 0 0\nlambda e1 = 3 5\ncomponent = 2 2 -1 * 1\n"}),
     ('k0 theta --surface m2_generic 1 s 0', 'rank=1 c1=-s-2f+e1+e2 chi=-2\n'),

@@ -35,7 +35,7 @@ from ncsurf.presets import (
     m1_generic,
     m2_generic,
 )
-from ncsurf.weyl import in_neg1_orbit
+from ncsurf.weyl import find_blowdown, in_neg1_orbit
 
 
 def rand_div(sig, rng, bound=4):
@@ -61,16 +61,19 @@ def _m0(parity, genera, *components):
     return S
 
 
+# three splittings of -K on F_1 (odd, rational, m = 0)
+F1_SPLITS = {
+    "2s+3f": [anticanonical_class],
+    "s + (s+3f)": [basis_s, lambda sig: div(sig, 1, 3)],
+    "s + (s+2f) + f": [basis_s, lambda sig: div(sig, 1, 2), basis_f],
+}
+
+
 def test_odd_m0_cones_are_f1s():
-    # F_1 (odd, rational, m = 0) has the -1-curve s and the fiber f: a.s + b.f
-    # is effective iff a, b >= 0 and nef iff 0 <= a <= b, whatever splits -K
-    splits = {
-        "2s+3f": [anticanonical_class],
-        "s + (s+3f)": [basis_s, lambda sig: div(sig, 1, 3)],
-        "s + (s+2f) + f": [basis_s, lambda sig: div(sig, 1, 2), basis_f],
-    }
+    # F_1 has the -1-curve s and the fiber f: a.s + b.f is effective iff
+    # a, b >= 0 and nef iff 0 <= a <= b, whatever splits -K
     bad = []
-    for name, comps in splits.items():
+    for name, comps in F1_SPLITS.items():
         S = _m0("odd", (0, 0), *comps)
         for a, b in itertools.product(range(-6, 7), repeat=2):
             D = div(S.sig, a, b)
@@ -79,6 +82,19 @@ def test_odd_m0_cones_are_f1s():
                 bad.append((name, render_div(D), got))
     if bad:
         pytest.fail("%d answers differ from F_1's, first %r" % (len(bad), bad[0]))
+
+
+def test_f1_blows_down_to_the_plane():
+    # s, F_1's one formal -1-class, blows down to the plane with no move,
+    # whatever splits -K; the fiber f is no formal -1-class
+    for name, comps in F1_SPLITS.items():
+        S = _m0("odd", (0, 0), *comps)
+        s = basis_s(S.sig)
+        tr = find_blowdown(S, s)
+        if (tr.terminal, tr.moves, tr.end) != ("plane", [], s) or not in_neg1_orbit(S.sig, s):
+            pytest.fail("%s: s blows down to %r by %r" % (name, tr.terminal, tr.word()))
+        with pytest.raises(ValueError, match="not a formal -1-class"):
+            find_blowdown(S, basis_f(S.sig))
 
 
 @pytest.mark.xfail(

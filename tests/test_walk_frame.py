@@ -1,10 +1,12 @@
 """The walks of is_effective, is_nef, dim_gamma, reduce_to_chamber and
 find_blowdown stay in the input surface's frame: a reflection at an
-ineffective simple root (and an elementary transformation) moves the frame,
-so none of them builds a moved surface, and the per-surface caches of the
-root oracle and the surface table hold input surfaces only.  No chamber
-walk makes more reflections than its proved bound.  A frame step moves the
-frame by the two move coefficients -2 and 1, which the pull table checks.
+ineffective simple root moves the frame, so none of them builds a moved
+surface, and the per-surface caches of the root oracle and the surface
+table hold input surfaces only.  find_blowdown and in_neg1_orbit, which run
+the chamber walk, reach the terminals of the older blowdown walk, kept here
+as a reference.  No chamber walk makes more reflections than its proved
+bound.  A frame step moves the frame by the two move coefficients -2 and 1,
+which the pull table checks.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
@@ -12,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,11 +26,13 @@ from ncsurf.lattice import (
     BudgetExhausted,
     DivClass,
     InvariantViolation,
+    LatticeSignature,
     _axpy,
     _dot,
     _row,
     basis_e,
     basis_f,
+    basis_s,
     canonical_class,
     intersect,
     render_div,
@@ -93,28 +98,61 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
         pytest.fail("surface tables cached for %d surfaces, %d inputs" % (marking._surface_table.cache_info().currsize, len(surfaces)))
 
 
+def formal_neg1(sig, top=4):
+    """The formal -1-classes (x^2 = x.K = -1) of the rho-shells t <= top."""
+    K = canonical_class(sig)
+    rho = chamber_interior_class(sig)
+    return [x for t in range(-4, top + 1) for x in classes_with_pairing(sig, rho, t, -1) if intersect(x, K) == -1]
+
+
 def neg1_shells(top=4):
     """(S, e) for the formal -1-classes e of the rho-shells t <= top on
-    m1-m4_generic, and on each with m >= 2 made special by lambda(e1) =
+    m1-m4_generic and on their odd forms under the elementary
+    transformation, and on each with m >= 2 made special by lambda(e1) =
     lambda(e2), which makes the root e1 - e2 effective."""
     out = []
     for name in ("m1_generic", "m2_generic", "m3_generic", "m4_generic"):
-        S = get_preset(name)
-        sig, K = S.sig, canonical_class(S.sig)
-        rho = chamber_interior_class(sig)
-        shells = [x for t in range(-4, top + 1) for x in classes_with_pairing(sig, rho, t, -1) if intersect(x, K) == -1]
-        special = [dataclasses.replace(S, lam=S.lam[:3] + S.lam[2:3] + S.lam[4:])] if sig.m >= 2 else []
-        out += [(T, x) for T in [S] + special for x in shells]
+        for S in (get_preset(name), et_surface(get_preset(name))):
+            shells = formal_neg1(S.sig, top)
+            special = [dataclasses.replace(S, lam=S.lam[:3] + S.lam[2:3] + S.lam[4:])] if S.sig.m >= 2 else []
+            out += [(T, x) for T in [S] + special for x in shells]
     return out
 
 
+# the presets are all even and rational; these signatures are not
+ORBIT_SIGS = [
+    LatticeSignature(m, parity, genera)
+    for m in range(5)
+    for parity, genera in (("odd", (0, 0)), ("even", (1, 1)), ("odd", (1, 1)), ("even", (2, 0)), ("odd", (2, 0)))
+]
+
+
+def orbit_classes(sig):
+    """The formal -1-classes of the rho-shells t <= 8 of sig and, for m <= 3,
+    of the [-3, 3] box, sorted."""
+    K = canonical_class(sig)
+    box = itertools.product(range(-3, 4), repeat=sig.rank) if sig.m <= 3 else ()
+    box = [x for x in map(partial(DivClass, sig=sig), box) if intersect(x, x) == intersect(x, K) == -1]
+    return sorted(set(box + formal_neg1(sig, 8)), key=lambda x: x.coeffs)
+
+
+REFERENCE_CAP = 1000  # steps of the reference walk; its shell walks take far fewer
+
+
 def carried_blowdown(S, e):
-    """find_blowdown as a walk that carries the surface along: each move is
-    applied to the surface too, and the root oracle is asked on the moved
-    surface at the current root.  Returns the terminal, the moves as (kind,
-    root, after) and the end, or the BlowdownError text.  For m >= 1."""
+    """The blowdown walk that find_blowdown ran before it became a chamber
+    walk, kept as a reference: it moves e by interchanges, ruling reflections
+    and elementary transformations, and carries the surface S along (each
+    move is applied to S too, and the root oracle is asked on the moved
+    surface at the current root); with S None it is purely numeric.  Returns
+    the terminal, the moves as (kind, root, after) and the end, or the
+    BlowdownError text."""
     m, rational, moves = e.sig.m, e.sig.genera == (0, 0), []
-    for _ in range(weyl._walk_budget(e.coeffs)):
+    for _ in range(REFERENCE_CAP):
+        if m == 0:
+            if rational and e.sig.parity == "odd" and e == basis_s(e.sig):
+                return "plane", moves, e
+            return "not a formal -1-curve: stuck at %s with m = 0" % render_div(e)
         roots, extras = weyl.simple_roots(e.sig)
         if e == extras[0]:
             return "e_m", moves, e
@@ -124,21 +162,49 @@ def carried_blowdown(S, e):
         if alpha is None and rational and intersect(e, roots[0]) < 0:
             alpha = roots[0]
         if alpha is not None:
-            if marking.is_root_effective(S, alpha)[0]:
-                return weyl._decomposes_msg(e, alpha)
-            S, e = reflect_surface(S, alpha), reflect(e, alpha)
+            if S is not None:
+                if marking.is_root_effective(S, alpha)[0]:
+                    return weyl._decomposes_msg(e, alpha)
+                S = reflect_surface(S, alpha)
+            e = reflect(e, alpha)
             moves.append(("reflect", alpha, e))
         elif 2 * intersect(e, basis_e(e.sig, 1)) > intersect(e, basis_f(e.sig)):
-            S, e = et_surface(S), elementary_transformation(e)
+            S = S and et_surface(S)
+            e = elementary_transformation(e)
             moves.append(("elementary_transformation", None, e))
         else:
             return "not a formal -1-curve: no move applies to %s" % render_div(e)
-    pytest.fail("the reference walk spent its budget at %s" % render_div(e))
+    pytest.fail("the reference walk passed its cap at %s" % render_div(e))
+
+
+def reference_kind(outcome):
+    """The terminal of a carried_blowdown outcome, or its error's kind:
+    "class decomposes" or "not a formal -1-curve"."""
+    return outcome.partition(":")[0] if isinstance(outcome, str) else outcome[0]
+
+
+def blowdown_outcome(walk):
+    """(kind, trace) for a blowdown walk: its terminal and its trace when the
+    moves replay from the start to the end, and that end is the terminal
+    class; else what went wrong, or its BlowdownError's kind, and None."""
+    try:
+        tr = walk()
+    except BlowdownError as err:
+        return str(err).partition(":")[0], None
+    cur = tr.start
+    for mv in tr.moves:
+        cur = reflect(cur, mv.cls) if mv.kind == "reflect" else elementary_transformation(cur)
+        if cur != mv.after:
+            return "a move does not replay", None
+    sig = cur.sig
+    if cur != tr.end or cur != (basis_e(sig, sig.m) if tr.terminal == "e_m" else basis_s(sig)):
+        return "the moves end off the terminal class", None
+    return tr.terminal, tr
 
 
 def test_reduce_and_blowdown_build_no_surfaces(monkeypatch):
     shells = neg1_shells()
-    want = [carried_blowdown(S, e) for S, e in shells]
+    want = [reference_kind(carried_blowdown(S, e)) for S, e in shells]
     built = []
     for name in ("reflect_surface", "et_surface"):
         real = getattr(weyl, name)
@@ -154,13 +220,7 @@ def test_reduce_and_blowdown_build_no_surfaces(monkeypatch):
     box = m2_box()
     for S, D in box:
         weyl.reduce_to_chamber(S, D)
-    got = []
-    for S, e in shells:
-        try:
-            tr = weyl.find_blowdown(S, e)
-            got.append((tr.terminal, [(mv.kind, mv.cls, mv.after) for mv in tr.moves], tr.end))
-        except BlowdownError as err:
-            got.append(str(err))
+    got = [blowdown_outcome(partial(weyl.find_blowdown, S, e))[0] for S, e in shells]
     if built:
         pytest.fail("reduce_to_chamber and find_blowdown built %d moved surfaces (%s first)" % (len(built), built[0]))
     strangers = asked - {S for S, _ in shells + box}
@@ -170,8 +230,30 @@ def test_reduce_and_blowdown_build_no_surfaces(monkeypatch):
     if diff:
         pytest.fail("%d of %d blowdowns differ from the surface-carrying walk, first %r" % (len(diff), len(shells), diff[0]))
     # the shells reach a decomposition, so the guard is exercised
-    if not any(isinstance(w, str) and "decomposes" in w for w in want):
+    if "class decomposes" not in want:
         pytest.fail("no shell class decomposes")
+
+
+def test_neg1_orbit_matches_the_reference_walk():
+    # on odd and non-rational signatures, m = 0..4: in_neg1_orbit, and the
+    # numeric blowdown walk (find_blowdown's walk with no root oracle), give
+    # the reference walk's terminal or error kind on every class
+    bad, ends = [], set()
+    for sig in ORBIT_SIGS:
+        for e in orbit_classes(sig):
+            want = reference_kind(carried_blowdown(None, e))
+            got, tr = blowdown_outcome(partial(weyl._blowdown, None, sig, e))
+            if got != want or weyl.in_neg1_orbit(sig, e) != (want in ("e_m", "plane")):
+                bad.append((str(sig), render_div(e), got, want))
+            if tr is not None:
+                ends.add((tr.terminal, tr.moves[-1].kind if tr.moves else None))
+    if bad:
+        pytest.fail("%d classes differ from the reference walk, first %r" % (len(bad), bad[0]))
+    # the plane terminal (odd rational m = 0) and the final elementary
+    # transformation (an m = 1 end at f - e1) are both reached
+    for end in (("plane", None), ("e_m", "elementary_transformation")):
+        if end not in ends:
+            pytest.fail("no walk ends as %r" % (end,))
 
 
 def walk_bound(sig, xf):
@@ -196,7 +278,7 @@ def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
         try:
             return real(S, x, row, table, P, word)
         finally:
-            walks.append((S.sig, xf, len(word) - start))
+            walks.append((table.sig, xf, len(word) - start))
 
     for mod in (weyl, cones):
         monkeypatch.setattr(mod, "_chamber_walk", measured)
@@ -212,6 +294,15 @@ def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
         for c in itertools.product(range(-4, 5), repeat=S.sig.rank):
             is_effective(S, DivClass(c, S.sig))
             weyl._chamber_walk(S, c, _row(S.sig, c), table, list(table.base), [])
+    # the blowdown walks, on surfaces and numeric
+    for S, e in neg1_shells():
+        try:
+            weyl.find_blowdown(S, e)
+        except BlowdownError:
+            pass
+    for sig in ORBIT_SIGS:
+        for e in orbit_classes(sig):
+            weyl.in_neg1_orbit(sig, e)
     over = [w for w in walks if w[2] > walk_bound(w[0], w[1])]
     if over:
         pytest.fail("%d of %d walks passed the bound, first %r" % (len(over), len(walks), over[0]))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ncsurf.lattice import (
-    BudgetExhausted,
     DivClass,
     LatticeSignature,
     SignatureMismatch,
@@ -15,7 +14,6 @@ from ncsurf.lattice import (
     intersect,
     render_div,
 )
-from ncsurf import cli, weyl
 from ncsurf.latenum import chamber_interior_class, classes_with_pairing
 from ncsurf.marking import SurfaceData, blow_up, validate
 from ncsurf.presets import PRESETS, f0_generic, get_preset, m1_generic, m2_generic, m3_generic
@@ -257,27 +255,3 @@ def test_in_neg1_orbit_matches_find_blowdown():
     assert in_neg1_orbit(S.sig, e1)
     with pytest.raises(BlowdownError):
         find_blowdown(S, e1)
-
-
-def test_blowdown_budget_exhaustion_raises(monkeypatch, capsys):
-    # the blowdown budget is a search cap, not a proved bound; a spent cap
-    # raises BudgetExhausted with its report, and the CLI exits with code 3.
-    # Checks are explicit pytest.fail calls, so they also hold under python -O
-    monkeypatch.setattr(weyl, "_walk_budget", lambda D, slack=1: 0)
-    S = m2_generic()
-    e = basis_f(S.sig) - basis_e(S.sig, 1)
-    with pytest.raises(RuntimeError):
-        find_blowdown(S, e)
-    with pytest.raises(RuntimeError):
-        in_neg1_orbit(S.sig, e)
-    # with one step, f-e1 takes its elementary transformation and stops there
-    monkeypatch.setattr(weyl, "_walk_budget", lambda D, slack=1: 1)
-    with pytest.raises(BudgetExhausted) as info:
-        find_blowdown(S, e)
-    want = {"search": "blowdown search", "class": render_div(elementary_transformation(e)), "steps": 1, "budget": 1}
-    if info.value.report != want:
-        pytest.fail("budget report %r, want %r" % (info.value.report, want))
-    rc = cli.main(["blowdown", "--surface", "m2_generic", "f-e1"])
-    err = capsys.readouterr().err
-    if rc != 3 or not err.startswith("internal error: blowdown search exceeded its step budget (1 of 1 steps)"):
-        pytest.fail("ncsurf blowdown exited %r with %r" % (rc, err))
