@@ -5,7 +5,8 @@ The main loop alternates chamber reduction by ineffective-root reflections
 with subtraction of effective classes (components, effective roots, the
 terminal -1-classes e_m and f-e_1, each with its whole multiplicity) that
 pair negatively; acceptance is the dual-monoid condition in the fundamental
-chamber.  Nef queries first screen f, the components, the e_i and f - e_i.
+chamber.  Nef queries first screen f, the components, the e_i and f - e_i;
+effectiveness queries first screen the nef fibers of earlier cut walks.
 The walks end at the fiber cut (weyl._chamber_walk), the loop at the grade
 of the dual-interior class that marking._surface_table holds with the other
 facts of the surface."""
@@ -30,7 +31,7 @@ from .lattice import (
     zero_class,
 )
 from . import latenum
-from .marking import _surface_table, is_root_effective
+from .marking import FIBER_CAP, _surface_table, is_root_effective
 from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
@@ -188,11 +189,22 @@ def _cone_loop(S, D, stop_on_subtract):
             return False, None, _new(y, sig)
         if grade < 0:
             return False, None, _negative_witness(S, D)
+    else:
+        # the fiber screen: a proven-nef fiber of an earlier cut walk pairing
+        # negatively rejects D (no certificate; nef queries skip it, so their
+        # witnesses do not depend on earlier queries)
+        for N in T.fibers:
+            if _dot(row, N) < 0:
+                return False, None, None
     P, word, subtracted = list(table.base), [], []
     while True:
         cut, k = _chamber_walk(S, x, row, table, P, word)
         if cut:  # D.P[f] < 0 for P[f], the fiber of the structure reached
-            return False, None, _new(P[table.f], sig)
+            N, nrow = P[table.f], _row(sig, P[table.f])
+            # listed if new and not refuted by the always-effective classes
+            if len(T.fibers) < FIBER_CAP and N not in T.fibers and all(_dot(nrow, y) >= 0 for y in T.screen):
+                T.fibers.append(N)
+            return False, None, _new(N, sig)
         n = 1
         if k is not None:
             # an effective simple root pairs negatively; subtract an

@@ -210,11 +210,11 @@ def chi_structure(sig):
 
 def chi_line_bundle(D):
     """chi of any line bundle with Chern class D (Riemann-Roch)."""
-    sig = D.sig
+    sig, x = D.sig, D.coeffs
     g0, g1 = sig.genera
-    K = canonical_class(sig)
-    gt = g0 if intersect(D, basis_f(sig)) % 2 == 0 else g1
-    num = 2 - (g0 + gt) + intersect(D, D - K)
+    k = canonical_class(sig).coeffs
+    gt = g0 if x[0] % 2 == 0 else g1  # x[0] = D.f
+    num = 2 - (g0 + gt) + _pair(sig, x, x) - _pair(sig, x, k)
     if num % 2 != 0:
         raise ValueError(
             "chi formula is non-integral for %s on %r (quasi-ruled genera %s)"

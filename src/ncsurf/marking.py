@@ -244,7 +244,11 @@ def _neg1_pairings(x):
     return [-c for c in x[2:]] + [x[0] + c for c in x[2:]]
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q")
+_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q fibers")
+
+# the most proven-nef fibers a surface table keeps (_surface_table's fibers):
+# it bounds each screen's scan, and a benchmark pass lists at most 16
+FIBER_CAP = 32
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
@@ -255,7 +259,15 @@ def _surface_table(S):
     grade >= 1 and each subtraction of the cone loop lowers the grade.  The
     components come with their Gram rows, the always-effective -1-classes
     without; caps, ncap and budget bound the root search.  screen lists f,
-    the components, the e_i and the f - e_i: the cone loop's nef screen."""
+    the components, the e_i and the f - e_i: the cone loop's nef screen.
+    fibers starts empty and is filled by the cone loop, up to FIBER_CAP: the
+    fiber P[f] of each cut walk, in S's frame.  That walk reached its
+    blowdown structure by reflections at roots the oracle found ineffective
+    only, so its fiber moves in a base-point-free pencil and is nef
+    (Harbourne, Trans. AMS 349, 1997); an effective class pairs >= 0 with
+    each, whichever queries put it there.  A fiber pairing negatively with a
+    class of screen is not nef, so some root of its walk was effective after
+    all (it happens on pvi_m12); it is not listed."""
     from . import weyl  # local import: weyl imports marking
 
     sig, comps = S.sig, S.components
@@ -286,10 +298,10 @@ def _surface_table(S):
     neg1 = _effective_neg1_classes(sig)
     screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
-    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q)
+    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q, [])
 
 
-@lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 470 (surface, root) pairs
+@lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 430 (surface, root) pairs
 def is_root_effective(S, alpha):
     """Effectiveness of a -2-root, with a witness.
 

@@ -18,8 +18,8 @@ from .lattice import (
     anticanonical_class,
     basis_f,
     canonical_class,
+    chi_line_bundle,
     intersect,
-    line_bundle_class,
     mukai_pairing,
     render_div,
 )
@@ -190,11 +190,14 @@ def dim_gamma(S, D, trace=None):
 
 
 def hom_dims(S, D1, D2):
-    """Betti numbers of RHom between line bundles of classes D1, D2."""
-    K = canonical_class(S.sig)
-    h0 = dim_gamma(S, D2 - D1)
-    h2 = dim_gamma(S, K + D1 - D2)
-    chi = mukai_pairing(line_bundle_class(D1), line_bundle_class(D2))
+    """Betti numbers of RHom between line bundles of classes D1, D2, on the
+    coefficient tuples: chi(L1, L2) = chi(O(D2 - D1)) by Riemann-Roch on the
+    rational surfaces that dim_gamma accepts."""
+    sig = S.sig
+    D = _new(tuple(map(sub, _coeffs(D2, sig), _coeffs(D1, sig))), sig)
+    h0 = dim_gamma(S, D)
+    h2 = dim_gamma(S, _new(tuple(map(sub, canonical_class(sig).coeffs, D.coeffs)), sig))
+    chi = chi_line_bundle(D)
     h1 = h0 + h2 - chi
     if h0 > 0 and h2 > 0:
         raise InvariantViolation("Hom and Ext^2 cannot both be nonzero")

@@ -222,11 +222,12 @@ def _chamber_walk(S, x, row, table, P, word):
 
 def _walk_trace(S, sig, D):
     """The chamber walk of D on S (numeric with S None), its word replayed on
-    D: the trace's end and blocking root are in the current frame."""
+    D: the trace's end and blocking root are in the current frame.  Returns
+    the trace and the blocking root in the input frame (P[k]), or None."""
     x = _coeffs(D, sig)
     table = _pull_table(sig)
-    word = []
-    cut, k = _chamber_walk(S, x, _row(sig, x), table, list(table.base), word)
+    P, word = list(table.base), []
+    cut, k = _chamber_walk(S, x, _row(sig, x), table, P, word)
     blocking = None if k is None else table.roots[k][0]
     trace = ReductionTrace(start=D, cut=cut, blocked=k is not None, blocking=blocking)
     for j in word:
@@ -234,7 +235,7 @@ def _walk_trace(S, sig, D):
         x = _reflect(x, root)
         trace.moves.append(Move("reflect", root[0], _new(x, sig)))
     trace.end = _new(x, sig)
-    return trace
+    return trace, None if k is None else _new(P[k], sig)
 
 
 def reduce_to_chamber(S, D):
@@ -242,7 +243,7 @@ def reduce_to_chamber(S, D):
     pairs >= 0 with every simple root; stops blocked when an effective simple
     root pairs negatively.  The walk moves only a frame; the trace replays its
     word on D."""
-    return _walk_trace(S, S.sig, D)
+    return _walk_trace(S, S.sig, D)[0]
 
 
 def _decomposes_msg(e, alpha):
@@ -258,11 +259,13 @@ def _blowdown(S, sig, e):
     closed chamber and an orbit meets it at most once (Bjorner-Brenti,
     ch. 4).  At m = 1 an end at f - e_1 takes one elementary transformation
     to e_1; on odd rational m = 0 surfaces the terminal is s, the plane's
-    blowup.  A cut end pairs negatively with f, so it is no terminal."""
-    trace = _walk_trace(S, sig, e)
+    blowup.  A cut end pairs negatively with f, so it is no terminal.  A
+    blocked walk's decomposition is written in the input frame, with the
+    blocking root pulled back."""
+    trace, pulled = _walk_trace(S, sig, e)
     end = trace.end
     if trace.blocked:
-        raise BlowdownError(_decomposes_msg(end, trace.blocking))
+        raise BlowdownError(_decomposes_msg(e, pulled))
     if end in _pull_table(sig).terminal:
         trace.terminal = "e_m"
         if end != basis_e(sig, sig.m):

@@ -242,6 +242,8 @@ SURFACE_FILES = {
     "bad_mult.ncs": F0.replace("* 1", "* one"),
     "short_component.ncs": F0.replace("2 2 * 1", "2 * 1"),
     "bad_component.ncs": F0.replace("2 2 * 1", "2 x * 1"),
+    # m2_generic with lambda(e2) = lambda(e1): the root e1-e2 is effective
+    "m2_equal.ncs": cli.render_surface(get_preset("m2_generic")).replace("lambda e2 = 11 13", "lambda e2 = 5 7"),
 }
 
 GOLDEN = [
@@ -357,6 +359,8 @@ INPUT_ERRORS = [
     ('opcheck run frobenius_power --trials 0', 'error: trials must be a positive integer, not 0'),
     # a library ValueError is an input error, not a traceback with exit 1
     ('blowdown --surface m1_generic s', 'error: s is not a formal -1-class (need e^2 = e.K = -1)'),
+    # a blocked walk names the class given, with the blocking root pulled back
+    ('blowdown --surface m2_equal.ncs f-e2', 'error: class decomposes: f-e2 = (e1-e2) + f-e1'),
     ('moduli hilb --n -1', 'error: n must be >= 0'),
     ('gamma --surface quasi_ruled.ncs s+f', 'error: section dimensions are computed for rational surfaces only'),
     ('hom --surface quasi_ruled.ncs 0 f', 'error: section dimensions are computed for rational surfaces only'),

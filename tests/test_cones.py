@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from ncsurf.lattice import (
     render_div,
     zero_class,
 )
-from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, validate
+from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, _surface_table, validate
 from ncsurf.presets import (
     PRESETS,
     f0_generic,
@@ -336,3 +338,61 @@ def test_every_witness_and_summand_checks_out():
             total = total + x
         if total != D:
             pytest.fail("summands and residue of %s sum to %s" % (render_div(D), render_div(total)))
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "section_pool.json"
+
+
+def _screen_inputs():
+    """The sum of the twelve pvi_m12 pieces and the pieces (its cut walk ends
+    at a fiber that pairs negatively with a component, which must not be
+    listed), the section pool's classes D and K - D on their presets, and
+    the [-4, 4] boxes of m1-m3_generic (m3's sampled), as (surface, class)."""
+    S, pieces = _pvi_m12_pieces()
+    out = [(S, sum(pieces, zero_class(S.sig)))] + [(S, D) for D in pieces]
+    for name, entries in json.loads(POOL.read_text())["pool"].items():
+        S = get_preset(name)
+        K = canonical_class(S.sig)
+        for _, coeffs, _, _ in entries:
+            D = DivClass(tuple(coeffs), S.sig)
+            out += [(S, D), (S, K - D)]
+    rng = random.Random(7)
+    for name, sample in (("m1_generic", None), ("m2_generic", None), ("m3_generic", 20000)):
+        S = get_preset(name)
+        box = list(itertools.product(range(-4, 5), repeat=S.sig.rank))
+        if sample is not None:
+            box = rng.sample(box, sample)
+        out += [(S, DivClass(x, S.sig)) for x in box]
+    return out
+
+
+def test_fiber_screen_does_not_change_an_answer():
+    # is_effective with every surface table's fiber list emptied before each
+    # query (no screen) against two query orders in which the lists fill up;
+    # every accepted class must pair >= 0 with every listed (nef) fiber
+    items = _screen_inputs()
+    _surface_table.cache_clear()
+    plain = []
+    for S, D in items:
+        _surface_table(S).fibers.clear()
+        plain.append(is_effective(S, D))
+    order = list(range(len(items)))
+    for label in ("input order", "reversed order"):
+        _surface_table.cache_clear()
+        screened = [None] * len(items)
+        for i in order:
+            screened[i] = is_effective(*items[i])
+        diff = [i for i in order if screened[i] != plain[i]]
+        if diff:
+            S, D = items[diff[0]]
+            pytest.fail("%s: %d of %d answers change with the fiber screen, first %s (%s without it)"
+                        % (label, len(diff), len(items), render_div(D), plain[diff[0]]))
+        filled = 0
+        for (S, D), ok in zip(items, plain):
+            fibers = _surface_table(S).fibers
+            filled = max(filled, len(fibers))
+            if ok and any(intersect(D, DivClass(N, S.sig)) < 0 for N in fibers):
+                pytest.fail("%s: accepted %s pairs negatively with a listed fiber" % (label, render_div(D)))
+        if not filled:
+            pytest.fail("%s: no cut walk listed a fiber, so the screen was not exercised" % label)
+        order.reverse()

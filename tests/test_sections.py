@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from ncsurf.lattice import (
     zero_class,
 )
 from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, blow_up, validate
-from ncsurf.presets import dp9_torsion, f0_commutative, f0_generic, get_preset
+from ncsurf.presets import PRESETS, dp9_torsion, f0_commutative, f0_generic, get_preset
 from ncsurf.sections import (
     HomDims,
     UnclassifiedState,
@@ -146,6 +147,25 @@ def test_hom_dims_properties():
             assert h.h0 - h.h1 + h.h2 == chi
             # Serre-dual symmetry
             assert h.h0 == hom_dims(S, D2, D1 + K).h2
+
+
+def test_hom_dims_chi_is_the_mukai_pairing(monkeypatch):
+    # hom_dims takes chi(L1, L2) on coefficient tuples; with dim_gamma stubbed
+    # to h0 = H, h2 = 0 it reports h1 = H - chi, on every preset
+    from ncsurf import sections
+
+    H = 10 ** 6
+    dims = itertools.cycle((H, 0))  # hom_dims asks h0, then h2
+    monkeypatch.setattr(sections, "dim_gamma", lambda S, D: next(dims))
+    rng = random.Random(23)
+    for name in PRESETS:
+        S = get_preset(name)
+        for _ in range(300):
+            D1, D2 = rand_div(S.sig, rng), rand_div(S.sig, rng)
+            got = H - hom_dims(S, D1, D2).h1
+            want = mukai_pairing(line_bundle_class(D1), line_bundle_class(D2))
+            if got != want:
+                pytest.fail("%s: chi(%s, %s) is %d, mukai_pairing gives %d" % (name, D1, D2, got, want))
 
 
 def test_dim_gamma_at_least_chi_when_h2_vanishes():

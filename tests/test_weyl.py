@@ -211,6 +211,25 @@ def test_find_blowdown_examples():
     assert "class decomposes: e1 = (e1-e2) + e2" in str(exc.value)
 
 
+def test_blocked_blowdown_names_the_input_class():
+    # f-e2 walks to e1 before e1-e2 blocks it; the decomposition is of f-e2,
+    # with the blocking root pulled back to the input frame
+    S = m2_generic()
+    sig = S.sig
+    lam = list(S.lam)
+    lam[3] = lam[2]
+    Seq = SurfaceData(sig, S.components, S.marking, S.q, tuple(lam))
+    e = basis_f(sig) - basis_e(sig, 2)
+    want = "class decomposes: f-e2 = (e1-e2) + f-e1"
+    try:
+        tr = find_blowdown(Seq, e)
+    except BlowdownError as err:
+        if str(err) != want:
+            pytest.fail("find_blowdown(%s) says %r, want %r" % (render_div(e), str(err), want))
+    else:
+        pytest.fail("find_blowdown(%s) reached %s with no error" % (render_div(e), tr.terminal))
+
+
 def test_find_blowdown_rejects_non_neg1():
     S = m1_generic()
     with pytest.raises(ValueError):
