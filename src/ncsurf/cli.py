@@ -209,8 +209,11 @@ def load_surface(spec):
     """Load from a file path, or fall back to a preset name (with or without
     a .ncs suffix)."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_surface(fh.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                return parse_surface(fh.read())
+        except OSError as e:
+            raise InputError("cannot read surface file %r: %s" % (spec, e.strerror))
     name = spec[:-4] if spec.endswith(".ncs") else spec
     try:
         return presets.get_preset(name)

@@ -5,7 +5,8 @@ The main loop alternates chamber reduction by ineffective-root reflections
 with subtraction of effective classes (components, effective roots, the
 terminal -1-classes e_m and f-e_1, each with its whole multiplicity) that
 pair negatively; acceptance is the dual-monoid condition in the fundamental
-chamber.  Nef queries first screen f, the components, the e_i and f - e_i;
+chamber.  Nef queries first screen f, the components, the e_i and f - e_i,
+which is complete: a screened class has nonnegative grade (_negative_witness);
 effectiveness queries first screen the nef fibers of earlier cut walks.
 The walks end at the fiber cut (weyl._chamber_walk), the loop at the grade
 of the dual-interior class that marking._surface_table holds with the other
@@ -14,7 +15,6 @@ facts of the surface."""
 from operator import add
 
 from .lattice import (
-    BudgetExhausted,
     InvariantViolation,
     _axpy,
     _coeffs,
@@ -128,22 +128,15 @@ def _effective_classes(S, Da, t):
             yield x
 
 
-def _negative_witness(S, D):
-    """An effective class pairing negatively with D, from the reference
-    shells: for nef counterexamples with a negative grade past the cone
-    loop's screen.  One exists, as nef classes are effective; passing the
-    search cap on the shells first raises BudgetExhausted."""
-    sig = S.sig
-    row = _row(sig, D.coeffs)
-    bound = 4 * (sig.m + 2) * (1 + max(abs(c) for c in D.coeffs))
-    for t in range(1, bound + 1):
-        for sq in (-1, -2):
-            for x in latenum._reference_shell(sig, t, sq):
-                if _dot(row, x) < 0:
-                    x = _new(x, sig)
-                    if sq == -1 or is_root_effective(S, x)[0]:
-                        return x
-    raise BudgetExhausted("nef witness search", D, bound, bound)
+def _negative_witness(T, row):
+    """The nef screen: the first class of T.screen (f, the components, the e_i
+    and the f - e_i, all effective) pairing negatively with the Gram row row,
+    or None.  Past it the grade is >= 0: T's grading class
+    A = a*s + b*f - sum(c_i e_i) has 2A = a*Q + (2b - a*kappa)*f +
+    sum((a - 2c_i) e_i) for Q = -K = 2s + kappa*f - sum(e_i), with
+    coefficients >= 0 (marking._surface_table checks them), and
+    Q = sum m_j C_j over the components (marking.validate)."""
+    return next((y for y in T.screen if _dot(row, y) < 0), None)
 
 
 def _cone_loop(S, D, stop_on_subtract):
@@ -183,12 +176,11 @@ def _cone_loop(S, D, stop_on_subtract):
         return False, None, None
     row = _row(sig, x)
     if stop_on_subtract:
-        # the nef screen: an always-effective class pairing negatively
-        y = next((y for y in T.screen if _dot(row, y) < 0), None)
+        y = _negative_witness(T, row)
         if y is not None:
             return False, None, _new(y, sig)
         if grade < 0:
-            return False, None, _negative_witness(S, D)
+            raise InvariantViolation("a class passing the nef screen has a negative grade")
     else:
         # the fiber screen: a proven-nef fiber of an earlier cut walk pairing
         # negatively rejects D (no certificate; nef queries skip it, so their
@@ -202,7 +194,7 @@ def _cone_loop(S, D, stop_on_subtract):
         if cut:  # D.P[f] < 0 for P[f], the fiber of the structure reached
             N, nrow = P[table.f], _row(sig, P[table.f])
             # listed if new and not refuted by the always-effective classes
-            if len(T.fibers) < FIBER_CAP and N not in T.fibers and all(_dot(nrow, y) >= 0 for y in T.screen):
+            if len(T.fibers) < FIBER_CAP and N not in T.fibers and _negative_witness(T, nrow) is None:
                 T.fibers.append(N)
             return False, None, _new(N, sig)
         n = 1

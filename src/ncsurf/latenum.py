@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from . import snf
 from .lattice import _axpy, _dot, _new, _pair, _row, canonical_class, intersect
-from .weyl import in_neg1_orbit
 
 
 def _ldl(M):
@@ -124,18 +123,13 @@ def chamber_interior_class(sig):
 
 
 @lru_cache(maxsize=None)
-def _reference_shell(sig, t, sq):
-    """The classes x with x.rho = t for rho = chamber_interior_class(sig), as
-    coefficient tuples in classes_with_pairing's order: for sq = -1 the
-    -1-classes in the reflection orbit of e_m, for sq = -2 the roots.  Cached,
-    since the nef-witness and irreducibility searches scan the same shells."""
-    K = canonical_class(sig)
-    out = []
-    for x in classes_with_pairing(sig, chamber_interior_class(sig), t, sq):
-        # rational curve classes: x.K = -2 - x^2 by adjunction
-        if intersect(x, K) == -2 - sq and (sq == -2 or in_neg1_orbit(sig, x)):
-            out.append(x.coeffs)
-    return tuple(out)
+def _reference_shell(sig, t):
+    """The roots x (x^2 = -2, x.K = 0) with x.rho = t for
+    rho = chamber_interior_class(sig), as coefficient tuples in
+    classes_with_pairing's order.  Cached, since the irreducibility
+    candidates of every -1-class scan the same shells."""
+    K, rho = canonical_class(sig), chamber_interior_class(sig)
+    return tuple(x.coeffs for x in classes_with_pairing(sig, rho, t, -2) if intersect(x, K) == 0)
 
 
 def candidate_roots_pairing_negatively(sig, e):
@@ -148,6 +142,6 @@ def candidate_roots_pairing_negatively(sig, e):
     return [
         _new(alpha, sig)
         for t in range(0, bound + 1)
-        for alpha in _reference_shell(sig, t, -2)
+        for alpha in _reference_shell(sig, t)
         if _dot(row, alpha) < 0
     ]

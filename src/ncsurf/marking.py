@@ -30,6 +30,7 @@ from .lattice import (
     intersect,
     render_div,
 )
+from . import latenum
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,9 @@ def _surface_table(S):
     """The facts that depend only on the surface, read by the root oracle and
     the cone loop.  The class A of grading_row pairs >= 1 with every simple
     root, terminal -1-class and component, so a nonzero effective class has
-    grade >= 1 and each subtraction of the cone loop lowers the grade.  The
+    grade >= 1 and each subtraction of the cone loop lowers the grade.  A is
+    a nonnegative combination of Q, f and the e_i, which makes the nef screen
+    complete (cones._negative_witness); both facts are checked here.  The
     components come with their Gram rows, the always-effective -1-classes
     without; caps, ncap and budget bound the root search.  screen lists f,
     the components, the e_i and the f - e_i: the cone loop's nef screen.
@@ -285,6 +288,9 @@ def _surface_table(S):
         raise InvariantViolation("grading class fails to dominate the simple roots and extras")
     if not all(_dot(rowA, comp.cls.coeffs) >= 1 for comp in comps):
         raise InvariantViolation("grading class fails to dominate the components")
+    # 2A = a*Q + (2b - a*kappa)*f + sum((a - 2c_i) e_i) for Q = 2s + kappa*f - sum(e_i)
+    if a < 2 * max(cs, default=0) or 2 * b < a * table.q[1]:
+        raise InvariantViolation("grading class fails to decompose over Q, f and the e_i")
     # a root can only contain each component of Q with small multiplicity;
     # cap the search so it stays total on looping configurations
     caps = tuple(2 * c.mult + 2 for c in comps)
@@ -361,8 +367,6 @@ def is_neg1_irreducible(S, e):
     """True when no effective root and no other component pairs negatively
     with e."""
     _check_neg1(S, e)
-    from . import latenum  # local import: latenum imports weyl, which imports marking
-
     for comp in S.components:
         if comp.cls != e and intersect(e, comp.cls) < 0:
             return False

@@ -234,6 +234,8 @@ def hilb_dim(n, g):
     """Dimension of the length-n Hilbert scheme fibration over the base."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if g < 0:
+        raise ValueError("g must be >= 0")
     return 2 * n + g
 
 

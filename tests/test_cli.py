@@ -362,6 +362,9 @@ INPUT_ERRORS = [
     # a blocked walk names the class given, with the blocking root pulled back
     ('blowdown --surface m2_equal.ncs f-e2', 'error: class decomposes: f-e2 = (e1-e2) + f-e1'),
     ('moduli hilb --n -1', 'error: n must be >= 0'),
+    ('moduli hilb --n 1 --g -5', 'error: g must be >= 0'),
+    # a --surface path that exists but cannot be read as a file
+    ('gamma --surface . s+f', "error: cannot read surface file '.': Is a directory"),
     ('gamma --surface quasi_ruled.ncs s+f', 'error: section dimensions are computed for rational surfaces only'),
     ('hom --surface quasi_ruled.ncs 0 f', 'error: section dimensions are computed for rational surfaces only'),
     # a KeyError's message without its quotes; --pos named as the place

@@ -4,8 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncsurf.cones import (
+    _negative_witness,
     effective_cert,
     effective_generators,
     is_ample,
@@ -18,6 +20,9 @@ from ncsurf.cones import (
 from ncsurf.lattice import (
     DivClass,
     LatticeSignature,
+    _dot,
+    _pair,
+    _row,
     anticanonical_class,
     basis_e,
     basis_f,
@@ -312,8 +317,8 @@ def _witness_classes():
 
 
 def test_every_witness_and_summand_checks_out():
-    # nef witnesses come from the screen, a walk's subtraction step or the
-    # reference shells; certificate summands from the terminal -1-classes
+    # nef witnesses come from the screen, a walk's cut or its subtraction
+    # step; certificate summands from the terminal -1-classes
     # (with their whole multiplicity), blocked-root pieces and components
     formal = {}
     for S, D in _witness_classes():
@@ -396,3 +401,80 @@ def test_fiber_screen_does_not_change_an_answer():
         if not filled:
             pytest.fail("%s: no cut walk listed a fiber, so the screen was not exercised" % label)
         order.reverse()
+
+
+def _split_q(m, parity, genera, d):
+    """A valid surface of signature (m, parity, genera) whose Q splits into
+    the sections s - d*f and Q - (s - d*f), so that a horizontal component
+    has fiber coefficient -d; d None keeps Q irreducible."""
+    sig = LatticeSignature(m, parity, genera)
+    Q = anticanonical_class(sig)
+    if d is None:
+        comps = (QComponent(Q, 1),)
+    else:
+        C = div(sig, (1, -d) + (0,) * m)
+        comps = (QComponent(C, 1), QComponent(Q - C, 1))
+    S = SurfaceData(sig, comps, MarkingGroup(1), (1,), ((0,),) * sig.rank)
+    assert validate(S) == []
+    return S
+
+
+GENERA = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 3)]
+
+
+def _decomposition_surfaces():
+    for m in range(14):
+        for parity in ("even", "odd"):
+            for genera in GENERA:
+                for d in range(4):
+                    yield _split_q(m, parity, genera, d)
+    for name in sorted(PRESETS):
+        yield get_preset(name)
+
+
+def test_grading_class_decomposes_over_q_f_and_the_e_i():
+    # 2A = a*Q + (2b - a*kappa)*f + sum((a - 2c_i) e_i) with coefficients >= 0
+    # for the grading class A = a*s + b*f - sum(c_i e_i), read back from its
+    # Gram row (s_sq*a + b, a, c_1, ..., c_m): what makes the nef screen
+    # complete
+    count = 0
+    for S in _decomposition_surfaces():
+        sig = S.sig
+        row = _surface_table(S).grading_row
+        a, b, cs = row[1], row[0] - sig.s_sq * row[1], row[2:]
+        assert _row(sig, (a, b) + tuple(-c for c in cs)) == row
+        q = anticanonical_class(sig).coeffs
+        coeffs = [a, 2 * b - a * q[1]] + [a - 2 * c for c in cs]
+        if min(coeffs) < 0:
+            pytest.fail("grading class of %s has decomposition coefficients %s" % (sig, coeffs))
+        rest = (0, *coeffs[1:])  # (2b - a*kappa)*f + sum((a - 2c_i) e_i)
+        assert tuple(a * u + v for u, v in zip(q, rest)) == (2 * a, 2 * b) + tuple(-2 * c for c in cs)
+        count += 1
+    assert count == 14 * 2 * len(GENERA) * 4 + len(PRESETS)
+
+
+SCREEN_SURFACES = [get_preset(n) for n in sorted(PRESETS) if get_preset(n).sig.m >= 1] + [
+    _split_q(m, parity, genera, d)
+    for m in (1, 2, 5, 9)
+    for parity in ("even", "odd")
+    for genera in ((0, 0), (1, 1), (2, 3))
+    for d in (None, 0, 3)
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_screened_classes_have_nonnegative_grade(data):
+    # D = x*s + y*f + sum(z_i e_i) pairs >= 0 with f, the e_i and the f - e_i
+    # iff 0 <= -z_i <= x; y is taken at (or just above) the least value
+    # where D pairs >= 0 with every horizontal component, the tight case, as
+    # the grade rises with y
+    S = data.draw(st.sampled_from(SCREEN_SURFACES))
+    sig, T = S.sig, _surface_table(S)
+    x = data.draw(st.integers(0, 8))
+    z = tuple(data.draw(st.integers(-x, 0)) for _ in range(sig.m))
+    base = (x, 0) + z
+    y_min = max(-(_pair(sig, base, c.cls.coeffs) // c.cls.coeffs[0]) for c in S.components if c.cls.coeffs[0] > 0)
+    D = (x, y_min + data.draw(st.integers(0, 3))) + z
+    assume(_negative_witness(T, _row(sig, D)) is None)
+    assert _dot(T.grading_row, D) >= 0

@@ -82,6 +82,12 @@ def test_grading_class_checks_are_explicit(monkeypatch):
     marking._surface_table.cache_clear()
     with pytest.raises(InvariantViolation, match="simple roots"):
         marking._surface_table(S)
+    # a Q with a huge fiber coefficient: A is no nonnegative combination of
+    # Q, f and the e_i
+    huge = table._replace(q=(2, 10**6) + table.q[2:])
+    monkeypatch.setattr(weyl, "_pull_table", lambda s: huge)
+    with pytest.raises(InvariantViolation, match="decompose"):
+        marking._surface_table(S)
     monkeypatch.undo()
     # a component -e_1, which validation would refuse: no grading class
     # pairs positively with it
@@ -91,22 +97,22 @@ def test_grading_class_checks_are_explicit(monkeypatch):
         marking._surface_table(S)
 
 
-def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):
-    # the cone loop asks the shell search only after a negative grade past
-    # its screen, which no preset's box reaches (a cut walk's witness is the
-    # fiber it reached), so the search is called directly: with empty
-    # reference shells it finds no witness for s-f on m1_generic, which is
-    # not nef
+def test_negative_grade_past_the_nef_screen_is_checked(monkeypatch):
+    # -2f + 5e_1 on m1_generic pairs 1 with Q and -1 with the grading class,
+    # so only the screen's e_1 refutes it; with the screen emptied the loop
+    # meets a screened class of negative grade, which the decomposition of
+    # the grading class rules out
     S = m1_generic()
-    D = div(S.sig, 1, -1, 0)
-    assert cones.nef_witness(S, D) == (False, div(S.sig, 1, 0, 0))
-    monkeypatch.setattr(cones.latenum, "_reference_shell", lambda sig, t, sq: ())
-    with pytest.raises(BudgetExhausted) as info:
-        cones._negative_witness(S, D)
-    report = info.value.report
-    assert (report["search"], report["class"], report["steps"]) == ("nef witness search", "s-f", 24)
+    D = div(S.sig, 0, -2, 5)
+    assert cones.nef_witness(S, D) == (False, basis_e(S.sig, 1))
+    monkeypatch.setattr(cones, "_surface_table", lambda S, real=marking._surface_table: real(S)._replace(screen=()))
+    with pytest.raises(InvariantViolation, match="negative grade"):
+        cones.nef_witness(S, D)
+
+
+def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):
     # the CLI reports a spent budget with exit code 3: here the root search's,
-    # asked at the ruling root s-f by the walk of the same query
+    # asked at the ruling root s-f by the walk of a nef query
     monkeypatch.setattr(marking, "_surface_table", lambda S, real=marking._surface_table: real(S)._replace(budget=0))
     marking.is_root_effective.cache_clear()
     try:

@@ -211,6 +211,8 @@ def test_hilb_dim():
     assert hilb_dim(0, 0) == 0
     with pytest.raises(ValueError):
         hilb_dim(-1, 0)
+    with pytest.raises(ValueError, match="g must be >= 0"):
+        hilb_dim(1, -5)
 
 
 def test_rank1_bound():
