@@ -8,9 +8,9 @@ pair negatively; acceptance is the dual-monoid condition in the fundamental
 chamber.  Nef queries first screen f, the components, the e_i and f - e_i,
 which is complete: a screened class has nonnegative grade (_negative_witness);
 effectiveness queries first screen the nef fibers of earlier cut walks.
-The walks end at the fiber cut (weyl._chamber_walk), the loop at the grade
-of the dual-interior class that marking._surface_table holds with the other
-facts of the surface."""
+The walks (weyl._chamber_walk, which dim_gamma runs too) end at the fiber
+cut, the loop (and dim_gamma's) at the grade of the dual-interior class that
+marking._surface_table holds with the other facts of the surface."""
 
 from operator import add
 
@@ -31,7 +31,7 @@ from .lattice import (
     zero_class,
 )
 from . import latenum
-from .marking import FIBER_CAP, _surface_table, is_root_effective
+from .marking import FIBER_CAP, _drop, _surface_table, is_root_effective
 from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
@@ -214,10 +214,7 @@ def _cone_loop(S, D, stop_on_subtract):
             break
         if stop_on_subtract:
             return False, None, _new(y, sig)
-        drop = _dot(T.grading_row, y)
-        if drop < 1:
-            raise InvariantViolation("subtracted class escaped the effective grading")
-        grade -= n * drop
+        grade -= n * _drop(T.grading_row, y)
         if grade < 0:
             return False, None, None
         subtracted += [y] * n

@@ -254,15 +254,15 @@ FIBER_CAP = 32
 
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
 def _surface_table(S):
-    """The facts that depend only on the surface, read by the root oracle and
-    the cone loop.  The class A of grading_row pairs >= 1 with every simple
-    root, terminal -1-class and component, so a nonzero effective class has
-    grade >= 1 and each subtraction of the cone loop lowers the grade.  A is
-    a nonnegative combination of Q, f and the e_i, which makes the nef screen
+    """The facts that depend only on the surface, read by the root oracle,
+    the cone loop and dim_gamma.  The class A of grading_row pairs >= 1 with
+    every simple root, terminal -1-class and component, so a nonzero
+    effective class has grade >= 1 and each subtraction lowers it (_drop).
+    A is a nonnegative combination of Q, f and the e_i, so the nef screen is
     complete (cones._negative_witness); both facts are checked here.  The
-    components come with their Gram rows, the always-effective -1-classes
-    without; caps, ncap and budget bound the root search.  screen lists f,
-    the components, the e_i and the f - e_i: the cone loop's nef screen.
+    components come with their Gram rows; caps, ncap and the grade prune
+    make the root search finite, and budget is a time cap on it.  screen
+    lists f, the components, the e_i and the f - e_i: the nef screen.
     fibers starts empty and is filled by the cone loop, up to FIBER_CAP: the
     fiber P[f] of each cut walk, in S's frame.  That walk reached its
     blowdown structure by reflections at roots the oracle found ineffective
@@ -305,6 +305,14 @@ def _surface_table(S):
     screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
     return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q, [])
+
+
+def _drop(row, y):
+    """The grade of y by _surface_table's grading row: >= 1 if y is effective."""
+    drop = _dot(row, y)
+    if drop < 1:
+        raise InvariantViolation("subtracted class escaped the effective grading")
+    return drop
 
 
 @lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 430 (surface, root) pairs

@@ -24,8 +24,8 @@ from .lattice import (
     render_div,
 )
 from .cones import _multiple_of, is_effective, is_nef
-from .marking import cyclic_membership, is_root_effective, ord_q
-from .weyl import _pull_table, _push, _step, reflect_surface
+from .marking import _drop, _surface_table, cyclic_membership, is_root_effective, ord_q
+from .weyl import _chamber_walk, _pull_table, _push, reflect_surface
 
 
 class UnclassifiedState(RuntimeError):
@@ -58,10 +58,9 @@ def _lambda_q_order(S):
     return None
 
 
-def _walk_budget(x):
-    """Step budget of dim_gamma's loop, starting at the coefficient tuple x:
-    a search cap that no proved bound gives."""
-    return 64 * len(x) * (4 + max(map(abs, x)))
+# the twisted reflections one dim_gamma query may take: a cap, not a bound
+# (that step has no monotone measure); 34,500 sampled queries took at most 2
+TWIST_CAP = 16
 
 
 def dim_gamma(S, D, trace=None):
@@ -69,26 +68,26 @@ def dim_gamma(S, D, trace=None):
 
     Effectiveness is decided on entry; these steps keep h^0, and so keep it:
     - subtract a component pairing negatively: it is a fixed component;
+    - reflect at ineffective roots (weyl._chamber_walk): isomorphisms;
     - subtract a terminal -1-class pairing negatively: likewise fixed;
-    - reflect at an ineffective root: an isomorphism of marked surfaces;
     - partial step at an effective root: the copies of the root it removes
       are fixed, by the twist the case split selects;
     - pass to D - Q when lambda(D) is nontrivial: restriction to Q has no sections.
     The reflection at an effective root can leave the cone (s - f on f2_type)
     and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q).
 
-    The walk keeps D in S's frame and moves the frame and its pairings (weyl._step).
-    Only the reflection at an effective root, no isomorphism, builds a
-    surface: the one along the word, reflected; a new word begins there.
-    D - Q is checked on S; trace lines show the walk's current frame."""
+    The walk moves the frame, not D.  The cone loop's grade ends the loop:
+    subtractions, partial steps and D - Q lower it, and a negative grade or a
+    cut walk (D.f < 0, f nef) leaves no section.  Only the reflection at an
+    effective root builds a surface, with a new frame and grade, at most
+    TWIST_CAP times.  Trace lines show the walk's current frame."""
     sig = S.sig
     if sig.genera != (0, 0):
         raise ValueError("section dimensions are computed for rational surfaces only")
     table = _pull_table(sig)
-    q, Q_row = table.q, table.q_row
-    roots, n = table.roots, len(table.roots)
+    q, Q_row, roots = table.q, table.q_row, table.roots
     x, P, word = _coeffs(D, sig), list(table.base), []
-    plus = 0  # the 1 of each 1 + dim_gamma(D - Q) taken
+    plus = twists = 0  # the 1 of each 1 + dim_gamma(D - Q) taken; the twisted reflections
 
     def here(y):  # an input-frame tuple, shown in the current frame
         return render_div(_new(_push(y, word, roots), sig))
@@ -99,42 +98,36 @@ def dim_gamma(S, D, trace=None):
 
     if any(x) and not is_effective(S, D):
         return 0
-    steps, budget = 0, _walk_budget(x)
-    paired = None  # the x of the pairings v[j] = x.P[j], moved with the frame
-    while True:
-        if steps == budget:
-            raise BudgetExhausted("section dimension loop", _new(_push(x, word, roots), sig), budget, budget)
-        steps += 1
+    rowA = _surface_table(S).grading_row
+    grade = _dot(rowA, x)
+    while grade >= 0:
         if not any(x):
             return plus + 1
-        y = None
-        if x is not paired:  # a new x (each new frame comes with one): pair anew
-            # components pairing negatively restrict trivially; no reflection moves them
-            row, paired = _row(sig, x), x
-            y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
-            v = [_dot(row, p) for p in P]
-        if y is None:  # then the terminal -1-classes
-            y = next((P[j] for j in table.extras if v[j] < 0), None)
+        # components pairing negatively restrict trivially; no reflection moves them
+        row, k = _row(sig, x), None
+        y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
+        if y is None:
+            walked = len(word)
+            cut, k = _chamber_walk(S, x, row, table, P, word)
+            if trace is not None:
+                trace.extend("reflect " + render_div(roots[j][0]) for j in word[walked:])
+            if cut:
+                return plus
+            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
         if y is not None:
             note("subtract %s", y)
+            grade -= _drop(rowA, y)
             x = tuple(map(sub, x, y))
             continue
-        k = next((k for k in range(n) if v[k] < 0), None)
         if k is not None:
-            alpha, beta, t = roots[k][0], P[k], v[k]
-            eff, wit = is_root_effective(S, _new(beta, sig))
-            if not eff:
-                note("reflect %s", beta)
-                _step(table, P, v, word, k)
-                continue
-            # effective root: twist-aware case split
+            alpha, beta, t = roots[k][0], P[k], _dot(row, P[k])
+            wit = is_root_effective(S, _new(beta, sig))[1]  # effective: twist-aware case split
             if any(wit["components"]):
                 raise UnclassifiedState({
                     "state": "effective root with component support",
                     "root": render_div(alpha), "class": here(x), "witness": wit,
                 })
-            a = wit["a"]
-            r = ord_q(S)
+            a, r = wit["a"], ord_q(S)
             if r is None:
                 l = a
             else:
@@ -146,37 +139,41 @@ def dim_gamma(S, D, trace=None):
                     note("boundary twist at root %s (pairing = -ord q)", beta)
             if l > 0 and t + l < 0:
                 note("partial reflect %s by %d", beta, t + l)
+                grade += (t + l) * _drop(rowA, beta)
                 x = _axpy(x, t + l, beta)
-            else:
-                note("reflect %s (effective, twist %d)", beta, l)
-                x = _axpy(_push(x, word, roots), t, alpha.coeffs)
-                for j in word + [k]:
-                    S = reflect_surface(S, roots[j][0])
-                P, word = list(table.base), []
-                if not is_effective(S, _new(x, sig)):
-                    return plus
+                continue
+            twists += 1
+            if twists > TWIST_CAP:  # a cap, not a bound
+                raise BudgetExhausted("twisted reflections of dim_gamma", _new(_push(x, word, roots), sig), twists - 1, TWIST_CAP)
+            note("reflect %s (effective, twist %d)", beta, l)
+            x = _axpy(_push(x, word, roots), t, alpha.coeffs)
+            for j in word + [k]:
+                S = reflect_surface(S, roots[j][0])
+            P, word = list(table.base), []
+            if not is_effective(S, _new(x, sig)):
+                return plus
+            rowA = _surface_table(S).grading_row
+            grade = _dot(rowA, x)
             continue
         # in the chamber: terminal cases
         dQ = _dot(Q_row, x)
         if dQ > 0:
-            num = _pair(sig, x, x) + dQ  # D.(D + Q)
-            if num % 2:
-                raise InvariantViolation("odd D.(D + Q) on a nef class")
+            num = _pair(sig, x, x) + dQ  # D.(D + Q), and D^2 >= 0 on a nef class
+            if num % 2 or num < 0:
+                raise InvariantViolation("odd or negative D.(D + Q) on a nef class")
             return plus + 1 + num // 2
-        # dQ = 0 on a nef class
-        if dQ != 0:
+        if dQ:  # < 0; a nef class has dQ >= 0
             raise InvariantViolation("nef class with negative anticanonical degree")
         DQ = tuple(map(sub, x, q))
         if any(S._lam(x)):
             note("restriction to Q nontrivial: pass to %s", DQ)
-            x = DQ
+            grade, x = grade - _drop(rowA, q), DQ
             continue
         if not any(DQ) or (_dot(Q_row, DQ) >= 1 and is_nef(S, _new(DQ, sig))):
             note("restriction to Q trivial: 1 + dim of %s", DQ)
-            plus, x = plus + 1, DQ
+            grade, plus, x = grade - _drop(rowA, q), plus + 1, DQ
             if any(x) and not is_effective(S, _new(x, sig)):
                 return plus
-            steps, budget = 0, _walk_budget(_push(x, word, roots))
             continue
         if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form
@@ -187,6 +184,7 @@ def dim_gamma(S, D, trace=None):
         raise UnclassifiedState({
             "state": "Q-trivial class outside classified terminals", "class": here(x), "m": sig.m,
         })
+    return plus
 
 
 def hom_dims(S, D1, D2):

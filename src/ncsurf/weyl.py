@@ -1,13 +1,13 @@
 """Weyl-group machinery on blowdown structures: simple roots, reflections and
 elementary transformations (on classes, and on surfaces through one
 transport, _moved_surface), and one chamber walk, _chamber_walk, behind
-reduce_to_chamber, find_blowdown and in_neg1_orbit (and the cone loop).  One
-cached table per signature, _pull_table, holds the facts that depend only on
-the signature; a walk extends one frame in place, updates its pairings with
-it, and ends at the fiber cut D.f < 0.  A formal -1-class is in e_m's orbit
-iff its walk ends at a terminal class.  Neither reduce_to_chamber nor
-find_blowdown builds a surface: both ask the root oracle on the input
-surface at the pulled-back root."""
+reduce_to_chamber, find_blowdown, in_neg1_orbit, the cone loop and
+dim_gamma.  One cached table per signature, _pull_table, holds the facts
+that depend only on the signature; a walk extends one frame in place,
+updates its pairings with it, and ends at the fiber cut D.f < 0.  A formal
+-1-class is in e_m's orbit iff its walk ends at a terminal class.  Neither
+reduce_to_chamber nor find_blowdown builds a surface: both ask the root
+oracle on the input surface at the pulled-back root."""
 
 from collections import namedtuple
 from dataclasses import dataclass, field

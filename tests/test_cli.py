@@ -275,8 +275,8 @@ GOLDEN = [
     ('gamma s+f --json', {"answer": 4}),
     ('gamma --surface m2_generic s+f-2e1', '1\n'),
     ('gamma --surface m2_generic s+f-2e1 --json', {"answer": 1}),
-    ('gamma --surface m2_generic s+f-2e1 --trace', '1\nreflect f-e1-e2\nsubtract e2\nreflect s-f\nreflect f-e1-e2\nsubtract e2\n'),
-    ('gamma --surface m2_generic s+f-2e1 --trace --json', {"answer": 1, "trace": ["reflect f-e1-e2", "subtract e2", "reflect s-f", "reflect f-e1-e2", "subtract e2"]}),
+    ('gamma --surface m2_generic s+f-2e1 --trace', '1\nreflect f-e1-e2\nreflect s-f\nsubtract e2\nreflect f-e1-e2\nsubtract e2\n'),
+    ('gamma --surface m2_generic s+f-2e1 --trace --json', {"answer": 1, "trace": ["reflect f-e1-e2", "reflect s-f", "subtract e2", "reflect f-e1-e2", "subtract e2"]}),
     ('hom --surface m2_generic 0 s+f-e1', '3 0 0\n'),
     ('hom --surface m2_generic 0 s+f-e1 --json', {"answer": [3, 0, 0]}),
     ('reduce --surface f2_type s', 's  blocked=s-f\n'),

@@ -122,6 +122,35 @@ def test_nef_witness_search_reports_an_exhausted_bound(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: root effectiveness search exceeded its step budget (0 of 0 steps) at s-f")
 
 
+@pytest.mark.parametrize("loop", ["cone loop", "dim_gamma"])
+def test_subtraction_below_grade_one_is_checked(monkeypatch, loop):
+    # both loops lower the grade by each subtracted class's grade
+    # (marking._drop), which is >= 1 for an effective class; with a zero
+    # grading row the first subtraction breaks that (on s+f-2e1 the cone loop
+    # subtracts f-e1, dim_gamma e2)
+    S = m2_generic()
+    D = div(S.sig, 1, 1, -2, 0)
+    module, query = (cones, cones.is_effective) if loop == "cone loop" else (sections, sections.dim_gamma)
+    zero = (0,) * S.sig.rank
+    monkeypatch.setattr(module, "_surface_table", lambda S, real=marking._surface_table: real(S)._replace(grading_row=zero))
+    with pytest.raises(InvariantViolation, match="subtracted class escaped the effective grading"):
+        query(S, D)
+
+
+def test_twisted_reflection_cap_reports_where_it_stopped(monkeypatch):
+    # s - f on f2_type takes one twisted reflection at the effective root
+    # s - f; with the cap at 0 that one is over it
+    S = presets.get_preset("f2_type")
+    D, trace = div(S.sig, 1, -1), []
+    sections.dim_gamma(S, D, trace=trace)
+    assert trace == ["reflect s-f (effective, twist 3)"]
+    monkeypatch.setattr(sections, "TWIST_CAP", 0)
+    with pytest.raises(BudgetExhausted) as info:
+        sections.dim_gamma(S, D)
+    report = {"search": "twisted reflections of dim_gamma", "class": "s-f", "steps": 0, "budget": 0}
+    assert info.value.report == report
+
+
 class _Corrupt(int):
     """A pivot whose products are off by one."""
 
