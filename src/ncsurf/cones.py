@@ -149,18 +149,17 @@ def _cone_loop(S, D, stop_on_subtract):
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
-    q, Q_row = table.q, table.q_row
-    T = _surface_table(S)
+    q, T = table.q, _surface_table(S)
     # Q is fixed by every root reflection, and when Q is nef it pairs >= 0
     # with every effective-cone generator; then D.Q < 0 forces D ineffective
     # (with Q itself as a nef witness).  This bounds the walk on the infinite
     # (m >= 8) reflection groups for negative anticanonical degree.
-    level = _dot(Q_row, x)
+    level = _dot(table.q_row, x)
     if T.q_nef and level < 0:
         return False, None, _new(q, sig) if stop_on_subtract else None
     # at anticanonical degree 0 with irreducible Q of square 0, a multiple
     # cQ is effective exactly when c >= 0, with c copies of Q as certificate
-    if T.irreducible_q and _dot(Q_row, q) == 0 and level == 0:
+    if level == 0 and T.irreducible_q and table.q_sq == 0:
         c = _multiple_of(x, q)
         if c is not None:
             if c < 0:
@@ -189,15 +188,16 @@ def _cone_loop(S, D, stop_on_subtract):
             if _dot(row, N) < 0:
                 return False, None, None
     P, word, subtracted = list(table.base), [], []
+    v = [_dot(row, p) for p in P]  # x.P[j]: moved by gram after a frame class, else dotted again
     while True:
-        cut, k = _chamber_walk(S, x, row, table, P, word)
+        cut, k = _chamber_walk(S, x, table, P, v, word)
         if cut:  # D.P[f] < 0 for P[f], the fiber of the structure reached
             N, nrow = P[table.f], _row(sig, P[table.f])
             # listed if new and not refuted by the always-effective classes
             if len(T.fibers) < FIBER_CAP and N not in T.fibers and _negative_witness(T, nrow) is None:
                 T.fibers.append(N)
             return False, None, _new(N, sig)
-        n = 1
+        n, j = 1, None
         if k is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
@@ -205,9 +205,9 @@ def _cone_loop(S, D, stop_on_subtract):
         else:
             # the terminal -1-classes E, each a fixed component of multiplicity
             # n = -x.E as (x - iE).E < 0 for i < n; then the components
-            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
-            if y is not None:
-                n = -_dot(row, y)
+            j = next((j for j in table.extras if v[j] < 0), None)
+            if j is not None:
+                y, n = P[j], -v[j]
             else:
                 y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
@@ -220,6 +220,7 @@ def _cone_loop(S, D, stop_on_subtract):
         subtracted += [y] * n
         x = _axpy(x, -n, y)
         row = _row(sig, x)
+        v = [_dot(row, p) for p in P] if j is None else [a - n * c for a, c in zip(v, table.gram[j])]
     # in the chamber, nonnegative on extras and all components: accept
     total = x
     for y in subtracted:

@@ -66,6 +66,11 @@ class LatticeSignature:
         # the pairing reads only these two (see _pair and _row)
         object.__setattr__(self, "rank", self.m + 2)
         object.__setattr__(self, "s_sq", 0 if self.parity == "even" else -1)
+        # signatures key the per-signature caches, which hash them on every lookup
+        object.__setattr__(self, "_hash", hash((self.m, self.parity, self.genera)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _pair(sig, x, y):

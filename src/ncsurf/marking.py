@@ -9,7 +9,7 @@ cone loop need of a surface besides that is computed once (_surface_table)."""
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 from operator import sub
 
@@ -44,6 +44,10 @@ class MarkingGroup:
             raise ValueError("free rank must be >= 0")
         if any(n < 2 for n in self.torsion):
             raise ValueError("torsion orders must be >= 2")
+        object.__setattr__(self, "_hash", hash((self.free_rank, self.torsion)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def ngens(self):
@@ -82,11 +86,14 @@ class MarkingGroup:
 def cyclic_membership(P, x, q):
     """Solve a*q = x in the group P; returns the coset (a0, d) of solutions
     a in a0 + d*Z (d = 0 means the solution is unique), or None."""
-    x = P.reduce(x)
-    q = P.reduce(q)
+    return _membership(P, P.reduce(x), P.reduce(q))
+
+
+def _membership(P, x, q):
+    """cyclic_membership on reduced int tuples, uncached: _multiples' coset,
+    re-verified by group arithmetic."""
     sol = _multiples(P, x, q)
-    # re-verify by group arithmetic
-    if sol is not None and not P.eq(P.smul(sol[0], q), x):
+    if sol is not None and P._reduce(tuple([sol[0] * c for c in q])) != x:
         raise InvariantViolation("cyclic membership witness failed to verify")
     return sol
 
@@ -153,14 +160,15 @@ class SurfaceData:
         """lambda(D); meaningful on component-degree-0 classes."""
         return self._lam(D.coeffs)
 
+    @cached_property
+    def _cols(self):
+        """lam in column form: per generator of the group, its coordinate in
+        the images of s, f, e_1..e_m."""
+        return tuple(zip(*self.lam))
+
     def _lam(self, x):
-        """lambda of a coefficient tuple."""
-        out = [0] * self.marking.ngens
-        for c, v in zip(x, self.lam):
-            if c:
-                for k, u in enumerate(v):
-                    out[k] += c * u
-        return self.marking._reduce(tuple(out))
+        """lambda of a coefficient tuple, one dot per column."""
+        return self.marking._reduce(tuple([_dot(col, x) for col in self._cols]))
 
 
 def _surface(sig, components, marking, q, lam):
@@ -245,7 +253,7 @@ def _neg1_pairings(x):
     return [-c for c in x[2:]] + [x[0] + c for c in x[2:]]
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q fibers")
+_SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q fibers")
 
 # the most proven-nef fibers a surface table keeps (_surface_table's fibers):
 # it bounds each screen's scan, and a benchmark pass lists at most 16
@@ -255,8 +263,9 @@ FIBER_CAP = 32
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
 def _surface_table(S):
     """The facts that depend only on the surface, read by the root oracle,
-    the cone loop and dim_gamma.  The class A of grading_row pairs >= 1 with
-    every simple root, terminal -1-class and component, so a nonzero
+    the cone loop and dim_gamma, K's coefficients among them.  The class A
+    of grading_row pairs >= 1 with every simple root, terminal -1-class and
+    component, so a nonzero
     effective class has grade >= 1 and each subtraction lowers it (_drop).
     A is a nonnegative combination of Q, f and the e_i, so the nef screen is
     complete (cones._negative_witness); both facts are checked here.  The
@@ -304,7 +313,7 @@ def _surface_table(S):
     neg1 = _effective_neg1_classes(sig)
     screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
-    return _SurfaceTable(rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q, [])
+    return _SurfaceTable(K.coeffs, rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q, [])
 
 
 def _drop(row, y):
@@ -325,10 +334,9 @@ def is_root_effective(S, alpha):
     are effective on every surface (e.g. a section component plus leftover
     exceptionals), paired with a residue by _neg1_pairings; the surface's
     facts come from _surface_table."""
-    sig, a = S.sig, alpha.coeffs
-    if _pair(alpha.sig, a, a) != -2 or _pair(alpha.sig, a, _coeffs(canonical_class(sig), alpha.sig)):
+    sig, a, T = S.sig, alpha.coeffs, _surface_table(S)
+    if _pair(alpha.sig, a, a) != -2 or _pair(sig, _coeffs(alpha, sig), T.K):
         raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha))
-    T = _surface_table(S)
     # prune via the dual-interior grading: every effective class (and every
     # residue on a successful decomposition path) has nonnegative grade
     rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
@@ -346,7 +354,7 @@ def is_root_effective(S, alpha):
         if not any(beta):  # reached by subtractions: alpha^2 = -2, so alpha != 0
             return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
         elif not any(degs):
-            wit = cyclic_membership(S.marking, S._lam(beta), S.q)
+            wit = _membership(S.marking, S._lam(beta), S.q)
             if wit is not None:
                 out = pieces + (_new(beta, sig),) if pieces else ()
                 return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}

@@ -76,7 +76,10 @@ def dim_gamma(S, D, trace=None):
     The reflection at an effective root can leave the cone (s - f on f2_type)
     and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q).
 
-    The walk moves the frame, not D.  The cone loop's grade ends the loop:
+    The walk moves the frame, not D, and D's pairings with the frame are
+    carried: adding copies of a frame class moves them by a row of the
+    frame's Gram matrix, other steps dot them again.  The cone loop's grade
+    ends the loop:
     subtractions, partial steps and D - Q lower it, and a negative grade or a
     cut walk (D.f < 0, f nef) leaves no section.  Only the reflection at an
     effective root builds a surface, with a new frame and grade, at most
@@ -99,28 +102,32 @@ def dim_gamma(S, D, trace=None):
     if any(x) and not is_effective(S, D):
         return 0
     rowA = _surface_table(S).grading_row
-    grade = _dot(rowA, x)
+    grade, v = _dot(rowA, x), None  # v[j] = x.P[j]; None: to be dotted again
     while grade >= 0:
         if not any(x):
             return plus + 1
         # components pairing negatively restrict trivially; no reflection moves them
-        row, k = _row(sig, x), None
+        row, k, j = _row(sig, x), None, None
         y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
         if y is None:
+            if v is None:
+                v = [_dot(row, p) for p in P]
             walked = len(word)
-            cut, k = _chamber_walk(S, x, row, table, P, word)
+            cut, k = _chamber_walk(S, x, table, P, v, word)
             if trace is not None:
-                trace.extend("reflect " + render_div(roots[j][0]) for j in word[walked:])
+                trace.extend("reflect " + render_div(roots[i][0]) for i in word[walked:])
             if cut:
                 return plus
-            y = next((P[j] for j in table.extras if _dot(row, P[j]) < 0), None)
+            j = next((j for j in table.extras if v[j] < 0), None)
+            y = None if j is None else P[j]
         if y is not None:
             note("subtract %s", y)
             grade -= _drop(rowA, y)
             x = tuple(map(sub, x, y))
+            v = None if j is None else [a - c for a, c in zip(v, table.gram[j])]
             continue
         if k is not None:
-            alpha, beta, t = roots[k][0], P[k], _dot(row, P[k])
+            alpha, beta, t = roots[k][0], P[k], v[k]
             wit = is_root_effective(S, _new(beta, sig))[1]  # effective: twist-aware case split
             if any(wit["components"]):
                 raise UnclassifiedState({
@@ -141,6 +148,7 @@ def dim_gamma(S, D, trace=None):
                 note("partial reflect %s by %d", beta, t + l)
                 grade += (t + l) * _drop(rowA, beta)
                 x = _axpy(x, t + l, beta)
+                v = [a + (t + l) * c for a, c in zip(v, table.gram[k])]
                 continue
             twists += 1
             if twists > TWIST_CAP:  # a cap, not a bound
@@ -149,7 +157,7 @@ def dim_gamma(S, D, trace=None):
             x = _axpy(_push(x, word, roots), t, alpha.coeffs)
             for j in word + [k]:
                 S = reflect_surface(S, roots[j][0])
-            P, word = list(table.base), []
+            P, word, v = list(table.base), [], None
             if not is_effective(S, _new(x, sig)):
                 return plus
             rowA = _surface_table(S).grading_row
@@ -167,11 +175,11 @@ def dim_gamma(S, D, trace=None):
         DQ = tuple(map(sub, x, q))
         if any(S._lam(x)):
             note("restriction to Q nontrivial: pass to %s", DQ)
-            grade, x = grade - _drop(rowA, q), DQ
+            grade, x, v = grade - _drop(rowA, q), DQ, None
             continue
         if not any(DQ) or (_dot(Q_row, DQ) >= 1 and is_nef(S, _new(DQ, sig))):
             note("restriction to Q trivial: 1 + dim of %s", DQ)
-            grade, plus, x = grade - _drop(rowA, q), plus + 1, DQ
+            grade, plus, x, v = grade - _drop(rowA, q), plus + 1, DQ, None
             if any(x) and not is_effective(S, _new(x, sig)):
                 return plus
             continue

@@ -3,8 +3,9 @@ elementary transformations (on classes, and on surfaces through one
 transport, _moved_surface), and one chamber walk, _chamber_walk, behind
 reduce_to_chamber, find_blowdown, in_neg1_orbit, the cone loop and
 dim_gamma.  One cached table per signature, _pull_table, holds the facts
-that depend only on the signature; a walk extends one frame in place,
-updates its pairings with it, and ends at the fiber cut D.f < 0.  A formal
+that depend only on the signature, the frame's Gram matrix among them; a
+walk extends one frame in place, moves the pairings its caller carries with
+it, and ends at the fiber cut D.f < 0.  A formal
 -1-class is in e_m's orbit iff its walk ends at a terminal class.  Neither
 reduce_to_chamber nor find_blowdown builds a surface: both ask the root
 oracle on the input surface at the pulled-back root."""
@@ -130,7 +131,7 @@ def et_surface(S):
     return _moved_surface(S, sig2, lambda x: _et_coeffs(x, p), lambda x: _et_coeffs(x, sig2.parity), range(3))
 
 
-_PullTable = namedtuple("_PullTable", "sig roots base moves extras f q q_row simple terminal")
+_PullTable = namedtuple("_PullTable", "sig roots base gram moves ruling extras f q q_row q_sq simple terminal")
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +144,11 @@ def _pull_table(sig):
     lists the walk roots (the K-fixing simple roots; roots pairs each with its
     Gram row), then the terminal classes and f, at the indices extras and f.
     Appending the reflection at walk root k adds c*P[k] to P[j] for each
-    (j, c) in moves[k] (Bjorner-Brenti, ch. 4).  q = -K is fixed by every
-    walk root.  The -2 check of the simple roots is paid here, once."""
+    (j, c) in moves[k] (Bjorner-Brenti, ch. 4).  Each step is an isometry,
+    so P[i].P[j] = gram[i][j], the Gram matrix of base, in every frame.
+    ruling says whether the first walk root is the ruling root (it pairs
+    with f).  q = -K, of square q_sq, is fixed by every walk root.  The -2
+    check of the simple roots is paid here, once."""
     m = sig.m
     rational = sig.genera == (0, 0)
     f = basis_f(sig)
@@ -172,7 +176,10 @@ def _pull_table(sig):
     if any(c != (-2 if j == k else 1) for k, mv in enumerate(moves) for j, c in mv):
         raise InvariantViolation("a pull-back move is not -2 at its root and 1 at a neighbour")
     n, fi, q = len(walk), len(walk) + len(extras), (-K).coeffs
-    return _PullTable(sig, walk, base, moves, range(n, fi), fi, q, _row(sig, q), tuple(roots), tuple(extras))
+    gram = tuple(tuple(_pair(sig, a, b) for b in base) for a in base)
+    ruling = bool(n) and any(j == fi for j, _ in moves[0])
+    return _PullTable(sig, walk, base, gram, moves, ruling, range(n, fi), fi, q, _row(sig, q), _pair(sig, q, q),
+                      tuple(roots), tuple(extras))
 
 
 def _step(table, P, v, word, k):
@@ -192,11 +199,12 @@ def _push(x, word, roots):
     return x
 
 
-def _chamber_walk(S, x, row, table, P, word):
-    """The walk of reduce_to_chamber on the input-frame tuple x (Gram row
-    row), extending the frame (P, word) in place.  Returns (cut, k): whether
-    the walk was cut because x.f < 0 (f is nef, so x is not effective), and
-    the effective walk root that blocked it (or None).  With S None no root
+def _chamber_walk(S, x, table, P, v, word):
+    """The walk of reduce_to_chamber on the input-frame tuple x, extending
+    the frame (P, word) and the caller's pairings v[j] = x.P[j] in place;
+    the caller moves v with its own steps, by table.gram.  Returns (cut, k):
+    whether the walk was cut because x.f < 0 (f is nef, so x is not
+    effective), and the effective walk root that blocked it (or None).  With S None no root
     oracle is asked and no root blocks: the numeric walk of in_neg1_orbit.
     Only the ruling root (the first walk root, if it pairs with f) changes
     x.f, and a reflection at it lowers x.f; the other walk roots generate the
@@ -205,10 +213,9 @@ def _chamber_walk(S, x, row, table, P, word):
     (Bjorner-Brenti, ch. 4).  So a walk makes at most (x.f + 1) +
     (x.f + 2)*m(m - 1) reflections, or m(m - 1) without a ruling root;
     passing that bound breaks the theorem."""
-    sig, n, fi, moves = table.sig, len(table.roots), table.f, table.moves
-    v = [_dot(row, p) for p in P]  # v[j] = x.P[j], moved with the frame
+    sig, n, fi = table.sig, len(table.roots), table.f
     dm, xf = sig.m * (sig.m - 1), max(v[fi], 0)
-    bound = xf + 1 + (xf + 2) * dm if n and any(j == fi for j, _ in moves[0]) else dm
+    bound = xf + 1 + (xf + 2) * dm if table.ruling else dm
     for _ in range(bound + 1):
         if v[fi] < 0:
             return True, None
@@ -226,8 +233,8 @@ def _walk_trace(S, sig, D):
     the trace and the blocking root in the input frame (P[k]), or None."""
     x = _coeffs(D, sig)
     table = _pull_table(sig)
-    P, word = list(table.base), []
-    cut, k = _chamber_walk(S, x, _row(sig, x), table, P, word)
+    P, word, row = list(table.base), [], _row(sig, x)
+    cut, k = _chamber_walk(S, x, table, P, [_dot(row, p) for p in P], word)
     blocking = None if k is None else table.roots[k][0]
     trace = ReductionTrace(start=D, cut=cut, blocked=k is not None, blocking=blocking)
     for j in word:

@@ -54,6 +54,23 @@ def test_cyclic_membership_witness_is_checked(monkeypatch):
     cyclic_membership.cache_clear()
 
 
+def test_root_oracle_membership_witness_is_checked(monkeypatch):
+    # the root oracle solves lambda(beta) = a*q on reduced tuples, past
+    # cyclic_membership's cache; a wrong coset must still be refused.  On
+    # dp9_torsion lambda(e1 - e2) = (-1, -3, 1) is no multiple of q = (1, 0, 0)
+    S = presets.get_preset("dp9_torsion")
+    alpha = basis_e(S.sig, 1) - basis_e(S.sig, 2)
+    monkeypatch.setattr(marking, "_multiples", lambda P, x, q: (1, 0))
+    marking.is_root_effective.cache_clear()
+    cyclic_membership.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="cyclic membership witness"):
+            marking.is_root_effective(S, alpha)
+    finally:
+        marking.is_root_effective.cache_clear()
+        cyclic_membership.cache_clear()
+
+
 def test_hom_dims_sign_checks(monkeypatch):
     S = m1_generic()
     monkeypatch.setattr(sections, "dim_gamma", lambda S, D: 1)
@@ -180,14 +197,14 @@ def test_cli_maps_invariant_violation_to_exit_3(capsys, monkeypatch):
 def test_chamber_walk_overrun_breaks_its_bound(monkeypatch):
     # with the frame's pairings frozen, the walk reflects at one root
     # forever; past the proved bound (m(m - 1) = 2 reflections here, as the
-    # frozen table has no ruling root) that is an invariant violation, not a
+    # frozen table's ruling flag is off) that is an invariant violation, not a
     # spent budget, and it says where the walk stopped
     S = m2_generic()
     sig = S.sig
     D = div(sig, 2, 2, -3, 0)
     assert len(weyl.reduce_to_chamber(S, D).moves) >= 2
     table = weyl._pull_table(sig)
-    frozen = table._replace(moves=((),) * len(table.moves))
+    frozen = table._replace(moves=((),) * len(table.moves), ruling=False)
     monkeypatch.setattr(weyl, "_pull_table", lambda sig: frozen)
     with pytest.raises(InvariantViolation, match="chamber walk passed its bound of 2 reflections at ") as info:
         weyl.reduce_to_chamber(S, D)

@@ -272,11 +272,11 @@ def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
     walks = []
     real = weyl._chamber_walk
 
-    def measured(S, x, row, table, P, word):
-        xf = max(sum(a * b for a, b in zip(row, P[table.f])), 0)  # x.f in the walk's frame
+    def measured(S, x, table, P, v, word):
+        xf = max(_dot(_row(table.sig, x), P[table.f]), 0)  # x.f in the walk's frame, dotted afresh
         start = len(word)
         try:
-            return real(S, x, row, table, P, word)
+            return real(S, x, table, P, v, word)
         finally:
             walks.append((table.sig, xf, len(word) - start))
 
@@ -293,7 +293,8 @@ def test_chamber_walks_stay_within_the_proved_bound(monkeypatch):
         table = weyl._pull_table(S.sig)
         for c in itertools.product(range(-4, 5), repeat=S.sig.rank):
             is_effective(S, DivClass(c, S.sig))
-            weyl._chamber_walk(S, c, _row(S.sig, c), table, list(table.base), [])
+            row = _row(S.sig, c)
+            weyl._chamber_walk(S, c, table, list(table.base), [_dot(row, p) for p in table.base], [])
     # the blowdown walks, on surfaces and numeric
     for S, e in neg1_shells():
         try:
