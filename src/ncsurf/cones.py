@@ -119,10 +119,8 @@ def _effective_classes(S, Da, t):
     """The formal -1-classes, then the effective roots, with pairing t
     against Da."""
     sig = S.sig
+    yield from (x for x in latenum.classes_with_pairing(sig, Da, t, -1) if in_neg1_orbit(sig, x))
     K = canonical_class(sig)
-    for x in latenum.classes_with_pairing(sig, Da, t, -1):
-        if intersect(x, K) == -1 and in_neg1_orbit(sig, x):
-            yield x
     for x in latenum.classes_with_pairing(sig, Da, t, -2):
         if intersect(x, K) == 0 and is_root_effective(S, x)[0]:
             yield x

@@ -81,7 +81,8 @@ class MarkingGroup:
         return self.reduce(x) == self.reduce(y)
 
 
-# bounded: is_root_effective, the main caller, caches per input surface, so few calls hit
+# bounded; its one library caller is sections._lambda_q_order (is_root_effective
+# calls the uncached _membership), and the benchmark reads its cache_info()
 @lru_cache(maxsize=512)
 def cyclic_membership(P, x, q):
     """Solve a*q = x in the group P; returns the coset (a0, d) of solutions
@@ -393,17 +394,14 @@ def is_neg1_irreducible(S, e):
 
 
 def _check_neg1(S, e):
-    K = canonical_class(S.sig)
-    if intersect(e, e) != -1 or intersect(e, K) != -1:
-        raise ValueError(
-            "%s is not a formal -1-class (need e^2 = e.K = -1)" % render_div(e)
-        )
     from . import weyl
 
-    if not weyl.in_neg1_orbit(S.sig, e):
-        raise ValueError(
-            "%s is not in the reflection orbit of e_m" % render_div(e)
-        )
+    if not weyl._is_formal_neg1(S.sig, e):
+        raise ValueError(weyl._NOT_NEG1 % render_div(e))
+    try:
+        weyl._blowdown(None, S.sig, e)
+    except weyl.BlowdownError:
+        raise ValueError("%s is not in the reflection orbit of e_m" % render_div(e)) from None
 
 
 def blow_up(S, component_index, local_mults, position):

@@ -66,23 +66,27 @@ TWIST_CAP = 16
 def dim_gamma(S, D, trace=None):
     """dim Gamma of a line bundle of class D (rational surfaces only).
 
-    Effectiveness is decided on entry; these steps keep h^0, and so keep it:
-    - subtract a component pairing negatively: it is a fixed component;
+    One loop, with no separate effectiveness query.  Its steps keep h^0:
+    - subtract a component or terminal -1-class pairing negatively: fixed parts;
     - reflect at ineffective roots (weyl._chamber_walk): isomorphisms;
-    - subtract a terminal -1-class pairing negatively: likewise fixed;
     - partial step at an effective root: the copies of the root it removes
       are fixed, by the twist the case split selects;
     - pass to D - Q when lambda(D) is nontrivial: restriction to Q has no sections.
-    The reflection at an effective root can leave the cone (s - f on f2_type)
-    and is checked again, as is D - Q in the recursive 1 + dim_gamma(D - Q).
-
-    The walk moves the frame, not D, and D's pairings with the frame are
-    carried: adding copies of a frame class moves them by a row of the
-    frame's Gram matrix, other steps dot them again.  The cone loop's grade
-    ends the loop:
-    subtractions, partial steps and D - Q lower it, and a negative grade or a
-    cut walk (D.f < 0, f nef) leaves no section.  Only the reflection at an
-    effective root builds a surface, with a new frame and grade, at most
+    No step makes an ineffective class effective (D - E effective with E
+    effective would make D so), nor, the walk tests check, does the twisted
+    reflection at an effective root, though it can leave the cone (s - f on
+    f2_type).  The cone loop's grade ends the loop: subtractions, partial
+    steps and D - Q lower it, and a negative grade or a cut walk (D.f < 0,
+    f nef) leaves no section.  A terminal state passes the cone loop's
+    dual-monoid test (no walk root, terminal -1-class or component pairs
+    negatively), so it is effective: the formula is reached only on a nef
+    class with D.Q > 0 (h^0 = chi by Riemann-Roch), and 1 + dim_gamma(D - Q)
+    only with D - Q zero or nef of positive degree.  So an ineffective class
+    answers plus (0 on entry); the one other end, an effective root with
+    component support, asks is_effective.  The walk moves the frame, not D,
+    and carries D's pairings: adding copies of a frame class moves them by a
+    row of the frame's Gram matrix, other steps dot them again.  Only the
+    twisted reflection builds a surface, with a new frame and grade, at most
     TWIST_CAP times.  Trace lines show the walk's current frame."""
     sig = S.sig
     if sig.genera != (0, 0):
@@ -99,8 +103,6 @@ def dim_gamma(S, D, trace=None):
         if trace is not None:
             trace.append(fmt % tuple(here(a) if isinstance(a, tuple) else a for a in args))
 
-    if any(x) and not is_effective(S, D):
-        return 0
     rowA = _surface_table(S).grading_row
     grade, v = _dot(rowA, x), None  # v[j] = x.P[j]; None: to be dotted again
     while grade >= 0:
@@ -130,6 +132,8 @@ def dim_gamma(S, D, trace=None):
             alpha, beta, t = roots[k][0], P[k], v[k]
             wit = is_root_effective(S, _new(beta, sig))[1]  # effective: twist-aware case split
             if any(wit["components"]):
+                if not is_effective(S, _new(x, sig)):
+                    return plus
                 raise UnclassifiedState({
                     "state": "effective root with component support",
                     "root": render_div(alpha), "class": here(x), "witness": wit,
@@ -158,8 +162,6 @@ def dim_gamma(S, D, trace=None):
             for j in word + [k]:
                 S = reflect_surface(S, roots[j][0])
             P, word, v = list(table.base), [], None
-            if not is_effective(S, _new(x, sig)):
-                return plus
             rowA = _surface_table(S).grading_row
             grade = _dot(rowA, x)
             continue
@@ -172,16 +174,11 @@ def dim_gamma(S, D, trace=None):
             return plus + 1 + num // 2
         if dQ:  # < 0; a nef class has dQ >= 0
             raise InvariantViolation("nef class with negative anticanonical degree")
-        DQ = tuple(map(sub, x, q))
-        if any(S._lam(x)):
-            note("restriction to Q nontrivial: pass to %s", DQ)
-            grade, x, v = grade - _drop(rowA, q), DQ, None
-            continue
-        if not any(DQ) or (_dot(Q_row, DQ) >= 1 and is_nef(S, _new(DQ, sig))):
-            note("restriction to Q trivial: 1 + dim of %s", DQ)
-            grade, plus, x, v = grade - _drop(rowA, q), plus + 1, DQ, None
-            if any(x) and not is_effective(S, _new(x, sig)):
-                return plus
+        DQ, lam = tuple(map(sub, x, q)), any(S._lam(x))
+        if lam or not any(DQ) or (_dot(Q_row, DQ) >= 1 and is_nef(S, _new(DQ, sig))):
+            # restriction to Q: no section if lambda(D) is nontrivial, else 1 + dim_gamma(D - Q)
+            note("restriction to Q nontrivial: pass to %s" if lam else "restriction to Q trivial: 1 + dim of %s", DQ)
+            grade, plus, x, v = grade - _drop(rowA, q), plus + (not lam), DQ, None
             continue
         if sig.m == 8 and _dot(Q_row, q) == 0:
             # D proportional to Q with lambda(D) = 0: closed form

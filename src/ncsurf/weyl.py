@@ -285,6 +285,14 @@ def _blowdown(S, sig, e):
     return trace
 
 
+_NOT_NEG1 = "%s is not a formal -1-class (need e^2 = e.K = -1)"  # raised where _is_formal_neg1 fails
+
+
+def _is_formal_neg1(sig, e):
+    """The one formal -1-class test, of find_blowdown, in_neg1_orbit and marking."""
+    return intersect(e, e) == -1 and intersect(e, canonical_class(sig)) == -1
+
+
 def find_blowdown(S, e):
     """Change the blowdown structure by reflections at ineffective simple
     roots (the chamber walk of reduce_to_chamber) until e becomes e_m, or s
@@ -292,10 +300,8 @@ def find_blowdown(S, e):
     final elementary transformation takes f - e_1 to e_1.  Raises
     BlowdownError with a decomposition witness when an effective simple root
     blocks the walk, and when the walk ends at no terminal class."""
-    if intersect(e, e) != -1 or intersect(e, canonical_class(S.sig)) != -1:
-        raise ValueError(
-            "%s is not a formal -1-class (need e^2 = e.K = -1)" % render_div(e)
-        )
+    if not _is_formal_neg1(S.sig, e):
+        raise ValueError(_NOT_NEG1 % render_div(e))
     return _blowdown(S, S.sig, e)
 
 
@@ -303,7 +309,7 @@ def in_neg1_orbit(sig, e):
     """Purely numeric test that e lies in the reflection-group orbit of e_m
     (or reaches the plane terminal): find_blowdown's walk with no root
     oracle."""
-    if intersect(e, e) != -1 or intersect(e, canonical_class(sig)) != -1:
+    if not _is_formal_neg1(sig, e):
         return False
     try:
         _blowdown(None, sig, e)

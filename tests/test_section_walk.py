@@ -1,13 +1,16 @@
 """Replay of the dim_gamma walk with an effectiveness check after every step.
 
-dim_gamma decides effectiveness on entry, and again only after the two
-steps that can leave the cone: the other steps of its walk keep h^0 (see
-its docstring).  These tests stand in for the per-step check it no longer
-makes: they rebuild each (surface, class) state from the walk's trace and
-call is_effective on it, and no answer may be negative.  They run on
-every class of the benchmark's recorded section pool, whose answers must
-also stay as recorded, and on a hypothesis sample over all rational
-presets.
+dim_gamma decides effectiveness by its own walk, in one loop with no
+separate effectiveness query: an ineffective class walks until the grade,
+the fiber cut or the component-support branch ends it, and answers 0 (see
+its docstring).  These tests check that contract from the outside: they
+rebuild each (surface, class) state from the walk's trace and call
+is_effective on it.  An ineffective input must answer 0, no answer may be
+negative, a step that keeps h^0 never takes an effective class out of the
+cone, and no step takes an ineffective class into it.  They run on every
+class of the benchmark's recorded section pool, whose answers must also
+stay as recorded (and whose effective classes must have a section), and on
+a hypothesis sample over all rational presets.
 
 Checks are explicit pytest.fail calls, so the guard also holds under
 `python -O`."""
@@ -44,9 +47,11 @@ def pool():
 
 def steps(S, D, trace):
     """Apply the steps of a dim_gamma trace to (S, D).  Yields (S, D, line,
-    keeps) after each step; keeps is False for the two steps after which
-    dim_gamma decides effectiveness anew: the twisted reflection at an
-    effective root and the recursive 1 + dim_gamma(D - Q)."""
+    keeps) after each step; keeps is False for the two steps that need not
+    keep h^0: the twisted reflection at an effective root, which can leave
+    the cone, and the recursive 1 + dim_gamma(D - Q).  Under the one-loop
+    contract no step, whatever its keeps, takes an ineffective class into
+    the cone."""
     sig = S.sig
     Q = anticanonical_class(sig)
     for line in trace:
@@ -74,33 +79,38 @@ def steps(S, D, trace):
 
 
 def check_walk(name, S, D):
-    """Run dim_gamma on D with a trace and check that its answer is not
-    negative and that no step of its walk leaves the effective cone.
-    Returns the number of steps checked."""
+    """Run dim_gamma on D with a trace and check the one-loop contract: the
+    answer is not negative, an ineffective D answers 0, a step that keeps
+    h^0 never takes an effective class out of the effective cone, and no
+    step takes an ineffective class into it.  Returns the number of steps
+    checked, the answer (None when the walk raised) and whether D is
+    effective."""
     trace = []
     try:
         got = dim_gamma(S, D, trace=trace)
     except (UnclassifiedState, BudgetExhausted):
-        pass  # the steps taken before the walk stopped must still hold
-    else:
-        if got < 0:
-            pytest.fail("%s: dim Gamma(%s) = %d" % (name, render_div(D), got))
-    if trace and not is_effective(S, D):
-        pytest.fail("%s: the walk of ineffective %s took steps" % (name, render_div(D)))
+        got = None  # the steps taken before the walk stopped must still hold
+    if got is not None and got < 0:
+        pytest.fail("%s: dim Gamma(%s) = %d" % (name, render_div(D), got))
+    effective = start = is_effective(S, D)
+    if not effective and got != 0:
+        pytest.fail("%s: ineffective %s answers %s, not 0" % (name, render_div(D), "an error" if got is None else got))
     checked = 0
-    effective = True
     for S2, D2, line, keeps in steps(S, D, trace):
-        if not effective:
-            pytest.fail("%s: walk of %s went on from an ineffective class" % (name, render_div(D)))
         checked += 1
         ok = is_effective(S2, D2)
-        if keeps and not ok:
+        if ok and not effective:
+            pytest.fail(
+                "%s: step %r of the walk of %s takes an ineffective class into the effective cone at %s"
+                % (name, line, render_div(D), render_div(D2))
+            )
+        if keeps and effective and not ok:
             pytest.fail(
                 "%s: step %r of the walk of %s leaves the effective cone at %s"
                 % (name, line, render_div(D), render_div(D2))
             )
         effective = ok
-    return checked
+    return checked, got, start
 
 
 def canonical_answer(S, kind, D):
@@ -122,9 +132,13 @@ def test_every_pool_walk_stays_effective(name):
     wrong = []
     for kind, coeffs, recorded, _ in pool()["pool"][name]:
         D = DivClass(tuple(coeffs), S.sig)
-        checked += check_walk(name, S, D)
-        if kind == "hom":  # hom_dims(S, 0, D) walks D and K - D
-            checked += check_walk(name, S, K - D)
+        # hom_dims(S, 0, D) walks D and K - D
+        for E in (D, K - D) if kind == "hom" else (D,):
+            n, h0, effective = check_walk(name, S, E)
+            checked += n
+            # the converse of "ineffective answers 0", on the answered walks
+            if effective and h0 is not None and h0 < 1:
+                pytest.fail("%s: %s is effective, but dim Gamma = %d" % (name, render_div(E), h0))
         got = canonical_answer(S, kind, D)
         if got != recorded:
             wrong.append((kind, coeffs, recorded, got))
