@@ -4,18 +4,17 @@ Every verdict is exact.  An operator identity is decided by the zero test of
 the difference (`ore` keeps every coefficient as a numerator over an
 unreduced denominator), and `span4_qdiff` by ranks over Q(r, c), eliminating
 on ints that each pack one entry of Z[r, c] (see `_rank`).  Only the
-`SEEDED` cases read `prime`, and draw `trials` random inputs from `seed`."""
+`SEEDED` cases read `prime`, and draw `trials` random inputs from `seed`.
+Only the twist and FracElement cases (`qweyl`, `qweyl_affine`,
+`additive_pair`, `mellin_pair`, `lowering_degree`) import sympy, in
+`_qq_field`; the others run on `ore`'s native polynomials and on ints."""
 
 from dataclasses import dataclass
 from functools import lru_cache
 import random
 
-from sympy import GF, QQ, ZZ, isprime
-from sympy.polys.fields import field as frac_field
-from sympy.polys.rings import ring
-
 from .lattice import InvariantViolation
-from .ore import OreAlgebra, _add, _equal, _mul, _pow
+from .ore import OreAlgebra, _add, _equal, _mul, _Poly, _pow, isprime
 from .series import TruncSeries
 
 SEEDED = ("frobenius_power", "tau_invariance", "additive_product")
@@ -61,15 +60,24 @@ def _check(name, lhs, rhs):
 # Each case returns its checks, a list of (name, ok, witness).
 
 
+def _qq_field(names):
+    """sympy's QQ(names) and its generators: the twist and FracElement cases
+    import sympy here, and no other case does."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    return field(names, QQ)
+
+
 def _case_qweyl(prime, trials, seed):
-    F, z, qs = frac_field("z, qs", QQ)
+    F, z, qs = _qq_field("z, qs")
     alg = OreAlgebra(F, "qshift", step=qs)
     T, X = alg.S(1), alg.mult(z)
     return [_check("T.z = qs.z.T", T * X, (X * T).scale(qs))]
 
 
 def _case_qweyl_affine(prime, trials, seed):
-    F, z, qs = frac_field("z, qs", QQ)
+    F, z, qs = _qq_field("z, qs")
     alg = OreAlgebra(F, "qshift", step=qs)
     x = alg.mult(z)
     y = alg.op({0: 1 / z, 1: -1 / z})  # z^{-1}(1 - T)
@@ -79,7 +87,7 @@ def _case_qweyl_affine(prime, trials, seed):
 
 
 def _case_additive_pair(prime, trials, seed):
-    F, z = frac_field("z", QQ)
+    F, z = _qq_field("z")
     alg = OreAlgebra(F, "ashift", step=F.one)
     x = alg.mult(z)
     y = alg.mult(z) + alg.S(1)
@@ -87,10 +95,10 @@ def _case_additive_pair(prime, trials, seed):
 
 
 def _case_mellin_pair(prime, trials, seed):
-    F, z = frac_field("z", QQ)
+    F, z = _qq_field("z")
     sh = OreAlgebra(F, "ashift", step=F.one)
     x1, y1 = sh.mult(z), sh.S(1)
-    Ft, t = frac_field("t", QQ)
+    Ft, t = _qq_field("t")
     df = OreAlgebra(Ft, "diff")
     x2 = (df.mult(t) * df.S(1)).scale(-Ft.one)  # -t D
     y2 = df.mult(t)
@@ -101,8 +109,8 @@ def _case_mellin_pair(prime, trials, seed):
 
 
 def _case_weyl(prime, trials, seed):
-    F, z = frac_field("z", QQ)
-    alg = OreAlgebra(F, "diff")
+    alg = OreAlgebra.differential("z")
+    (z,) = alg.gens
     D, X = alg.S(1), alg.mult(z)
     one = alg.one()
     return [
@@ -112,8 +120,8 @@ def _case_weyl(prime, trials, seed):
 
 
 def _case_middle_convolution(prime, trials, seed):
-    F, z, u = frac_field("z, u", QQ)
-    alg = OreAlgebra(F, "diff")
+    alg = OreAlgebra.differential("z, u")
+    z, u = alg.gens
     D = alg.S(1)
     M = alg.mult(z - u)
     checks = []
@@ -127,7 +135,7 @@ def _case_middle_convolution(prime, trials, seed):
 @lru_cache(maxsize=16)
 def _gf_diff_algebra(p, name):
     """d/dz over GF(p)(name) and its D, built once per prime and name."""
-    alg = OreAlgebra(frac_field(name, GF(p))[0], "diff")
+    alg = OreAlgebra.differential(name, p)
     return alg, alg.S(1)
 
 
@@ -209,7 +217,6 @@ def _case_additive_product(prime, trials, seed):
 
 # ---- span4_qdiff: ranks over Z[r, c], each entry packed into one int
 
-_R = ring("z, U, V", ZZ)[0]
 _B, _K = 1 << 25, 17  # r = B, c = B^K (see `_rank`)
 
 
@@ -222,17 +229,17 @@ def _span4_rows(rc=None):
     """[{(a, b): X_ab}, {(a, b): Y_ab}] (see `_case_span4_qdiff`) at r = B, c = B^K;
     column 5 h + k holds the z^k coefficient of the T^(1/2) (h = 0) or T^(-1/2)
     (h = 1) half.  rc (default r c) is the parameter of B's D_q."""
-    z, U, V = _R.gens
+    one, z, U, V = (_Poly({e: 1}, 3) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     r, c = _B, _B ** _K
     rc = r * c if rc is None else rc
-    A = (_m(c * z, 1, V) * _m(r * z, 1, U), -_m(c, z, V) * _m(z, r, U))
-    B = (_m(z, 1, U) * _m(rc * z, 1, V), -_m(z, 1, U) * _m(rc, z, V))
+    A = (_m(z * c, one, V) * _m(z * r, one, U), -(_m(one * c, z, V) * _m(z, one * r, U)))
+    B = (_m(z, one, U) * _m(z * rc, one, V), -(_m(z, one, U) * _m(one * rc, z, V)))
     out = []
     for family in (A, B):
         rows = {}
         for half, poly in enumerate(family):
-            for (k, a, b), coeff in poly.terms():
-                rows.setdefault((a, b), {})[5 * half + k] = int(coeff)
+            for (k, a, b), coeff in poly.items():
+                rows.setdefault((a, b), {})[5 * half + k] = coeff
         out.append(rows)
     return out
 
@@ -293,7 +300,7 @@ def _case_span4_qdiff(prime, trials, seed):
 
 
 def _case_lowering_degree(prime, trials, seed):
-    F, z, r = frac_field("z, r", QQ)
+    F, z, r = _qq_field("z, r")
     qs = OreAlgebra(F, "qshift", step=r)
     checks = []
 

@@ -1,4 +1,4 @@
-"""Ore-operator arithmetic over sympy rational-function fields.
+"""Ore-operator arithmetic over rational-function fields over QQ or GF(p).
 
 An operator is a finite sum sum_k c_k(z) S^k where the generator S acts on
 functions by a twist sigma (q-scaling or additive shift of z) or by d/dz.
@@ -6,35 +6,66 @@ Multiplication realizes S.g = sigma(g).S (twist kinds) or S.g = g.S + g'
 (differential kind).
 
 Coefficients are kept localised, one representation for every kind and
-domain: a numerator N in the polynomial ring F.ring over a factored
-denominator prod b_i^e_i that is never reduced.  The bases b_i are monic
-(a constant factor goes to the numerator) and are compared by equality
-only.  A sum lifts both sides to the larger exponent of each base, a
-product adds exponents, the derivative follows the quotient rule
+domain: a numerator N in a polynomial ring over a factored denominator
+prod b_i^e_i that is never reduced.  The bases b_i are monic (a constant
+factor goes to the numerator) and are compared by equality only.  A sum
+lifts both sides to the larger exponent of each base, a product adds
+exponents, the derivative follows the quotient rule
 (N / b^e)' = (N' b - e N b') / b^(e+1), a twist substitutes into N and
 into each base, and an element is zero exactly when its numerator is.
 None of this takes a gcd, and degrees grow linearly along a derivative
 chain.  FracElements appear only at the boundary: the arguments of `op`,
 `mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in
-(an int skips F), and `terms`, `coeff`, `lead`, `sigma`, `delta` and `apply`
-cancel each result once, on the way out, with `FracField.new`.  Powers go
-by repeated squaring.
+(an int or a polynomial of `gens` skips the field), and `terms`, `coeff`,
+`lead`, `sigma`, `delta` and `apply` cancel each result once, on the way
+out, with `FracField.new`.  Powers go by repeated squaring.
 
-Over GF(p)(z) with d/dz the numerators and bases are `_GFPoly`s, dense int
-tuples mod p: sympy's ModularInteger coefficients cost more than the
-arithmetic.  The twists keep PolyElements, which `_subs` needs."""
+The differential kind keeps its numerators and bases on native
+polynomials, whose arithmetic costs less than sympy's coefficients: over
+GF(p)(z) `_GFPoly`s, dense int tuples mod p, and otherwise `_Poly`s, sparse
+dicts from exponent tuples to ints or Fractions (ints mod p over GF(p)).
+`OreAlgebra.differential` builds it from variable names with no sympy
+field; sympy is imported only when a FracElement crosses the boundary.  The
+twists keep sympy's PolyElements, which `_subs` needs."""
 
-from functools import reduce
+from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import zip_longest
 from math import comb
+from operator import add
 
-from sympy import isprime
+# Sorenson and Webster (Math. Comp. 86, 2017): no composite below the bound
+# is a strong probable prime to each of the first 13 prime bases
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
-def _strip(poly):
-    # PolyElement.diff over GF(p) keeps monomials whose coefficient became 0
-    poly.strip_zero()
-    return poly
+def isprime(n):
+    """Whether the int n is prime: deterministic Miller-Rabin below
+    _MR_BOUND (about 3.3e24), sympy's test above it."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        from sympy import isprime as sympy_isprime
+
+        return sympy_isprime(n)
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _subs(P, index, vn, vd):
@@ -103,8 +134,11 @@ class _GFPoly:
     def __pow__(self, n):
         return reduce(_GFPoly.__mul__, [self] * n, _GFPoly((1,), self.p))
 
-    def diff(self):
-        return _gfp([i * x for i, x in enumerate(self.c)][1:], self.p)
+    def diff(self, i=0):  # i, the variable's index, as for _Poly.diff
+        return _gfp([k * x for k, x in enumerate(self.c)][1:], self.p)
+
+    def items(self):
+        return (((i,), x) for i, x in enumerate(self.c) if x)
 
     LC = property(lambda self: self.c[-1])
 
@@ -113,6 +147,90 @@ class _GFPoly:
 
     def monic(self):
         return self.quo_ground(self.c[-1])
+
+
+def _rat(x):
+    """A Fraction of denominator 1 as its int, which multiplies faster."""
+    return x.numerator if x.denominator == 1 else x
+
+
+class _Poly:
+    """A polynomial in n variables over QQ (p = 0) or GF(p): t maps exponent
+    tuples to nonzero coefficients, ints or Fractions over QQ and ints in
+    [1, p) over GF(p).  LC is the coefficient of the lex-largest exponent,
+    as in sympy."""
+
+    __slots__ = ("t", "n", "p")
+
+    def __init__(self, t, n, p=0):
+        self.t = t
+        self.n = n
+        self.p = p
+
+    def _new(self, t):
+        """The polynomial of t, with its zero coefficients dropped."""
+        p = self.p
+        if p:
+            return _Poly({m: r for m, c in t.items() if (r := c % p)}, self.n, p)
+        return _Poly({m: c for m, c in t.items() if c}, self.n, 0)
+
+    def __bool__(self):
+        return bool(self.t)
+
+    def __hash__(self):
+        return hash(frozenset(self.t.items()))
+
+    def __eq__(self, other):
+        if isinstance(other, _Poly):
+            return self.t == other.t
+        return self.t == self._new({(0,) * self.n: other}).t
+
+    def __add__(self, other):
+        t = dict(self.t)
+        for m, c in other.t.items():
+            t[m] = t.get(m, 0) + c
+        return self._new(t)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.t.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):  # a scalar
+            return self._new({m: c * other for m, c in self.t.items()})
+        t = {}
+        for m, c in self.t.items():
+            for k, d in other.t.items():
+                mk = tuple(map(add, m, k))
+                t[mk] = t.get(mk, 0) + c * d
+        return self._new(t)
+
+    def __pow__(self, n):
+        if not n:
+            return _Poly({(0,) * self.n: 1}, self.n, self.p)
+        return reduce(_Poly.__mul__, [self] * (n - 1), self)
+
+    def diff(self, i=0):
+        t = {}
+        for m, c in self.t.items():
+            if m[i]:
+                t[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+        return self._new(t)
+
+    def items(self):
+        return self.t.items()
+
+    LC = property(lambda self: self.t[max(self.t)])
+
+    def quo_ground(self, k):
+        if self.p:
+            return self * pow(k, -1, self.p)
+        return _Poly({m: _rat(Fraction(c, k)) for m, c in self.t.items()}, self.n, 0)
+
+    def monic(self):
+        return self.quo_ground(self.LC)
 
 
 class _Loc:
@@ -194,7 +312,8 @@ def _over(num, den):
 class OreAlgebra:
     """kind: 'diff' (S = d/dz), 'ashift' (S: z -> z + step), or 'qshift'
     (S: z -> step*z); z_index locates the acted-on variable among F.gens.
-    Over GF(p)(z) the 'diff' kind keeps its coefficients on _GFPolys."""
+    The 'diff' kind needs F over QQ or GF(p), keeps its coefficients on
+    native polynomials and has their generators in `gens`."""
 
     def __init__(self, F, kind, step=None, z_index=0):
         if kind not in ("diff", "ashift", "qshift"):
@@ -205,14 +324,53 @@ class OreAlgebra:
         self.kind = kind
         self.step = step
         self.z_index = z_index
-        self.z = F(F.gens[z_index])
-        self._gen = F.ring.gens[z_index]
-        self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
         dom = F.domain
-        gf = kind == "diff" and len(F.gens) == 1 and dom.is_FiniteField and isprime(dom.mod)
-        self._p = dom.mod if gf else None  # the _GFPoly backend's prime
-        self._zero, self._one = (_GFPoly((), dom.mod), _GFPoly((1,), dom.mod)) if gf else (F.ring.zero, F.ring.one)
-        self._d = _GFPoly.diff if gf else (lambda P, gen=self._gen: _strip(P.diff(gen)))
+        if kind == "diff":
+            if not (dom.is_QQ or dom.is_FiniteField and isprime(dom.mod)):
+                raise ValueError("the differential kind needs QQ or GF(p) coefficients, not %s" % (dom,))
+            self._native(len(F.gens), dom.mod if dom.is_FiniteField else 0)
+        else:
+            self.z = F(F.gens[z_index])
+            self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
+            self._p = None
+            self._zero, self._one = F.ring.zero, F.ring.one
+
+    @classmethod
+    def differential(cls, names, p=0, z_index=0):
+        """d/dz over QQ(names), or over GF(p)(names) for a prime p, where
+        names is a string such as "z, u" and z is its variable z_index.
+        Its field F, and sympy, are made when a FracElement first crosses
+        the boundary."""
+        if p and not isprime(p):
+            raise ValueError("p must be a prime number, not %r" % (p,))
+        alg = cls.__new__(cls)
+        alg.kind, alg.step, alg.z_index, alg._names = "diff", None, z_index, names
+        alg._native(len(names.replace(",", " ").split()), p)
+        return alg
+
+    def _native(self, n, p):
+        """The diff kind's kernel for n variables over QQ (p = 0) or GF(p)."""
+        self._mod = p
+        self._p = p if p and n == 1 else None  # the _GFPoly backend's prime
+        if self._p:
+            self._zero, self._one = _GFPoly((), p), _GFPoly((1,), p)
+            self.gens = (_GFPoly((0, 1), p),)
+        else:
+            o = (0,) * n
+            self._zero, self._one = _Poly({}, n, p), _Poly({o: 1}, n, p)
+            self.gens = tuple(_Poly({o[:i] + (1,) + o[i + 1:]: 1}, n, p) for i in range(n))
+
+    @cached_property
+    def F(self):
+        from sympy import GF, QQ
+        from sympy.polys.fields import field
+
+        return field(self._names, GF(self._mod) if self._mod else QQ)[0]
+
+    @cached_property
+    def _dz(self):
+        """d/dz over F, which runs a twist's delta."""
+        return OreAlgebra(self.F, "diff", z_index=self.z_index)
 
     # -------------------------------------------- the localised boundary
     def _loc(self, g):
@@ -220,10 +378,24 @@ class OreAlgebra:
             return g
         if type(g) is int:
             return _Loc(self._one * g, {})
+        if isinstance(g, (_GFPoly, _Poly)):
+            return _Loc(g, {})
         g = self.F(g)
-        if self._p:
-            return _over(*(_gfp([int(c) for c in P.to_dense()[::-1]], self._p) for P in (g.numer, g.denom)))
+        if self.kind == "diff":
+            return _over(self._from_sympy(g.numer), self._from_sympy(g.denom))
         return _over(g.numer, g.denom)
+
+    def _from_sympy(self, P):
+        if self._p:
+            return _gfp([int(c) for c in P.to_dense()[::-1]], self._p)
+        if self._mod:
+            return self._zero._new({m: int(c) for m, c in P.items()})
+        return self._zero._new({m: _rat(Fraction(int(c.numerator), int(c.denominator))) for m, c in P.items()})
+
+    def _to_sympy(self, P):
+        dom = self.F.domain
+        conv = dom.convert if self._mod else (lambda c: dom(c.numerator, c.denominator))
+        return self.F.ring.from_dict({m: conv(c) for m, c in P.items()})
 
     def _quo(self, num, den):
         """num/den for int coefficient lists, low degree first (GF(p) only)."""
@@ -234,8 +406,8 @@ class OreAlgebra:
         for b, e in x.den.items():
             den *= b ** e
         num = x.num
-        if self._p:
-            num, den = (self.F.ring.from_dict({(i,): v for i, v in enumerate(P.c) if v}) for P in (num, den))
+        if self.kind == "diff":
+            num, den = self._to_sympy(num), self._to_sympy(den)
         return self.F.new(num, den)
 
     # --------------------------------------------- localised sigma, delta
@@ -276,9 +448,9 @@ class OreAlgebra:
     def _diff(self, x):
         """x' = N'/prod b^e - sum e N b'/(b^(e+1) prod_others); the sum
         lifts everything to one more power of each base that depends on z."""
-        out = _Loc(self._d(x.num), x.den)
+        out = _Loc(x.num.diff(self.z_index), x.den)
         for b, e in x.den.items():
-            db = self._d(b)
+            db = b.diff(self.z_index)
             if db:
                 den = dict(x.den)
                 den[b] = e + 1
@@ -299,7 +471,8 @@ class OreAlgebra:
         return self._frac(self._sigma(self._loc(g), power))
 
     def delta(self, g, order=1):
-        return self._frac(self._chain(self._loc(g), order)[-1])
+        alg = self if self.kind == "diff" else self._dz
+        return alg._frac(alg._chain(alg._loc(g), order)[-1])
 
     # operator constructors
     def op(self, terms):

@@ -447,18 +447,46 @@ def test_readme_cli_examples(capsys):
         assert out.splitlines()[: len(shown)] == shown, cmdline
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ncsurf imports opcases, and sympy with it; served lazily, opcheck_suite would pay "
-    "sympy's import inside its first timed query, so this waits for a benchmark change (ROADMAP item 7)",
-)
-def test_lattice_path_does_not_import_sympy():
+def _fresh_python(code):
+    """The stdout of code, run in a fresh interpreter on this checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_lattice_path_does_not_import_sympy():
     code = ("import sys, ncsurf\n"
             "S = ncsurf.presets.get_preset('m2_generic')\n"
             "ncsurf.sections.dim_gamma(S, ncsurf.lattice.div(S.sig, 1, 1, -1, 0))\n"
             "print('sympy' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+# (case, prime) of the catalog cases that run on native polynomials and ints
+NATIVE_CASES = [("frobenius_power", 3), ("frobenius_power", 11), ("tau_invariance", None),
+                ("additive_product", None), ("span4_qdiff", None), ("middle_convolution", None),
+                ("weyl", None)]
+
+
+def test_native_cases_and_cli_do_not_import_sympy():
+    # the benchmark's catalog cases and a CLI query each leave sympy
+    # unimported, so no query pays its import
+    code = ("import sys\n"
+            "from ncsurf import cli, opcases\n"
+            "for case, prime in %r:\n"
+            "    rep = opcases.run_case(case, prime=prime, trials=2, seed=1)\n"
+            "    print(case, rep.verdict, 'sympy' in sys.modules)\n"
+            "cli.main(['gamma', '--surface', 'm3_generic', 's+f-e1'])\n"
+            "print('gamma', 'sympy' in sys.modules)\n" % (NATIVE_CASES,))
+    lines = _fresh_python(code).splitlines()
+    assert lines[:len(NATIVE_CASES)] == ["%s equal False" % case for case, _ in NATIVE_CASES]
+    assert lines[-1] == "gamma False"
+
+
+def test_twist_case_imports_sympy():
+    code = ("import sys\n"
+            "from ncsurf import opcases\n"
+            "print('sympy' in sys.modules)\n"
+            "print(opcases.run_case('qweyl').verdict, 'sympy' in sys.modules)")
+    assert _fresh_python(code).splitlines() == ["False", "equal True"]

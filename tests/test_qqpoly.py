@@ -1,0 +1,197 @@
+"""The sparse kernel of ncsurf.ore (`_Poly`, over QQ and over GF(p) in any
+number of variables) against sympy's PolyElements, the FracElement boundary
+of the sympy-free differential algebras, and `ore.isprime` against
+`sympy.isprime`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.fields import field as frac_field
+from sympy.polys.rings import ring
+
+from ncsurf.ore import OreAlgebra, _MR_BOUND, _Poly, isprime
+
+NAMES = ("x", "y, z", "x, y, z")
+MODULI = (0, 2, 3, 7)  # 0 is QQ
+
+fractions_ = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@st.composite
+def polys(draw, n, p):
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, fractions_ if not p else st.integers(-30, 30), max_size=5))
+    return _Poly({}, n, p)._new(terms)
+
+
+def _ring(n, p):
+    return ring(NAMES[n - 1], GF(p) if p else QQ)[0]
+
+
+def _sym(R, a):
+    conv = R.domain.convert if a.p else (lambda c: R.domain(c.numerator, c.denominator))
+    return R.from_dict({m: conv(c) for m, c in a.items()})
+
+
+def _normal(a):
+    ok = all(len(m) == a.n for m in a.t) and all(a.t.values())
+    return ok and all(0 < c < a.p for c in a.t.values()) if a.p else ok
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 3), p=st.sampled_from(MODULI),
+       k=st.integers(-30, 30), e=st.integers(0, 4))
+def test_kernel_matches_sympy(data, n, p, k, e):
+    R = _ring(n, p)
+    a, b, c = (data.draw(polys(n, p)) for _ in range(3))
+    A, B, C = (_sym(R, t) for t in (a, b, c))
+    results = {
+        "+": (a + b, A + B),
+        "neg": (-a, -A),
+        "-": (a - b, A - B),
+        "*": (a * b, A * B),
+        "* int": (a * k, A * k),
+        "**": (a ** e, A ** e if A or e else R.one),  # sympy refuses 0**0
+        "(ab)c": ((a * b) * c, A * (B * C)),
+        "a(b+c)": (a * (b + c), A * B + A * C),
+    }
+    for i, x in enumerate(R.gens):
+        results["diff %d" % i] = (a.diff(i), A.diff(x))
+    if b:
+        results["monic"] = (b.monic(), B.monic())
+        results["quo_ground LC"] = (a.quo_ground(b.LC), A.quo_ground(B.LC))
+    if not p:
+        results["* Fraction"] = (a * Fraction(k, 7), A * QQ(k, 7))
+    for name, (mine, theirs) in results.items():
+        theirs.strip_zero()  # PolyElement.diff over GF(p) keeps zeros
+        assert _normal(mine), (name, mine.t)
+        assert _sym(R, mine) == theirs, (name, mine.t, theirs)
+    if b:
+        assert _sym(R, b).LC == B.LC
+        assert b.monic().LC == 1
+    assert bool(a) == bool(A)
+    assert (a == 1) == (A == 1)
+    assert (a == b) == (A == B)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_kernel_edge_cases():
+    zero, one = _Poly({}, 2), _Poly({(0, 0): 1}, 2)
+    x = _Poly({(1, 0): 1}, 2)
+    assert not zero and zero == 0 and one == 1 and not (one == 2)
+    assert (x * 0).t == {} and (x - x).t == {} and (zero ** 0) == 1 and (x ** 0) == 1
+    assert (x * Fraction(3, 1)).t == {(1, 0): 3}
+    assert x.quo_ground(2).t == {(1, 0): Fraction(1, 2)}
+    assert type((x * 4).quo_ground(2).t[1, 0]) is int  # a whole quotient stays an int
+    x5, y5, one5 = _Poly({(1, 0): 1}, 2, 5), _Poly({(0, 1): 1}, 2, 5), _Poly({(0, 0): 1}, 2, 5)
+    assert ((x5 * 5) + one5).t == {(0, 0): 1} and one5 == 6
+    assert (y5 ** 5).diff(1).t == {} and (y5 * 6).t == {(0, 1): 1}  # char 5
+    assert y5.quo_ground(3).t == {(0, 1): 2}
+
+
+# ---------------------------------------------------------- the boundary
+
+
+def _same(a, b):
+    # FracElement == is structural (over GF(p) a unit is not cancelled)
+    return a.numer * b.denom == b.numer * a.denom
+
+
+def _rand_frac(F, gens, rng, p):
+    def poly(terms):
+        out = F.zero
+        for _ in range(terms):
+            mono = F.one * (rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for g in gens:
+                mono = mono * g ** rng.randint(0, 2)
+            out = out + mono
+        return out
+
+    while True:
+        den = poly(rng.randint(1, 3))
+        if den:
+            return poly(rng.randint(0, 3)) / den
+
+
+@pytest.mark.parametrize("names, p", [("z", 0), ("z, u", 0), ("z, u", 3), ("z", 5)])
+def test_differential_algebra_matches_the_sympy_field(names, p):
+    # an algebra built from names makes the same field and the same answers
+    # as one built on sympy's field, and every FracElement comes back as the
+    # cancelled fraction
+    native = OreAlgebra.differential(names, p)
+    F, *gens = frac_field(names, GF(p) if p else QQ)
+    assert native.F == F
+    ref = OreAlgebra(F, "diff")
+    rng = random.Random(names + str(p))
+    for _ in range(12):
+        g, h = _rand_frac(F, gens, rng, p), _rand_frac(F, gens, rng, p)
+        # FracField.new's result for a monic denominator, compared structurally
+        assert native._frac(native._loc(g)) == F.new(g.numer.quo_ground(g.denom.LC), g.denom.monic())
+        for alg in (native, ref):
+            op = alg.op({0: g, 1: h})
+            assert sorted(op.terms) == [k for k, c in ((0, g), (1, h)) if c]
+            assert _same(op.coeff(0), g) and _same(op.coeff(1), h)
+            want = g
+            for n in range(4):
+                assert _same(alg.delta(g, n), want)
+                want = want.diff(gens[0])
+            assert _same((op * alg.S(1)).coeff(2), h)
+            assert _same(op.apply(g), g * g + h * g.diff(gens[0]))
+        assert native.op({0: g, 1: h}) ** 2 == native.op((ref.op({0: g, 1: h}) ** 2).terms)
+
+
+def test_differential_algebra_takes_native_polynomials():
+    alg = OreAlgebra.differential("z, u")
+    z, u = alg.gens
+    F, fz, fu = frac_field("z, u", QQ)
+    assert alg.mult(z - u) == alg.mult(fz - fu)
+    assert alg.mult(z * Fraction(1, 2)) == alg.mult(fz / 2)
+    assert (alg.S(1) * alg.mult(z ** 3)).terms == {0: 3 * fz ** 2, 1: fz ** 3}
+    gf = OreAlgebra.differential("t", 7)
+    (t,) = gf.gens
+    assert gf._p == 7 and not gf.delta(t ** 7)
+    with pytest.raises(ValueError):
+        OreAlgebra.differential("z", 4)
+    with pytest.raises(ValueError):
+        OreAlgebra(frac_field("z", sympy.ZZ)[0], "diff")
+
+
+# ---------------------------------------------------------- primality
+
+# the least strong pseudoprime to the first k prime bases, for k = 1 to 12
+# (Jaeschke 1993; Sorenson and Webster 2017; some k share one)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161)
+
+
+def test_isprime_matches_sympy_up_to_20000():
+    assert [n for n in range(20001) if isprime(n)] == [n for n in range(20001) if sympy.isprime(n)]
+
+
+def test_isprime_rejects_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES + CARMICHAEL:
+        assert pow(2, n - 1, n) == 1  # each fools Fermat's test to base 2
+        assert not isprime(n) and not sympy.isprime(n), n
+
+
+def test_isprime_near_the_bounds():
+    # around 2^64, around the bound of the deterministic bases and above it,
+    # where sympy's test decides
+    for centre in (1 << 64, _MR_BOUND, 1 << 90):
+        for n in range(centre - 300, centre + 300):
+            assert isprime(n) == sympy.isprime(n), n
+    assert isprime((1 << 64) - 59) and isprime((1 << 89) - 1)
+    assert not isprime(((1 << 61) - 1) * ((1 << 31) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 10 ** 25))
+def test_isprime_matches_sympy(n):
+    assert isprime(n) == sympy.isprime(n)
