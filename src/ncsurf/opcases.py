@@ -14,7 +14,7 @@ from functools import lru_cache
 import random
 
 from .lattice import InvariantViolation
-from .ore import OreAlgebra, _add, _equal, _mul, _Poly, _pow, isprime
+from .ore import OreAlgebra, _add, _equal, _mul, _poly, _pow, isprime
 from .series import TruncSeries
 
 SEEDED = ("frobenius_power", "tau_invariance", "additive_product")
@@ -229,7 +229,7 @@ def _span4_rows(rc=None):
     """[{(a, b): X_ab}, {(a, b): Y_ab}] (see `_case_span4_qdiff`) at r = B, c = B^K;
     column 5 h + k holds the z^k coefficient of the T^(1/2) (h = 0) or T^(-1/2)
     (h = 1) half.  rc (default r c) is the parameter of B's D_q."""
-    one, z, U, V = (_Poly({e: 1}, 3) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    one, z, U, V = (_poly({e: 1}, 3) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     r, c = _B, _B ** _K
     rc = r * c if rc is None else rc
     A = (_m(z * c, one, V) * _m(z * r, one, U), -(_m(one * c, z, V) * _m(z, one * r, U)))

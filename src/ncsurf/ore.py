@@ -20,19 +20,18 @@ chain.  FracElements appear only at the boundary: the arguments of `op`,
 `lead`, `sigma`, `delta` and `apply` cancel each result once, on the way
 out, with `FracField.new`.  Powers go by repeated squaring.
 
-The differential kind keeps its numerators and bases on native
-polynomials, whose arithmetic costs less than sympy's coefficients: over
-GF(p)(z) `_GFPoly`s, dense int tuples mod p, and otherwise `_Poly`s, sparse
-dicts from exponent tuples to ints or Fractions (ints mod p over GF(p)).
+The differential kind keeps its numerators and bases on one native
+kernel, whose arithmetic costs less than sympy's coefficients: `_Poly`,
+sparse dicts from monomials, each packed into one int, to ints or Fractions
+over QQ and to ints mod p over GF(p), in any number of variables.
 `OreAlgebra.differential` builds it from variable names with no sympy
 field; sympy is imported only when a FracElement crosses the boundary.  The
 twists keep sympy's PolyElements, which `_subs` needs."""
 
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import zip_longest
+from functools import cached_property, lru_cache, reduce
 from math import comb
-from operator import add
+from operator import or_
 
 # Sorenson and Webster (Math. Comp. 86, 2017): no composite below the bound
 # is a strong probable prime to each of the first 13 prime bases
@@ -87,85 +86,52 @@ def _subs(P, index, vn, vd):
     return out, d
 
 
-def _gfp(coeffs, p):
-    """The _GFPoly of a list of integer coefficients, low degree first."""
-    c = [x % p for x in coeffs]
-    while c and not c[-1]:
-        c.pop()
-    return _GFPoly(tuple(c), p)
-
-
-class _GFPoly:
-    """A polynomial over GF(p) in one variable: c is the tuple of its
-    coefficients in [0, p), low degree first, without trailing zeros."""
-
-    __slots__ = ("c", "p")
-
-    def __init__(self, c, p):
-        self.c = c
-        self.p = p
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __eq__(self, other):
-        return self.c == (other.c if isinstance(other, _GFPoly) else _gfp([other], self.p).c)
-
-    def __add__(self, other):
-        return _gfp([x + y for x, y in zip_longest(self.c, other.c, fillvalue=0)], self.p)
-
-    def __neg__(self):
-        return _gfp([-x for x in self.c], self.p)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _gfp([x * other for x in self.c], self.p)
-        a, b = self.c, other.c
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _gfp(out, self.p)
-
-    def __pow__(self, n):
-        return reduce(_GFPoly.__mul__, [self] * n, _GFPoly((1,), self.p))
-
-    def diff(self, i=0):  # i, the variable's index, as for _Poly.diff
-        return _gfp([k * x for k, x in enumerate(self.c)][1:], self.p)
-
-    def items(self):
-        return (((i,), x) for i, x in enumerate(self.c) if x)
-
-    LC = property(lambda self: self.c[-1])
-
-    def quo_ground(self, k):
-        return self * pow(k, -1, self.p)
-
-    def monic(self):
-        return self.quo_ground(self.c[-1])
-
-
 def _rat(x):
     """A Fraction of denominator 1 as its int, which multiplies faster."""
     return x.numerator if x.denominator == 1 else x
 
 
+# A monomial of _Poly is one int: the exponent of variable 0 in its top
+# slot, which is unbounded, and each other exponent in a slot of _W bits,
+# below 2^(_W - 1), so that int order is lex order and a product adds keys.
+_W = 64
+_SLOT = (1 << _W) - 1
+
+
+def _pack(m):
+    """The key of the exponent tuple m; OverflowError if one does not fit."""
+    key = 0
+    for i, e in enumerate(m):
+        if e < 0 or i and e >> _W - 1:
+            raise OverflowError("exponent %d does not fit a %d-bit slot" % (e, _W - 1))
+        key = key << _W | e
+    return key
+
+
+def _unpack(key, n):
+    out = [key >> _W * (n - 1)]
+    for i in range(n - 2, -1, -1):
+        out.append(key >> _W * i & _SLOT)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _guard(n):
+    """The top bit of each slot below the top one: set in a product's key
+    exactly where an exponent outgrew its slot."""
+    return sum(1 << _W * i + _W - 1 for i in range(n - 1))
+
+
 class _Poly:
-    """A polynomial in n variables over QQ (p = 0) or GF(p): t maps exponent
-    tuples to nonzero coefficients, ints or Fractions over QQ and ints in
-    [1, p) over GF(p).  LC is the coefficient of the lex-largest exponent,
-    as in sympy."""
+    """A polynomial in n variables over QQ (p = 0) or GF(p): t maps packed
+    monomials (see _pack) to nonzero coefficients, ints or Fractions over
+    QQ and ints in [1, p) over GF(p).  LC is the coefficient of the
+    lex-largest monomial, as in sympy, and items() yields exponent tuples."""
 
     __slots__ = ("t", "n", "p")
 
     def __init__(self, t, n, p=0):
-        self.t = t
-        self.n = n
-        self.p = p
+        self.t, self.n, self.p = t, n, p
 
     def _new(self, t):
         """The polynomial of t, with its zero coefficients dropped."""
@@ -178,12 +144,10 @@ class _Poly:
         return bool(self.t)
 
     def __hash__(self):
-        return hash(frozenset(self.t.items()))
+        return hash(frozenset(self.t))
 
     def __eq__(self, other):
-        if isinstance(other, _Poly):
-            return self.t == other.t
-        return self.t == self._new({(0,) * self.n: other}).t
+        return self.t == (other.t if isinstance(other, _Poly) else self._new({0: other}).t)
 
     def __add__(self, other):
         t = dict(self.t)
@@ -201,26 +165,31 @@ class _Poly:
         if not isinstance(other, _Poly):  # a scalar
             return self._new({m: c * other for m, c in self.t.items()})
         t = {}
+        get = t.get
         for m, c in self.t.items():
             for k, d in other.t.items():
-                mk = tuple(map(add, m, k))
-                t[mk] = t.get(mk, 0) + c * d
+                mk = m + k
+                t[mk] = get(mk, 0) + c * d
+        if self.n > 1 and reduce(or_, t, 0) & _guard(self.n):
+            raise OverflowError("an exponent of the product does not fit its %d-bit slot" % (_W - 1))
         return self._new(t)
 
     def __pow__(self, n):
         if not n:
-            return _Poly({(0,) * self.n: 1}, self.n, self.p)
+            return _Poly({0: 1}, self.n, self.p)
         return reduce(_Poly.__mul__, [self] * (n - 1), self)
 
     def diff(self, i=0):
+        shift = _W * (self.n - 1 - i)
+        mask, one = _SLOT if i else -1, 1 << shift
         t = {}
         for m, c in self.t.items():
-            if m[i]:
-                t[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * m[i]
+            if e := m >> shift & mask:
+                t[m - one] = c * e
         return self._new(t)
 
     def items(self):
-        return self.t.items()
+        return ((_unpack(m, self.n), c) for m, c in self.t.items())
 
     LC = property(lambda self: self.t[max(self.t)])
 
@@ -231,6 +200,11 @@ class _Poly:
 
     def monic(self):
         return self.quo_ground(self.LC)
+
+
+def _poly(terms, n, p=0):
+    """The _Poly of a dict from exponent tuples to coefficients."""
+    return _Poly({}, n, p)._new({_pack(m): c for m, c in terms.items()})
 
 
 class _Loc:
@@ -320,19 +294,20 @@ class OreAlgebra:
             raise ValueError("unknown algebra kind %r" % (kind,))
         if kind != "diff" and step is None:
             raise ValueError("shift algebras need a step element")
-        self.F = F
-        self.kind = kind
-        self.step = step
-        self.z_index = z_index
+        if not 0 <= z_index < len(F.gens):
+            raise ValueError("z_index must be in range(%d), not %r" % (len(F.gens), z_index))
+        self.F, self.kind, self.step, self.z_index = F, kind, step, z_index
         dom = F.domain
         if kind == "diff":
             if not (dom.is_QQ or dom.is_FiniteField and isprime(dom.mod)):
                 raise ValueError("the differential kind needs QQ or GF(p) coefficients, not %s" % (dom,))
             self._native(len(F.gens), dom.mod if dom.is_FiniteField else 0)
         else:
+            s = F(step)
+            if kind == "qshift" and not s or any(m[z_index] for P in (s.numer, s.denom) for m, _ in P.iterterms()):
+                raise ValueError("the step %s gives no automorphism: it is 0 or involves z" % (step,))
             self.z = F(F.gens[z_index])
             self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
-            self._p = None
             self._zero, self._one = F.ring.zero, F.ring.one
 
     @classmethod
@@ -343,22 +318,19 @@ class OreAlgebra:
         the boundary."""
         if p and not isprime(p):
             raise ValueError("p must be a prime number, not %r" % (p,))
+        n = len(names.replace(",", " ").split())
+        if not 0 <= z_index < n:
+            raise ValueError("z_index must be in range(%d), not %r" % (n, z_index))
         alg = cls.__new__(cls)
         alg.kind, alg.step, alg.z_index, alg._names = "diff", None, z_index, names
-        alg._native(len(names.replace(",", " ").split()), p)
+        alg._native(n, p)
         return alg
 
     def _native(self, n, p):
         """The diff kind's kernel for n variables over QQ (p = 0) or GF(p)."""
         self._mod = p
-        self._p = p if p and n == 1 else None  # the _GFPoly backend's prime
-        if self._p:
-            self._zero, self._one = _GFPoly((), p), _GFPoly((1,), p)
-            self.gens = (_GFPoly((0, 1), p),)
-        else:
-            o = (0,) * n
-            self._zero, self._one = _Poly({}, n, p), _Poly({o: 1}, n, p)
-            self.gens = tuple(_Poly({o[:i] + (1,) + o[i + 1:]: 1}, n, p) for i in range(n))
+        self._zero, self._one = _Poly({}, n, p), _Poly({0: 1}, n, p)
+        self.gens = tuple(_Poly({1 << _W * i: 1}, n, p) for i in range(n - 1, -1, -1))
 
     @cached_property
     def F(self):
@@ -378,7 +350,7 @@ class OreAlgebra:
             return g
         if type(g) is int:
             return _Loc(self._one * g, {})
-        if isinstance(g, (_GFPoly, _Poly)):
+        if isinstance(g, _Poly):
             return _Loc(g, {})
         g = self.F(g)
         if self.kind == "diff":
@@ -386,11 +358,8 @@ class OreAlgebra:
         return _over(g.numer, g.denom)
 
     def _from_sympy(self, P):
-        if self._p:
-            return _gfp([int(c) for c in P.to_dense()[::-1]], self._p)
-        if self._mod:
-            return self._zero._new({m: int(c) for m, c in P.items()})
-        return self._zero._new({m: _rat(Fraction(int(c.numerator), int(c.denominator))) for m, c in P.items()})
+        conv = int if self._mod else (lambda c: _rat(Fraction(int(c.numerator), int(c.denominator))))
+        return self._zero._new({_pack(m): conv(c) for m, c in P.items()})
 
     def _to_sympy(self, P):
         dom = self.F.domain
@@ -398,8 +367,9 @@ class OreAlgebra:
         return self.F.ring.from_dict({m: conv(c) for m, c in P.items()})
 
     def _quo(self, num, den):
-        """num/den for int coefficient lists, low degree first (GF(p) only)."""
-        return _over(_gfp(num, self._p), _gfp(den, self._p))
+        """num/den for lists of int coefficients of z^0, z^1, ... (diff kind)."""
+        shift = _W * (self._one.n - 1 - self.z_index)
+        return _over(*(self._zero._new({k << shift: c for k, c in enumerate(cs)}) for cs in (num, den)))
 
     def _frac(self, x):
         den = self._one
@@ -479,8 +449,6 @@ class OreAlgebra:
         return OreOp(self, terms)
 
     def S(self, k=1):
-        if self.kind == "diff" and k < 0:
-            raise ValueError("differential operators have nonnegative degree")
         return self.op({k: 1})
 
     def mult(self, g):
@@ -501,6 +469,8 @@ class OreOp:
         self.alg = alg
         self._c = {}
         for k, c in terms.items():
+            if k < 0 and alg.kind == "diff":
+                raise ValueError("differential operators have nonnegative degree")
             x = alg._loc(c)
             if x.num:
                 self._c[k] = x

@@ -1,7 +1,8 @@
-"""The GF(p) backend of ncsurf.ore: the int-list polynomial kernel against
-sympy's GF(p) PolyElements, the FracElement boundary against the cancelled
-fractions it must reproduce, and the localised characteristic-p cases of
-opcases against the cancelled-FracElement arithmetic they replaced."""
+"""The GF(p) path of ncsurf.ore: the polynomial kernel in one variable
+against sympy's GF(p) PolyElements, the FracElement boundary against the
+cancelled fractions it must reproduce, and the localised characteristic-p
+cases of opcases against the cancelled-FracElement arithmetic they replaced.
+The kernel in several variables and over QQ is checked in test_qqpoly.py."""
 
 import random
 from functools import lru_cache
@@ -15,19 +16,30 @@ from sympy.polys.rings import ring
 
 from ncsurf import opcases
 from ncsurf.opcases import run_case
-from ncsurf.ore import OreAlgebra, _gfp, _GFPoly, _pow
+from ncsurf.ore import OreAlgebra, _poly, _pow
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 coeff_lists = st.lists(st.integers(-40, 40), max_size=9)
 
 
+def _gfp(cs, p):
+    """The univariate GF(p) _Poly with coefficient list cs, constant first."""
+    return _poly({(i,): c for i, c in enumerate(cs)}, 1, p)
+
+
+def _coeffs(a):
+    """The coefficient list of a univariate _Poly, constant first."""
+    t = {m[0]: c for m, c in a.items()}
+    return tuple(t.get(i, 0) for i in range(max(t) + 1)) if t else ()
+
+
 def _sym(R, a):
-    return R.from_dict({(i,): v for i, v in enumerate(a.c) if v})
+    return R.from_dict(dict(a.items()))
 
 
 def _normal(a, p):
-    return all(0 <= x < p for x in a.c) and (not a.c or a.c[-1] != 0)
+    return a.p == p and all(len(m) == 1 and 0 < c < p for m, c in a.items())
 
 
 # ------------------------------------------------------------ the kernel
@@ -44,7 +56,7 @@ def test_kernel_matches_sympy(p, cs, k, n):
     results = {
         "+": (a + b, A + B),
         "neg": (-a, -A),
-        "-": (a + -b, A - B),
+        "-": (a - b, A - B),
         "*": (a * b, A * B),
         "* int": (a * k, A * k),
         "**": (a ** n, A ** n if A or n else R.one),  # sympy refuses 0**0
@@ -58,8 +70,8 @@ def test_kernel_matches_sympy(p, cs, k, n):
         results["quo_ground"] = (a.quo_ground(k), A.quo_ground(R.domain(k)))
     for name, (mine, theirs) in results.items():
         theirs.strip_zero()  # PolyElement.diff over GF(p) keeps zeros
-        assert _normal(mine, p), (name, mine.c)
-        assert _sym(R, mine) == theirs, (name, mine.c, theirs)
+        assert _normal(mine, p), (name, _coeffs(mine))
+        assert _sym(R, mine) == theirs, (name, _coeffs(mine), theirs)
     if a:
         assert a.LC == A.LC
     assert bool(a) == bool(A)
@@ -71,14 +83,16 @@ def test_kernel_matches_sympy(p, cs, k, n):
 
 def test_kernel_edge_cases():
     p = 5
-    zero, one = _GFPoly((), p), _GFPoly((1,), p)
+    zero, one = _gfp((), p), _gfp((1,), p)
     assert not zero and zero == 0 and one == 1 and one == 6 and not (one == 2)
-    assert _gfp([5, 10, 0], p).c == ()
-    assert (zero * one).c == () and (zero + zero).c == () and (-zero).c == ()
+    assert _coeffs(_gfp([5, 10, 0], p)) == ()
+    assert _coeffs(zero * one) == () and _coeffs(zero + zero) == () and _coeffs(-zero) == ()
     assert (zero ** 0) == 1 and (_gfp([3, 1], p) ** 0) == 1
-    assert _gfp([2], p).diff().c == () and _gfp([0, 0, 0, 0, 0, 1], p).diff().c == ()
-    assert (_gfp([1, 1], p) ** p).c == (1, 0, 0, 0, 0, 1)  # Frobenius
-    assert (-_gfp([0, 1, 0, 4], p)).c == (0, 4, 0, 1)
+    assert _coeffs(_gfp([2], p).diff()) == () and _coeffs(_gfp([0, 0, 0, 0, 0, 1], p).diff()) == ()
+    assert _coeffs(-_gfp([0, 1, 0, 4], p)) == (0, 4, 0, 1)
+    for q in PRIMES:
+        assert _coeffs(_gfp([1, 1], q) ** q) == (1,) + (0,) * (q - 1) + (1,)  # Frobenius
+        assert _coeffs(_gfp([-1, 0, q + 1, 2 * q], q)) == (q - 1, 0, 1)
 
 
 # ---------------------------------------------------------- the boundary
@@ -126,7 +140,6 @@ def test_boundary_returns_the_cancelled_fraction(p):
     F, z = frac_field("z", GF(p))
     x = F.gens[0]
     alg = OreAlgebra(F, "diff")
-    assert alg._p == p  # the GF(p) backend
     rng = random.Random(p)
     for _ in range(12):
         A = {k: _rand_frac(F, z, rng, p) for k in range(rng.randint(0, 3))}
@@ -149,22 +162,28 @@ def test_boundary_returns_the_cancelled_fraction(p):
         assert alg.sigma(g, 1) is g  # no twist in the differential kind
 
 
+def _is_cancelled(F, g):
+    return g.denom.LC == 1 and g == F.new(g.numer, g.denom)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_twisted_kinds_keep_the_sparse_backend(p):
-    # _subs runs on PolyElements, so the GF(p) backend is the 'diff' kind's
-    # alone; the twists still return cancelled fractions with a monic
-    # denominator
+    # _subs runs on sympy's PolyElements, the 'diff' kind on ore's own
+    # kernel in any number of variables; both return cancelled fractions
+    # with a monic denominator
     F, z = frac_field("z", GF(p))
     rng = random.Random(p)
     for alg in (OreAlgebra(F, "ashift", step=F.one), OreAlgebra(F, "qshift", step=F.one * (p - 1))):
-        assert alg._p is None
         for _ in range(6):
             g = _rand_frac(F, z, rng, p)
             for n in (-1, 1, 2):
-                got = alg.sigma(g, n)
-                assert got.denom.LC == 1 and got == F.new(got.numer, got.denom)
+                assert _is_cancelled(F, alg.sigma(g, n))
     G, z, u = frac_field("z, u", GF(p))
-    assert OreAlgebra(G, "diff")._p is None
+    alg = OreAlgebra(G, "diff")
+    for g in (u / (z + u), (z * u + 1) / (z ** p * u + z), (z + 1) ** p / (u + 1)):
+        for n in range(3):
+            got = alg.delta(g, n)
+            assert _is_cancelled(G, got) and got == _ref_delta(g, z, n), (g, n)
 
 
 # ------------------------------------- the localised characteristic-p cases

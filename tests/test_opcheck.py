@@ -343,6 +343,51 @@ def test_algebra_argument_validation():
         alg.S(-1)
 
 
+def test_differential_operators_refuse_negative_powers_through_op():
+    # op({-1: 1}) used to build an operator whose product with z was 0 and
+    # whose apply(z) read the derivative chain at index -1
+    F, z = frac_field("z", QQ)
+    for alg in (OreAlgebra(F, "diff"), OreAlgebra.differential("z"), OreAlgebra.differential("z", 7)):
+        for terms in ({-1: 1}, {0: 1, -2: 3}):
+            with pytest.raises(ValueError):
+                alg.op(terms)
+    shift = OreAlgebra(F, "ashift", step=F.one)
+    assert shift.op({-1: 1}) * shift.mult(z) == shift.op({-1: z - 1})
+
+
+def test_twist_steps_must_be_automorphisms():
+    # qshift by 0 sends z to 0, and a step in z (ashift by z: z -> 2z, but
+    # S^-1 z = z - z = 0) does not invert as the shift formulas assume
+    F, z, u = frac_field("z, u", QQ)
+    for kind, step, z_index in (("qshift", F.zero, 0), ("qshift", 0, 1), ("ashift", z, 0),
+                                ("qshift", 1 / (z + u), 0), ("ashift", u ** 2, 1), ("qshift", z * u, 1)):
+        with pytest.raises(ValueError):
+            OreAlgebra(F, kind, step=step, z_index=z_index)
+    # a step in the other variable, and the identity shift, are automorphisms
+    for kind, step, z_index in (("ashift", z, 1), ("qshift", 2 / u, 0), ("ashift", F.zero, 0), ("ashift", 0, 1)):
+        alg = OreAlgebra(F, kind, step=step, z_index=z_index)
+        g = (z + u) / (z * u + 1)
+        assert alg.sigma(alg.sigma(g, -1), 1) == g
+
+
+def test_z_index_is_range_checked():
+    # differential("z", 7, z_index=1) used to build, and its d/dz ignored
+    # the index; over QQ it raised IndexError only at the first derivative
+    F, z, u = frac_field("z, u", QQ)
+    for bad in (-1, 2, 7):
+        with pytest.raises(ValueError):
+            OreAlgebra.differential("z, u", z_index=bad)
+        for kw in (dict(kind="diff"), dict(kind="ashift", step=F.one), dict(kind="qshift", step=F.one * 2)):
+            with pytest.raises(ValueError):
+                OreAlgebra(F, z_index=bad, **kw)
+    for p in (0, 7):
+        with pytest.raises(ValueError):
+            OreAlgebra.differential("z", p, z_index=1)
+    alg = OreAlgebra.differential("z, u", 7, z_index=1)
+    z7, u7 = alg.F.gens
+    assert alg.delta(z7 ** 2 * u7 ** 3) == 3 * z7 ** 2 * u7 ** 2
+
+
 # ------------------------------------------------------- argument checks
 
 

@@ -1,7 +1,7 @@
-"""The sparse kernel of ncsurf.ore (`_Poly`, over QQ and over GF(p) in any
-number of variables) against sympy's PolyElements, the FracElement boundary
-of the sympy-free differential algebras, and `ore.isprime` against
-`sympy.isprime`."""
+"""The polynomial kernel of ncsurf.ore (`_Poly`, over QQ and over GF(p) in
+any number of variables) against sympy's PolyElements, its packed exponent
+slots, the FracElement boundary of the sympy-free differential algebras,
+and `ore.isprime` against `sympy.isprime`."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,7 @@ from sympy import GF, QQ
 from sympy.polys.fields import field as frac_field
 from sympy.polys.rings import ring
 
-from ncsurf.ore import OreAlgebra, _MR_BOUND, _Poly, isprime
+from ncsurf.ore import OreAlgebra, _MR_BOUND, _poly, isprime
 
 NAMES = ("x", "y, z", "x, y, z")
 MODULI = (0, 2, 3, 7)  # 0 is QQ
@@ -25,7 +25,7 @@ fractions_ = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 def polys(draw, n, p):
     exps = st.tuples(*[st.integers(0, 3)] * n)
     terms = draw(st.dictionaries(exps, fractions_ if not p else st.integers(-30, 30), max_size=5))
-    return _Poly({}, n, p)._new(terms)
+    return _poly(terms, n, p)
 
 
 def _ring(n, p):
@@ -38,8 +38,7 @@ def _sym(R, a):
 
 
 def _normal(a):
-    ok = all(len(m) == a.n for m in a.t) and all(a.t.values())
-    return ok and all(0 < c < a.p for c in a.t.values()) if a.p else ok
+    return all(len(m) == a.n and c and (not a.p or 0 < c < a.p) for m, c in a.items())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -68,8 +67,8 @@ def test_kernel_matches_sympy(data, n, p, k, e):
         results["* Fraction"] = (a * Fraction(k, 7), A * QQ(k, 7))
     for name, (mine, theirs) in results.items():
         theirs.strip_zero()  # PolyElement.diff over GF(p) keeps zeros
-        assert _normal(mine), (name, mine.t)
-        assert _sym(R, mine) == theirs, (name, mine.t, theirs)
+        assert _normal(mine), (name, dict(mine.items()))
+        assert _sym(R, mine) == theirs, (name, dict(mine.items()), theirs)
     if b:
         assert _sym(R, b).LC == B.LC
         assert b.monic().LC == 1
@@ -80,18 +79,59 @@ def test_kernel_matches_sympy(data, n, p, k, e):
         assert hash(a) == hash(b)
 
 
+def _terms(a):
+    return dict(a.items())
+
+
 def test_kernel_edge_cases():
-    zero, one = _Poly({}, 2), _Poly({(0, 0): 1}, 2)
-    x = _Poly({(1, 0): 1}, 2)
+    zero, one = _poly({}, 2), _poly({(0, 0): 1}, 2)
+    x = _poly({(1, 0): 1}, 2)
     assert not zero and zero == 0 and one == 1 and not (one == 2)
-    assert (x * 0).t == {} and (x - x).t == {} and (zero ** 0) == 1 and (x ** 0) == 1
-    assert (x * Fraction(3, 1)).t == {(1, 0): 3}
-    assert x.quo_ground(2).t == {(1, 0): Fraction(1, 2)}
-    assert type((x * 4).quo_ground(2).t[1, 0]) is int  # a whole quotient stays an int
-    x5, y5, one5 = _Poly({(1, 0): 1}, 2, 5), _Poly({(0, 1): 1}, 2, 5), _Poly({(0, 0): 1}, 2, 5)
-    assert ((x5 * 5) + one5).t == {(0, 0): 1} and one5 == 6
-    assert (y5 ** 5).diff(1).t == {} and (y5 * 6).t == {(0, 1): 1}  # char 5
-    assert y5.quo_ground(3).t == {(0, 1): 2}
+    assert _terms(x * 0) == {} and _terms(x - x) == {} and (zero ** 0) == 1 and (x ** 0) == 1
+    assert _terms(x * Fraction(3, 1)) == {(1, 0): 3}
+    assert _terms(x.quo_ground(2)) == {(1, 0): Fraction(1, 2)}
+    assert type(_terms((x * 4).quo_ground(2))[1, 0]) is int  # a whole quotient stays an int
+    x5, y5, one5 = _poly({(1, 0): 1}, 2, 5), _poly({(0, 1): 1}, 2, 5), _poly({(0, 0): 1}, 2, 5)
+    assert _terms((x5 * 5) + one5) == {(0, 0): 1} and one5 == 6 and not (one5 == 2)
+    assert _terms((y5 ** 5).diff(1)) == {} and _terms(y5 * 6) == {(0, 1): 1}  # char 5
+    assert _terms(y5.quo_ground(3)) == {(0, 1): 2}
+
+
+# ------------------------------------------------------- packed exponents
+
+
+def test_packed_monomials_keep_lex_order():
+    # a packed key orders as its exponent tuple, so LC is sympy's lex LC
+    R = _ring(3, 0)
+    a = _poly({(0, 9, 9): 5, (1, 0, 0): 2, (1, 0, 3): 7, (0, 0, 0): 1}, 3)
+    assert a.LC == 7 == _sym(R, a).LC
+    assert _terms(a.monic()) == {m: Fraction(c, 7) if c != 7 else 1 for m, c in _terms(a).items()}
+    big = _poly({((1 << 62) - 1, 0): 1, (0, (1 << 62) - 1): 3}, 2)
+    assert big.LC == 1 and _terms(big * big) == {
+        ((1 << 63) - 2, 0): 1, ((1 << 62) - 1, (1 << 62) - 1): 6, (0, (1 << 63) - 2): 9}
+
+
+def test_slot_overflow_raises():
+    # the top slot (variable 0) is unbounded; every other exponent must
+    # stay below 2^63, and a product or power that would pass it raises
+    # rather than carry into its neighbour
+    u = _poly({(0, 1 << 62): 1}, 2)
+    with pytest.raises(OverflowError):
+        u * u
+    with pytest.raises(OverflowError):
+        _poly({(0, 1 << 63): 1}, 2)
+    with pytest.raises(OverflowError):
+        _poly({(0, 0, 1 << 62): 1}, 3, 7) ** 2
+    z = _poly({(1 << 70, 1): 1}, 2)
+    assert _terms(z * z) == {(1 << 71, 2): 1}
+    assert _terms(z.diff(0)) == {((1 << 70) - 1, 1): 1 << 70} and _terms(z.diff(1)) == {(1 << 70, 0): 1}
+    alg = OreAlgebra.differential("z, u")
+    z, u = alg.gens
+    with pytest.raises(OverflowError):
+        alg.mult(u) ** (1 << 64)  # squares u^(2^62) on the way
+    with pytest.raises(OverflowError):
+        alg.S(1) * alg.mult(_poly({(1, 1 << 62): 1}, 2)) ** 2
+    assert dict((alg.mult(z) ** (1 << 64))._c[0].num.items()) == {(1 << 64, 0): 1}
 
 
 # ---------------------------------------------------------- the boundary
@@ -154,7 +194,13 @@ def test_differential_algebra_takes_native_polynomials():
     assert (alg.S(1) * alg.mult(z ** 3)).terms == {0: 3 * fz ** 2, 1: fz ** 3}
     gf = OreAlgebra.differential("t", 7)
     (t,) = gf.gens
-    assert gf._p == 7 and not gf.delta(t ** 7)
+    assert not gf.delta(t ** 7)
+    # the boundary returns the cancelled fraction with a monic denominator
+    (ft,) = gf.F.gens
+    g = (ft ** 2 + 1) / (3 * ft ** 2 + 3 * ft)
+    got = gf.delta(g)
+    assert got.denom.LC == 1 and got == gf.F.new(got.numer, got.denom)
+    assert _same(got, g.diff(ft))
     with pytest.raises(ValueError):
         OreAlgebra.differential("z", 4)
     with pytest.raises(ValueError):
