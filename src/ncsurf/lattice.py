@@ -13,8 +13,7 @@ walks in weyl, cones and sections run on bare coefficient tuples with the
 pairing helpers _pair and _row, and build DivClass only for their answers.
 """
 
-from dataclasses import dataclass
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 
 class SignatureMismatch(ValueError):
@@ -48,29 +47,67 @@ def _as_int(c):
     return i
 
 
-@dataclass(frozen=True)
-class LatticeSignature:
-    m: int
-    parity: str  # 'even' or 'odd'
-    genera: tuple = (0, 0)
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.m < 0:
+
+class _Record:
+    """A mutable, unhashable record with the fields its class statement names,
+    as in Report(_Record, fields=(...)): repr and == by the fields' tuple."""
+
+    def __init_subclass__(cls, fields=()):
+        cls._fields, cls._key = fields, attrgetter(*fields) if fields else None
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+
+class _Frozen(_Record):
+    """An immutable record, hashed by its fields' tuple."""
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class LatticeSignature(_Frozen, fields=("m", "parity", "genera")):
+    def __init__(self, m, parity, genera=(0, 0)):  # parity: 'even' or 'odd'
+        if m < 0:
             raise ValueError("m must be >= 0")
-        if self.parity not in ("even", "odd"):
+        if parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        g0, g1 = self.genera
+        g0, g1 = genera
         if g0 < 0 or g1 < 0:
             raise ValueError("genera must be nonnegative")
-        object.__setattr__(self, "genera", (int(g0), int(g1)))
+        self._init(m, parity, (int(g0), int(g1)))
         # the pairing reads only these two (see _pair and _row)
-        object.__setattr__(self, "rank", self.m + 2)
-        object.__setattr__(self, "s_sq", 0 if self.parity == "even" else -1)
+        _set(self, "rank", m + 2)
+        _set(self, "s_sq", 0 if parity == "even" else -1)
         # signatures key the per-signature caches, which hash them on every lookup
-        object.__setattr__(self, "_hash", hash((self.m, self.parity, self.genera)))
+        _set(self, "_hash", hash((m, parity, self.genera)))
 
     def __hash__(self):
         return self._hash
+
+    # spelled out (see DivClass): equal signatures of two presets meet in _pull_table's cache
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.parity, self.genera) == (other.m, other.parity, other.genera)
+        return NotImplemented
 
 
 def _pair(sig, x, y):
@@ -120,21 +157,32 @@ def _coeffs(D, sig):
     return D.coeffs
 
 
-@dataclass(frozen=True)
-class DivClass:
-    coeffs: tuple
-    sig: LatticeSignature
-
-    def __post_init__(self):
-        if not isinstance(self.sig, LatticeSignature):
-            raise TypeError("expected a LatticeSignature, got %r" % (self.sig,))
-        coeffs = tuple(map(_as_int, self.coeffs))
-        if len(coeffs) != self.sig.rank:
+class DivClass(_Frozen, fields=("coeffs", "sig")):
+    def __init__(self, coeffs, sig):
+        if not isinstance(sig, LatticeSignature):
+            raise TypeError("expected a LatticeSignature, got %r" % (sig,))
+        coeffs = tuple(coeffs)
+        try:  # one C-level pass for the common all-int case
+            c = tuple(map(int, coeffs))
+        except (TypeError, ValueError, OverflowError):
+            c = None
+        if c != coeffs:  # _as_int raises the error, at the first bad entry
+            c = tuple(map(_as_int, coeffs))
+        if len(c) != sig.rank:
             raise ValueError(
-                "coefficient vector has length %d, signature needs %d"
-                % (len(coeffs), self.sig.rank)
+                "coefficient vector has length %d, signature needs %d" % (len(c), sig.rank)
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", c)
+        _set(self, "sig", sig)
+
+    # spelled out for the oracle caches' fresh keys: _Record's attrgetter takes twice as long
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coeffs, self.sig) == (other.coeffs, other.sig)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs, self.sig))
 
     def _check(self, other):
         _coeffs(other, self.sig)
@@ -228,11 +276,9 @@ def chi_line_bundle(D):
     return num // 2
 
 
-@dataclass(frozen=True)
-class K0Class:
-    rank: int
-    c1: DivClass
-    chi: int
+class K0Class(_Frozen, fields=("rank", "c1", "chi")):
+    def __init__(self, rank, c1, chi):
+        self._init(rank, c1, chi)
 
     @property
     def sig(self):

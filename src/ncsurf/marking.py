@@ -8,7 +8,6 @@ the Chinese remainder theorem (cyclic_membership).  What the oracle and the
 cone loop need of a surface besides that is computed once (_surface_table)."""
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import math
 from operator import sub
@@ -17,6 +16,7 @@ from .lattice import (
     BudgetExhausted,
     DivClass,
     InvariantViolation,
+    _Frozen,
     _as_int,
     _coeffs,
     _dot,
@@ -33,18 +33,15 @@ from .lattice import (
 from . import latenum
 
 
-@dataclass(frozen=True)
-class MarkingGroup:
-    free_rank: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(n) for n in self.torsion))
-        if self.free_rank < 0:
+class MarkingGroup(_Frozen, fields=("free_rank", "torsion")):
+    def __init__(self, free_rank, torsion=()):
+        torsion = tuple(int(n) for n in torsion)
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        if any(n < 2 for n in self.torsion):
+        if any(n < 2 for n in torsion):
             raise ValueError("torsion orders must be >= 2")
-        object.__setattr__(self, "_hash", hash((self.free_rank, self.torsion)))
+        self._init(free_rank, torsion)
+        object.__setattr__(self, "_hash", hash((free_rank, torsion)))
 
     def __hash__(self):
         return self._hash
@@ -123,30 +120,17 @@ def _multiples(P, x, q):
     return (a0, d)
 
 
-@dataclass(frozen=True)
-class QComponent:
-    cls: DivClass
-    mult: int
-
-    def __post_init__(self):
-        if self.mult < 1:
+class QComponent(_Frozen, fields=("cls", "mult")):
+    def __init__(self, cls, mult):
+        if mult < 1:
             raise ValueError("component multiplicity must be >= 1")
+        self._init(cls, mult)
 
 
-@dataclass(frozen=True)
-class SurfaceData:
-    sig: object
-    components: tuple
-    marking: MarkingGroup
-    q: tuple
-    lam: tuple  # images of (s, f, e_1..e_m) in the marking group
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "q", self.marking.reduce(self.q))
-        object.__setattr__(
-            self, "lam", tuple(self.marking.reduce(v) for v in self.lam)
-        )
+class SurfaceData(_Frozen, fields=("sig", "components", "marking", "q", "lam")):
+    def __init__(self, sig, components, marking, q, lam):
+        # lam: the images of (s, f, e_1..e_m) in the marking group
+        self._init(sig, tuple(components), marking, marking.reduce(q), tuple(marking.reduce(v) for v in lam))
 
     def __hash__(self):
         # surfaces key the oracle caches, which hash them on every lookup

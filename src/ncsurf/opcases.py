@@ -9,22 +9,19 @@ Only the twist and FracElement cases (`qweyl`, `qweyl_affine`,
 `additive_pair`, `mellin_pair`, `lowering_degree`) import sympy, in
 `_qq_field`; the others run on `ore`'s native polynomials and on ints."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 import random
 
-from .lattice import InvariantViolation
+from .lattice import InvariantViolation, _Record
 from .ore import OreAlgebra, _add, _equal, _mul, _poly, _pow, isprime
 from .series import TruncSeries
 
 SEEDED = ("frobenius_power", "tau_invariance", "additive_product")
 
 
-@dataclass
-class Report:
-    case: str
-    verdict: str  # 'equal' or 'counterexample'
-    details: list
+class Report(_Record, fields=("case", "verdict", "details")):
+    def __init__(self, case, verdict, details):  # verdict: 'equal' or 'counterexample'
+        self.case, self.verdict, self.details = case, verdict, details
 
     @property
     def ok(self):

@@ -175,9 +175,12 @@ class _Poly:
         return self._new(t)
 
     def __pow__(self, n):
-        if not n:
-            return _Poly({0: 1}, self.n, self.p)
-        return reduce(_Poly.__mul__, [self] * (n - 1), self)
+        out = self if n else _Poly({0: 1}, self.n, self.p)
+        for bit in bin(n)[3:]:  # by squaring, from the leading bit down
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def diff(self, i=0):
         shift = _W * (self.n - 1 - i)

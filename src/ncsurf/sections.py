@@ -2,19 +2,20 @@
 dimensions between line bundles, acyclicity / global generation tests, and
 the closed-form moduli dimension formulas."""
 
-from dataclasses import dataclass
 from math import prod
 from operator import sub
 
 from .lattice import (
     BudgetExhausted,
     InvariantViolation,
+    _Frozen,
     _axpy,
     _coeffs,
     _dot,
     _new,
     _pair,
     _row,
+    _set,
     anticanonical_class,
     basis_f,
     canonical_class,
@@ -39,11 +40,11 @@ class UnclassifiedState(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class HomDims:
-    h0: int
-    h1: int
-    h2: int
+class HomDims(_Frozen, fields=("h0", "h1", "h2")):
+    def __init__(self, h0, h1, h2):  # one per hom_dims query: _set is faster than _init
+        _set(self, "h0", h0)
+        _set(self, "h1", h1)
+        _set(self, "h2", h2)
 
 
 def _lambda_q_order(S):

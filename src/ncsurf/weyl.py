@@ -11,13 +11,14 @@ reduce_to_chamber nor find_blowdown builds a surface: both ask the root
 oracle on the input surface at the pulled-back root."""
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import add, neg
 
 from .lattice import (
     InvariantViolation,
     LatticeSignature,
+    _Frozen,
+    _Record,
     _axpy,
     _coeffs,
     _dot,
@@ -38,22 +39,17 @@ class BlowdownError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str  # 'reflect' or 'elementary_transformation'
-    cls: object = None  # the root of a reflection
-    after: object = None  # class after the move
+class Move(_Frozen, fields=("kind", "cls", "after")):
+    def __init__(self, kind, cls=None, after=None):
+        # kind: 'reflect' or 'elementary_transformation'; cls: a reflection's root
+        self._init(kind, cls, after)
 
 
-@dataclass
-class ReductionTrace:
-    start: object
-    moves: list = field(default_factory=list)
-    end: object = None
-    blocked: bool = False
-    blocking: object = None
-    cut: bool = False  # stopped because the class left the effective range
-    terminal: str = None
+class ReductionTrace(_Record, fields=("start", "moves", "end", "blocked", "blocking", "cut", "terminal")):
+    def __init__(self, start, moves=None, end=None, blocked=False, blocking=None, cut=False, terminal=None):
+        # cut: stopped because the class left the effective range
+        self.start, self.moves, self.end = start, [] if moves is None else moves, end
+        self.blocked, self.blocking, self.cut, self.terminal = blocked, blocking, cut, terminal
 
     def word(self):
         return [mv.kind if mv.kind != "reflect" else render_div(mv.cls) for mv in self.moves]

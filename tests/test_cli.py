@@ -463,6 +463,18 @@ def test_lattice_path_does_not_import_sympy():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_import_and_queries_load_no_dataclasses_inspect_or_sympy():
+    # the record types are plain classes, so a cold start pays for none of these
+    code = ("import sys, ncsurf\n"
+            "S = ncsurf.presets.get_preset('m3_generic')\n"
+            "D = ncsurf.lattice.div(S.sig, 1, 1, -1, 0, 0)\n"
+            "print(ncsurf.sections.dim_gamma(S, D), ncsurf.cones.is_effective(S, D),\n"
+            "      ncsurf.opcases.run_case('frobenius_power', prime=3, trials=1, seed=1).verdict)\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'sympy') if m in sys.modules))")
+    lines = _fresh_python(code).splitlines()
+    assert lines == ["3 True equal", "[]"]
+
+
 # (case, prime) of the catalog cases that run on native polynomials and ints
 NATIVE_CASES = [("frobenius_power", 3), ("frobenius_power", 11), ("tau_invariance", None),
                 ("additive_product", None), ("span4_qdiff", None), ("middle_convolution", None),

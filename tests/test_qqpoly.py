@@ -4,6 +4,7 @@ slots, the FracElement boundary of the sympy-free differential algebras,
 and `ore.isprime` against `sympy.isprime`."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,37 @@ def test_slot_overflow_raises():
     with pytest.raises(OverflowError):
         alg.S(1) * alg.mult(_poly({(1, 1 << 62): 1}, 2)) ** 2
     assert dict((alg.mult(z) ** (1 << 64))._c[0].num.items()) == {(1 << 64, 0): 1}
+
+
+# ---------------------------------------------------------------- powers
+
+
+@pytest.mark.parametrize("p", MODULI + (13,))
+def test_power_is_the_repeated_product(p):
+    rng = random.Random(p)
+    coeff = (lambda: rng.randrange(1, p)) if p else (lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+    for n in (1, 2, 3):
+        samples = [_poly({}, n, p)] + [
+            _poly({tuple(rng.randint(0, 3) for _ in range(n)): coeff() for _ in range(rng.randint(1, 4))}, n, p)
+            for _ in range(6)
+        ]
+        for a in samples:
+            product = _poly({(0,) * n: 1}, n, p)
+            for e in range(7):
+                assert a ** e == product and _normal(a ** e), (n, p, e, _terms(a))
+                product = product * a
+
+
+def test_lifting_to_a_huge_exponent_squares():
+    # a sum lifts a base to the gap between two denominator exponents, here
+    # 2^40; by squaring, z^(2^40) takes 40 products of one-term polynomials
+    alg = OreAlgebra.differential("z")
+    z = alg.F.gens[0]
+    start = time.perf_counter()
+    x = (alg.mult(1 / z) ** (1 << 40) + alg.one())._c[0]
+    assert time.perf_counter() - start < 1.0
+    assert dict(x.num.items()) == {(1 << 40,): 1, (0,): 1}
+    assert [(dict(b.items()), e) for b, e in x.den.items()] == [({(1,): 1}, 1 << 40)]
 
 
 # ---------------------------------------------------------- the boundary

@@ -10,7 +10,6 @@ which the pull table checks.
 
 Checks are explicit pytest.fail calls, so they also hold under `python -O`."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -114,7 +113,8 @@ def neg1_shells(top=4):
     for name in ("m1_generic", "m2_generic", "m3_generic", "m4_generic"):
         for S in (get_preset(name), et_surface(get_preset(name))):
             shells = formal_neg1(S.sig, top)
-            special = [dataclasses.replace(S, lam=S.lam[:3] + S.lam[2:3] + S.lam[4:])] if S.sig.m >= 2 else []
+            lam = S.lam[:3] + S.lam[2:3] + S.lam[4:]
+            special = [marking.SurfaceData(S.sig, S.components, S.marking, S.q, lam)] if S.sig.m >= 2 else []
             out += [(T, x) for T in [S] + special for x in shells]
     return out
 
