@@ -31,7 +31,7 @@ from .lattice import (
     zero_class,
 )
 from . import latenum
-from .marking import FIBER_CAP, _drop, _surface_table, is_root_effective
+from .marking import FIBER_CAP, _drop, _root_effective, _surface_table, is_root_effective
 from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
@@ -103,7 +103,7 @@ def _blocked_subtraction(S, x, alpha):
     itself pairs negatively (subtracting a reducible root whole would
     over-subtract)."""
     sig = S.sig
-    eff, wit = is_root_effective(S, _new(alpha, sig))
+    eff, wit = _root_effective(S, alpha)
     if not eff:
         raise InvariantViolation("blocked root is not effective")
     K = canonical_class(sig)
@@ -134,7 +134,10 @@ def _negative_witness(T, row):
     sum((a - 2c_i) e_i) for Q = -K = 2s + kappa*f - sum(e_i), with
     coefficients >= 0 (marking._surface_table checks them), and
     Q = sum m_j C_j over the components (marking.validate)."""
-    return next((y for y in T.screen if _dot(row, y) < 0), None)
+    for y in T.screen:
+        if _dot(row, y) < 0:
+            return y
+    return None
 
 
 def _cone_loop(S, D, stop_on_subtract):
@@ -195,7 +198,7 @@ def _cone_loop(S, D, stop_on_subtract):
             if len(T.fibers) < FIBER_CAP and N not in T.fibers and _negative_witness(T, nrow) is None:
                 T.fibers.append(N)
             return False, None, _new(N, sig)
-        n, j = 1, None
+        n, j, y = 1, None, None
         if k is not None:
             # an effective simple root pairs negatively; subtract an
             # irreducible piece of it
@@ -203,11 +206,16 @@ def _cone_loop(S, D, stop_on_subtract):
         else:
             # the terminal -1-classes E, each a fixed component of multiplicity
             # n = -x.E as (x - iE).E < 0 for i < n; then the components
-            j = next((j for j in table.extras if v[j] < 0), None)
-            if j is not None:
-                y, n = P[j], -v[j]
+            for j in table.extras:
+                if v[j] < 0:
+                    y, n = P[j], -v[j]
+                    break
             else:
-                y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
+                j = None
+                for c in S.components:
+                    if _dot(row, c.cls.coeffs) < 0:
+                        y = c.cls.coeffs
+                        break
         if y is None:
             break
         if stop_on_subtract:

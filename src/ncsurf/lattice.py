@@ -8,9 +8,9 @@ the e_i are orthogonal to s and f.
 
 DivClass is the checked boundary type: its constructor rejects coefficients
 that are not integers and vectors of the wrong length.  Arithmetic on checked
-classes builds its results with _new, which skips the checks.  The chamber
-walks in weyl, cones and sections run on bare coefficient tuples with the
-pairing helpers _pair and _row, and build DivClass only for their answers.
+classes builds its results with _new, which skips the checks and sets the
+slots by their member descriptors.  The chamber walks in weyl, cones and
+sections run on bare coefficient tuples and build DivClass only for answers.
 """
 
 from operator import add, attrgetter, mul, neg, sub
@@ -54,6 +54,8 @@ class _Record:
     """A mutable, unhashable record with the fields its class statement names,
     as in Report(_Record, fields=(...)): repr and == by the fields' tuple."""
 
+    __slots__ = ()
+
     def __init_subclass__(cls, fields=()):
         cls._fields, cls._key = fields, attrgetter(*fields) if fields else None
 
@@ -68,7 +70,9 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """An immutable record, hashed by its fields' tuple."""
+    """An immutable record, hashed by its fields' tuple; pickled and copied by its constructor."""
+
+    __slots__ = ()
 
     def _init(self, *values):
         for name, value in zip(self._fields, values):
@@ -83,8 +87,12 @@ class _Frozen(_Record):
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
 
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
 
 class LatticeSignature(_Frozen, fields=("m", "parity", "genera")):
+    __slots__ = ("m", "parity", "genera", "rank", "s_sq", "_hash")
     def __init__(self, m, parity, genera=(0, 0)):  # parity: 'even' or 'odd'
         if m < 0:
             raise ValueError("m must be >= 0")
@@ -131,19 +139,6 @@ def _axpy(x, t, a):
     return tuple([u + t * v for u, v in zip(x, a)])
 
 
-_object_new = object.__new__
-
-
-def _new(coeffs, sig):
-    """A DivClass from an int tuple of length sig.rank, without the
-    constructor's checks: for results computed from checked classes."""
-    D = _object_new(DivClass)
-    d = D.__dict__
-    d["coeffs"] = coeffs
-    d["sig"] = sig
-    return D
-
-
 def _coeffs(D, sig):
     """The coefficient tuple of D, checked to be a class of sig."""
     if not isinstance(D, DivClass):
@@ -158,6 +153,7 @@ def _coeffs(D, sig):
 
 
 class DivClass(_Frozen, fields=("coeffs", "sig")):
+    __slots__ = ("coeffs", "sig")
     def __init__(self, coeffs, sig):
         if not isinstance(sig, LatticeSignature):
             raise TypeError("expected a LatticeSignature, got %r" % (sig,))
@@ -209,6 +205,18 @@ class DivClass(_Frozen, fields=("coeffs", "sig")):
 
     def __repr__(self):
         return "DivClass(%s)" % (render_div(self),)
+
+
+_object_new, _set_coeffs, _set_sig = object.__new__, DivClass.coeffs.__set__, DivClass.sig.__set__
+
+
+def _new(coeffs, sig):
+    """A DivClass from an int tuple of length sig.rank, without the
+    constructor's checks: for results computed from checked classes."""
+    D = _object_new(DivClass)
+    _set_coeffs(D, coeffs)
+    _set_sig(D, sig)
+    return D
 
 
 def div(sig, *coeffs):

@@ -8,7 +8,7 @@ the Chinese remainder theorem (cyclic_membership).  What the oracle and the
 cone loop need of a surface besides that is computed once (_surface_table)."""
 
 from collections import deque, namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import math
 from operator import sub
 
@@ -23,6 +23,7 @@ from .lattice import (
     _new,
     _pair,
     _row,
+    _set,
     anticanonical_class,
     basis_e,
     basis_f,
@@ -34,6 +35,7 @@ from . import latenum
 
 
 class MarkingGroup(_Frozen, fields=("free_rank", "torsion")):
+    __slots__ = ("free_rank", "torsion", "_hash")
     def __init__(self, free_rank, torsion=()):
         torsion = tuple(int(n) for n in torsion)
         if free_rank < 0:
@@ -121,6 +123,7 @@ def _multiples(P, x, q):
 
 
 class QComponent(_Frozen, fields=("cls", "mult")):
+    __slots__ = ("cls", "mult")
     def __init__(self, cls, mult):
         if mult < 1:
             raise ValueError("component multiplicity must be >= 1")
@@ -128,39 +131,29 @@ class QComponent(_Frozen, fields=("cls", "mult")):
 
 
 class SurfaceData(_Frozen, fields=("sig", "components", "marking", "q", "lam")):
-    def __init__(self, sig, components, marking, q, lam):
+    __slots__ = ("sig", "components", "marking", "q", "lam", "_hash", "_cols")
+    def __new__(cls, sig, components, marking, q, lam):
         # lam: the images of (s, f, e_1..e_m) in the marking group
-        self._init(sig, tuple(components), marking, marking.reduce(q), tuple(marking.reduce(v) for v in lam))
+        return _surface(sig, tuple(components), marking, marking.reduce(q), tuple(marking.reduce(v) for v in lam))
 
-    def __hash__(self):
-        # surfaces key the oracle caches, which hash them on every lookup
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.sig, self.components, self.marking, self.q, self.lam)
-            )
-        return h
+    def __hash__(self):  # surfaces key the oracle caches, which hash them on every lookup
+        return self._hash
 
     def lam_of(self, D):
         """lambda(D); meaningful on component-degree-0 classes."""
         return self._lam(D.coeffs)
 
-    @cached_property
-    def _cols(self):
-        """lam in column form: per generator of the group, its coordinate in
-        the images of s, f, e_1..e_m."""
-        return tuple(zip(*self.lam))
-
     def _lam(self, x):
-        """lambda of a coefficient tuple, one dot per column."""
+        """lambda of a coefficient tuple, one dot per column of lam (_cols)."""
         return self.marking._reduce(tuple([_dot(col, x) for col in self._cols]))
 
 
 def _surface(sig, components, marking, q, lam):
     """A SurfaceData from already reduced parts, without the constructor's
-    coercion: for surfaces computed from checked ones."""
-    S = object.__new__(SurfaceData)
-    S.__dict__.update(sig=sig, components=components, marking=marking, q=q, lam=lam)
+    coercion; its slots hold the fields, their hash and lam's columns."""
+    S, fields = object.__new__(SurfaceData), (sig, components, marking, q, lam)
+    for name, value in zip(SurfaceData.__slots__, fields + (hash(fields), tuple(zip(*lam)))):
+        _set(S, name, value)
     return S
 
 
@@ -309,7 +302,6 @@ def _drop(row, y):
     return drop
 
 
-@lru_cache(maxsize=2048)  # bounded: a section_fuzz pass asks about 430 (surface, root) pairs
 def is_root_effective(S, alpha):
     """Effectiveness of a -2-root, with a witness.
 
@@ -318,10 +310,18 @@ def is_root_effective(S, alpha):
     lambda(beta) = a*q.  Decompositions may pass through the -1-classes that
     are effective on every surface (e.g. a section component plus leftover
     exceptionals), paired with a residue by _neg1_pairings; the surface's
-    facts come from _surface_table."""
-    sig, a, T = S.sig, alpha.coeffs, _surface_table(S)
-    if _pair(alpha.sig, a, a) != -2 or _pair(sig, _coeffs(alpha, sig), T.K):
-        raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha))
+    facts come from _surface_table.  The checked entry of _root_effective,
+    whose cache it shares."""
+    return _root_effective(S, _coeffs(alpha, S.sig))
+
+
+@lru_cache(maxsize=2048)  # bounded: a benchmark pass asks 30 (cone_sweep) or 441-448 (section_fuzz) roots
+def _root_effective(S, a):
+    """is_root_effective on the coefficient tuple a of a class of S.sig: the
+    walks probe with their frame tuples."""
+    sig, T = S.sig, _surface_table(S)
+    if _pair(sig, a, a) != -2 or _pair(sig, a, T.K):
+        raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(_new(a, sig)))
     # prune via the dual-interior grading: every effective class (and every
     # residue on a successful decomposition path) has nonnegative grade
     rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
@@ -334,7 +334,7 @@ def is_root_effective(S, alpha):
         beta, n, nsub, pieces = queue.popleft()
         steps += 1
         if steps > budget:
-            raise BudgetExhausted("root effectiveness search", alpha, steps - 1, budget)
+            raise BudgetExhausted("root effectiveness search", _new(a, sig), steps - 1, budget)
         degs = [_dot(row, beta) for _, row in comp_rows]
         if not any(beta):  # reached by subtractions: alpha^2 = -2, so alpha != 0
             return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
@@ -355,6 +355,9 @@ def is_root_effective(S, alpha):
                 seen.add(b2)
                 queue.append((b2, n2, nsub2, pieces + (c,)))
     return False, None
+
+
+is_root_effective.cache_info, is_root_effective.cache_clear = _root_effective.cache_info, _root_effective.cache_clear
 
 
 def is_neg1_effective(S, e):

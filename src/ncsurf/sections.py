@@ -25,7 +25,7 @@ from .lattice import (
     render_div,
 )
 from .cones import _multiple_of, is_effective, is_nef
-from .marking import _drop, _surface_table, cyclic_membership, is_root_effective, ord_q
+from .marking import _drop, _root_effective, _surface_table, cyclic_membership, ord_q
 from .weyl import _chamber_walk, _pull_table, _push, reflect_surface
 
 
@@ -110,9 +110,12 @@ def dim_gamma(S, D, trace=None):
         if not any(x):
             return plus + 1
         # components pairing negatively restrict trivially; no reflection moves them
-        row, k, j = _row(sig, x), None, None
-        y = next((c.cls.coeffs for c in S.components if _dot(row, c.cls.coeffs) < 0), None)
-        if y is None:
+        row, k, j, y = _row(sig, x), None, None, None
+        for c in S.components:
+            if _dot(row, c.cls.coeffs) < 0:
+                y = c.cls.coeffs
+                break
+        else:
             if v is None:
                 v = [_dot(row, p) for p in P]
             walked = len(word)
@@ -121,8 +124,10 @@ def dim_gamma(S, D, trace=None):
                 trace.extend("reflect " + render_div(roots[i][0]) for i in word[walked:])
             if cut:
                 return plus
-            j = next((j for j in table.extras if v[j] < 0), None)
-            y = None if j is None else P[j]
+            for j in table.extras:  # j is read only when y is set
+                if v[j] < 0:
+                    y = P[j]
+                    break
         if y is not None:
             note("subtract %s", y)
             grade -= _drop(rowA, y)
@@ -131,7 +136,7 @@ def dim_gamma(S, D, trace=None):
             continue
         if k is not None:
             alpha, beta, t = roots[k][0], P[k], v[k]
-            wit = is_root_effective(S, _new(beta, sig))[1]  # effective: twist-aware case split
+            wit = _root_effective(S, beta)[1]  # effective: twist-aware case split
             if any(wit["components"]):
                 if not is_effective(S, _new(x, sig)):
                     return plus

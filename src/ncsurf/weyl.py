@@ -32,7 +32,7 @@ from .lattice import (
     intersect,
     render_div,
 )
-from .marking import QComponent, _surface, is_root_effective
+from .marking import QComponent, _root_effective, _surface
 
 
 class BlowdownError(ValueError):
@@ -215,8 +215,12 @@ def _chamber_walk(S, x, table, P, v, word):
     for _ in range(bound + 1):
         if v[fi] < 0:
             return True, None
-        k = next((k for k in range(n) if v[k] < 0), None)
-        if k is None or S is not None and is_root_effective(S, _new(P[k], sig))[0]:
+        for k in range(n):  # the first walk root pairing negatively
+            if v[k] < 0:
+                break
+        else:
+            return False, None
+        if S is not None and _root_effective(S, P[k])[0]:
             return False, k
         _step(table, P, v, word, k)
     at = render_div(_new(_push(x, word, table.roots), sig))

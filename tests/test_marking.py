@@ -126,11 +126,28 @@ def test_surface_keyed_caches_are_bounded():
         cached.cache_clear()
     for _ in range(2):
         for S, alpha in queries:
-            assert is_root_effective(S, alpha) == is_root_effective.__wrapped__(S, alpha)
+            assert is_root_effective(S, alpha) == marking._root_effective.__wrapped__(S, alpha.coeffs)
             assert _surface_table(S) == _surface_table.__wrapped__(S)
     for cached in (is_root_effective, _surface_table):
         info = cached.cache_info()
         assert info.hits > 0 and info.currsize <= info.maxsize
+
+
+def test_public_oracle_and_walk_probes_share_one_cache():
+    # is_root_effective keys the one cache by the root's coefficient tuple,
+    # as the walks' probes do: the walk of e1 on m2_generic probes the
+    # ineffective e1 - e2 once, and hits the public call's entry
+    S = get_preset("m2_generic")
+    e1, e2 = basis_e(S.sig, 1), basis_e(S.sig, 2)
+    is_root_effective.cache_clear()
+    assert is_root_effective(S, e1 - e2) == (False, None)
+    info = is_root_effective.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert weyl.reduce_to_chamber(S, e1).word() == ["e1-e2"]
+    info = marking._root_effective.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert is_root_effective.cache_info() == info
+    is_root_effective.cache_clear()
 
 
 def test_surface_keyed_caches_evict_and_stay_correct():
@@ -145,7 +162,7 @@ def test_surface_keyed_caches_evict_and_stay_correct():
     queries = [(S, DivClass((k, -k), S.sig)) for S in surfaces for k in (1, -1)]
     assert len(queries) > is_root_effective.cache_info().maxsize
     assert len(surfaces) > _surface_table.cache_info().maxsize
-    want = [(is_root_effective.__wrapped__(S, alpha), _surface_table.__wrapped__(S)) for S, alpha in queries]
+    want = [(marking._root_effective.__wrapped__(S, alpha.coeffs), _surface_table.__wrapped__(S)) for S, alpha in queries]
     assert {w[0][0] for w in want} == {True, False}
     for cached in (is_root_effective, _surface_table):
         cached.cache_clear()
@@ -259,10 +276,10 @@ def test_root_search_reports_an_exhausted_budget(monkeypatch):
     # second, which would find the empty residue, is over the budget
     S = get_preset("pvi_m12")
     alpha = basis_e(S.sig, 1) - basis_e(S.sig, 3)
-    assert is_root_effective.__wrapped__(S, alpha)[0]
+    assert marking._root_effective.__wrapped__(S, alpha.coeffs)[0]
     monkeypatch.setattr(marking, "_surface_table", lambda S: _surface_table(S)._replace(budget=1))
     with pytest.raises(BudgetExhausted) as info:
-        is_root_effective.__wrapped__(S, alpha)
+        marking._root_effective.__wrapped__(S, alpha.coeffs)
     report = info.value.report
     assert (report["search"], report["class"], report["steps"], report["budget"]) == ("root effectiveness search", "e1-e3", 1, 1)
 
@@ -375,14 +392,14 @@ def benchmark_pass_roots(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     asked = []
-    oracle = marking.is_root_effective
+    oracle = marking._root_effective
 
-    def recorded(S, alpha):
-        asked.append((S, alpha))
-        return oracle(S, alpha)
+    def recorded(S, a):  # the tuple probe, behind is_root_effective and the walks
+        asked.append((S, DivClass(a, S.sig)))
+        return oracle(S, a)
 
     for mod in (marking, weyl, cones, sections):
-        monkeypatch.setattr(mod, "is_root_effective", recorded)
+        monkeypatch.setattr(mod, "_root_effective", recorded)
     for workload in ("cone_sweep", "section_fuzz"):
         queries = workloads.make_queries(workload, 1, workloads.load_reference(workload))
         for q, inp in zip(queries, workloads.build_inputs(ncsurf, queries)):
@@ -428,7 +445,7 @@ def test_root_search_matches_the_reference_search(monkeypatch):
         pytest.fail("no asked surface lets the search use the -1-classes")
     wrong = []
     for S, alpha in pairs:
-        got, want = outcome(is_root_effective.__wrapped__, S, alpha), outcome(reference_root_search, S, alpha)
+        got, want = outcome(lambda S, alpha: marking._root_effective.__wrapped__(S, alpha.coeffs), S, alpha), outcome(reference_root_search, S, alpha)
         if got != want:
             wrong.append((S.sig, render_div(alpha), got, want))
     if wrong:

@@ -67,14 +67,14 @@ def test_walks_build_no_surfaces_and_cache_input_surfaces_only(monkeypatch):
     for mod in (weyl, sections):
         monkeypatch.setattr(mod, "reflect_surface", counted)
     asked = set()
-    oracle = marking.is_root_effective
+    oracle = marking._root_effective
 
-    def recorded(S, alpha):
-        asked.add((S, alpha))
-        return oracle(S, alpha)
+    def recorded(S, a):  # the tuple probe, behind is_root_effective and the walks
+        asked.add((S, a))
+        return oracle(S, a)
 
     for mod in (marking, weyl, cones, sections):
-        monkeypatch.setattr(mod, "is_root_effective", recorded)
+        monkeypatch.setattr(mod, "_root_effective", recorded)
     oracle.cache_clear()
     marking._surface_table.cache_clear()
     queries = m2_box() + pool_slice()
@@ -210,13 +210,13 @@ def test_reduce_and_blowdown_build_no_surfaces(monkeypatch):
         real = getattr(weyl, name)
         monkeypatch.setattr(weyl, name, lambda *args, name=name, real=real: built.append(name) or real(*args))
     asked = set()
-    oracle = marking.is_root_effective
+    oracle = marking._root_effective
 
-    def recorded(S, alpha):
+    def recorded(S, a):
         asked.add(S)
-        return oracle(S, alpha)
+        return oracle(S, a)
 
-    monkeypatch.setattr(weyl, "is_root_effective", recorded)
+    monkeypatch.setattr(weyl, "_root_effective", recorded)
     box = m2_box()
     for S, D in box:
         weyl.reduce_to_chamber(S, D)
