@@ -32,8 +32,6 @@ from .marking import (
     QComponent,
     SurfaceData,
     blow_up,
-    is_neg1_effective,
-    is_neg1_irreducible,
     is_root_effective,
     isomonodromy_count,
     moduli_stack_dim,
@@ -46,6 +44,8 @@ from .weyl import (
     elementary_transformation,
     find_blowdown,
     in_neg1_orbit,
+    is_neg1_effective,
+    is_neg1_irreducible,
     reduce_to_chamber,
     reflect,
     simple_roots,

@@ -8,10 +8,9 @@ with exact rational arithmetic on one LDL factorisation per slice."""
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import snf
-from .lattice import _axpy, _dot, _new, _pair, _row, canonical_class, intersect
+from .lattice import _axpy, _new, _pair, _row, intersect
 
 
 def _ldl(M):
@@ -112,36 +111,3 @@ def classes_with_pairing(sig, Da, t, sq):
                 x = _axpy(x, ya, ka)
         out.append(_new(x, sig))
     return out
-
-
-def chamber_interior_class(sig):
-    """A class with positive self-intersection pairing nonnegatively with all
-    simple roots and positively with every e_i and f (a nef reference)."""
-    A = sig.m + 2
-    coeffs = (A, A) + (-1,) * sig.m
-    return _new(coeffs, sig)
-
-
-@lru_cache(maxsize=None)
-def _reference_shell(sig, t):
-    """The roots x (x^2 = -2, x.K = 0) with x.rho = t for
-    rho = chamber_interior_class(sig), as coefficient tuples in
-    classes_with_pairing's order.  Cached, since the irreducibility
-    candidates of every -1-class scan the same shells."""
-    K, rho = canonical_class(sig), chamber_interior_class(sig)
-    return tuple(x.coeffs for x in classes_with_pairing(sig, rho, t, -2) if intersect(x, K) == 0)
-
-
-def candidate_roots_pairing_negatively(sig, e):
-    """Roots alpha (alpha^2 = -2, alpha.K = 0) that could obstruct the
-    irreducibility of an effective class e: bounded by pairing against a nef
-    reference class, since an irreducible effective obstruction must appear in
-    an effective decomposition of e."""
-    bound = intersect(e, chamber_interior_class(sig))
-    row = _row(sig, e.coeffs)
-    return [
-        _new(alpha, sig)
-        for t in range(0, bound + 1)
-        for alpha in _reference_shell(sig, t)
-        if _dot(row, alpha) < 0
-    ]

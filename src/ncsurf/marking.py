@@ -1,11 +1,12 @@
 """Marking data of a surface beyond its lattice: the anticanonical
 decomposition, an abstract finitely generated abelian group playing the role
 of Pic^0 of the anticanonical curve (with distinguished element q), and the
-effectiveness oracles for -2-roots and -1-classes built on them.  Whether
-lambda(beta) lies in <q> is one equation a*q = x in the group: a free
-coordinate fixes a, and the torsion coordinates are congruences joined by
-the Chinese remainder theorem (cyclic_membership).  What the oracle and the
-cone loop need of a surface besides that is computed once (_surface_table)."""
+effectiveness oracle for -2-roots built on them (weyl decides -1-classes by
+the blowdown walk).  Whether lambda(beta) lies in <q> is one equation a*q = x
+in the group: a free coordinate fixes a, and the torsion coordinates are
+congruences joined by the Chinese remainder theorem (cyclic_membership).
+What the oracle and the cone loop need of a surface besides that is computed
+once (_surface_table)."""
 
 from collections import deque, namedtuple
 from functools import lru_cache
@@ -31,7 +32,6 @@ from .lattice import (
     intersect,
     render_div,
 )
-from . import latenum
 
 
 class MarkingGroup(_Frozen, fields=("free_rank", "torsion")):
@@ -358,37 +358,6 @@ def _root_effective(S, a):
 
 
 is_root_effective.cache_info, is_root_effective.cache_clear = _root_effective.cache_info, _root_effective.cache_clear
-
-
-def is_neg1_effective(S, e):
-    """A formal -1-class (checked to lie in the reflection orbit of e_m) is
-    always effective."""
-    _check_neg1(S, e)
-    return True
-
-
-def is_neg1_irreducible(S, e):
-    """True when no effective root and no other component pairs negatively
-    with e."""
-    _check_neg1(S, e)
-    for comp in S.components:
-        if comp.cls != e and intersect(e, comp.cls) < 0:
-            return False
-    for alpha in latenum.candidate_roots_pairing_negatively(S.sig, e):
-        if is_root_effective(S, alpha)[0]:
-            return False
-    return True
-
-
-def _check_neg1(S, e):
-    from . import weyl
-
-    if not weyl._is_formal_neg1(S.sig, e):
-        raise ValueError(weyl._NOT_NEG1 % render_div(e))
-    try:
-        weyl._blowdown(None, S.sig, e)
-    except weyl.BlowdownError:
-        raise ValueError("%s is not in the reflection orbit of e_m" % render_div(e)) from None
 
 
 def blow_up(S, component_index, local_mults, position):

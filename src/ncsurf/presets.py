@@ -51,8 +51,10 @@ def f2_type():
 def dp9_torsion(l=2):
     """m = 8 with K^2 = 0, irreducible Q, and lambda(Q) of order l modulo <q>.
 
-    The free coordinates (i, i^2) of lambda(e_i) keep every root out of <q>;
-    the torsion coordinate is arranged so lambda(Q) = (0, 0, 1)."""
+    The free coordinates (i, i^2) of lambda(e_i) keep most roots out of <q>,
+    but not all: lambda(s + f - e2 - e3 - e5 - e8) = 0 = 0*q, as
+    2 + 3 + 5 + 8 = 18 and 4 + 9 + 25 + 64 = 101 + 1.  The torsion coordinate
+    is arranged so lambda(Q) = (0, 0, 1)."""
     if l < 2:
         raise ValueError("torsion order must be >= 2")
     sig = LatticeSignature(8, "even")

@@ -1,12 +1,12 @@
 """Weyl-group machinery on blowdown structures: simple roots, reflections and
 elementary transformations (on classes, and on surfaces through one
 transport, _moved_surface), and one chamber walk, _chamber_walk, behind
-reduce_to_chamber, find_blowdown, in_neg1_orbit, the cone loop and
-dim_gamma.  One cached table per signature, _pull_table, holds the facts
-that depend only on the signature, the frame's Gram matrix among them; a
-walk extends one frame in place, moves the pairings its caller carries with
-it, and ends at the fiber cut D.f < 0.  A formal
--1-class is in e_m's orbit iff its walk ends at a terminal class.  Neither
+reduce_to_chamber, find_blowdown, in_neg1_orbit, is_neg1_irreducible, the
+cone loop and dim_gamma.  One cached table per signature, _pull_table, holds
+the facts that depend only on the signature, the frame's Gram matrix among
+them; a walk extends one frame in place, moves the pairings its caller
+carries with it, and ends at the fiber cut D.f < 0.  A formal -1-class is in
+e_m's orbit iff its walk ends at a terminal class.  Neither
 reduce_to_chamber nor find_blowdown builds a surface: both ask the root
 oracle on the input surface at the pulled-back root."""
 
@@ -289,7 +289,7 @@ _NOT_NEG1 = "%s is not a formal -1-class (need e^2 = e.K = -1)"  # raised where 
 
 
 def _is_formal_neg1(sig, e):
-    """The one formal -1-class test, of find_blowdown, in_neg1_orbit and marking."""
+    """The one formal -1-class test, of find_blowdown, in_neg1_orbit and _check_neg1."""
     return intersect(e, e) == -1 and intersect(e, canonical_class(sig)) == -1
 
 
@@ -314,5 +314,37 @@ def in_neg1_orbit(sig, e):
     try:
         _blowdown(None, sig, e)
     except BlowdownError:
+        return False
+    return True
+
+
+def _check_neg1(S, e):
+    if not _is_formal_neg1(S.sig, e):
+        raise ValueError(_NOT_NEG1 % render_div(e))
+    if not in_neg1_orbit(S.sig, e):
+        raise ValueError("%s is not in the reflection orbit of e_m" % render_div(e))
+
+
+def is_neg1_effective(S, e):
+    """A formal -1-class (checked to lie in the reflection orbit of e_m) is
+    always effective."""
+    _check_neg1(S, e)
+    return True
+
+
+def is_neg1_irreducible(S, e):
+    """Whether the -1-class e (checked as in is_neg1_effective) is the class
+    of an irreducible curve: True iff find_blowdown's walk, which asks the
+    root oracle, is not blocked.  A reflection at an ineffective root changes
+    the blowdown structure, not the surface, so a walk that reaches e_m (or
+    f - e_1, or the plane terminal) shows e as the last exceptional curve of
+    a blowdown of S.  A walk blocked at an effective root alpha gives
+    e = k*alpha + s_alpha(e) with k = -e.alpha > 0 and s_alpha(e) in e_m's
+    orbit, so effective; an irreducible curve of negative square is the only
+    effective divisor in its class, so no irreducible curve has class e."""
+    _check_neg1(S, e)
+    try:
+        _blowdown(S, S.sig, e)
+    except BlowdownError:  # e is in e_m's orbit, so only a blocked walk raises
         return False
     return True

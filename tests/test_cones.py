@@ -107,7 +107,7 @@ def test_f1_blows_down_to_the_plane():
 @pytest.mark.xfail(
     strict=True,
     reason="minimal_section takes d0 only from components with C.f = 1, so the m = 0 forks "
-    "ignore a bisection Q (ROADMAP item 2)",
+    "ignore a bisection Q",
 )
 def test_m0_bisection_component_is_effective():
     # even, genera (2, 2): Q = -K = 2s - 2f is the one component
@@ -291,7 +291,7 @@ def test_pvi_m12_pieces_and_their_partial_sums_are_effective():
 @pytest.mark.xfail(
     strict=True,
     reason="is_effective is not additive on pvi_m12: the cone loop ends in the f-cut on this sum "
-    "of accepted classes (ROADMAP item 2)",
+    "of accepted classes, as the root oracle subtracts no -1-class but the e_i and f - e_i",
 )
 def test_effective_classes_on_pvi_m12_have_an_effective_sum():
     S, pieces = _pvi_m12_pieces()

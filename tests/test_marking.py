@@ -33,8 +33,6 @@ from ncsurf.marking import (
     blow_up,
     cyclic_membership,
     element_order,
-    is_neg1_effective,
-    is_neg1_irreducible,
     is_root_effective,
     isomonodromy_count,
     moduli_stack_dim,
@@ -42,6 +40,7 @@ from ncsurf.marking import (
     validate,
 )
 from ncsurf.presets import PRESETS, f0_generic, f0_commutative, f2_type, get_preset, m2_generic
+from ncsurf.weyl import is_neg1_effective, is_neg1_irreducible
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -1,24 +1,26 @@
-"""The cached reference shells of latenum, and the nef witnesses of the cone
-loop.
+"""The root shells of the rho-shell oracle (shell_oracle), and the nef
+witnesses of the cone loop.
 
-A shell of roots is enumerated once per (signature, t) and must equal a box
-scan; every nef witness pairs negatively with its class and is effective."""
+A shell of roots must equal a box scan; every nef witness pairs negatively
+with its class and is effective."""
 
 import itertools
 import random
 
 import pytest
 
-from ncsurf import latenum
 from ncsurf.cones import is_effective, nef_witness
+from ncsurf.latenum import classes_with_pairing
 from ncsurf.lattice import DivClass, _pair, canonical_class, intersect
 from ncsurf.marking import blow_up
 from ncsurf.presets import f0_generic, get_preset
 
+from shell_oracle import chamber_interior_class, root_shell
+
 
 def brute_force_shell(sig, t, radius):
     """The shell of roots by a scan of the box [-radius, radius]^rank."""
-    rho = latenum.chamber_interior_class(sig).coeffs
+    rho = chamber_interior_class(sig).coeffs
     K = canonical_class(sig).coeffs
     return {
         x
@@ -32,25 +34,22 @@ def brute_force_shell(sig, t, radius):
 def test_shell_matches_a_box_scan(name, t):
     sig = get_preset(name).sig
     radius = 6
-    shell = latenum._reference_shell(sig, t)
+    shell = root_shell(sig, t)
     assert isinstance(shell, tuple)
     assert all(type(x) is tuple and all(type(c) is int for c in x) for x in shell)
     # the box is large enough: no member reaches its boundary
     assert all(max(map(abs, x)) < radius for x in shell)
     assert set(shell) == brute_force_shell(sig, t, radius)
     assert len(set(shell)) == len(shell)
-    hits = latenum._reference_shell.cache_info().hits
-    assert latenum._reference_shell(sig, t) is shell
-    assert latenum._reference_shell.cache_info().hits == hits + 1
 
 
 def test_shell_keeps_the_enumeration_order():
     sig = get_preset("m3_generic").sig
-    rho = latenum.chamber_interior_class(sig)
+    rho = chamber_interior_class(sig)
     K = canonical_class(sig)
     for t in range(0, 5):
-        roots = [x.coeffs for x in latenum.classes_with_pairing(sig, rho, t, -2) if intersect(x, K) == 0]
-        assert latenum._reference_shell(sig, t) == tuple(roots)
+        roots = [x.coeffs for x in classes_with_pairing(sig, rho, t, -2) if intersect(x, K) == 0]
+        assert root_shell(sig, t) == tuple(roots)
 
 
 def box(sig, count=None, seed=0):

@@ -23,7 +23,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsurf import latenum
 from ncsurf.cones import is_effective, is_nef
 from ncsurf.lattice import _new
 from ncsurf.marking import blow_up, is_root_effective
@@ -38,6 +37,8 @@ from ncsurf.weyl import (
     reflect_surface,
     simple_roots,
 )
+
+from shell_oracle import root_shell
 
 
 def pull_back(x, word, roots):
@@ -55,7 +56,7 @@ def probe_roots(name):
     sig = get_preset(name).sig
     out = [a.coeffs for a in simple_roots(sig)[0]]
     for t in range(3):
-        out += [r for r in latenum._reference_shell(sig, t) if r not in out]
+        out += [r for r in root_shell(sig, t) if r not in out]
     return tuple(out)
 
 
@@ -170,7 +171,7 @@ def test_root_oracle_is_equivariant_under_the_elementary_transformation(name, S)
     T = et_surface(S)
     roots = [a.coeffs for a in simple_roots(sig)[0]]
     for t in range(4):
-        roots += [r for r in latenum._reference_shell(sig, t) if r not in roots]
+        roots += [r for r in root_shell(sig, t) if r not in roots]
     for alpha in roots:
         there = is_root_effective(T, elementary_transformation(_new(alpha, sig)))
         same_answer("%s, root %r" % (name, alpha), is_root_effective(S, _new(alpha, sig)), there, lambda p: elementary_transformation(p).coeffs)

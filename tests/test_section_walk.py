@@ -32,6 +32,7 @@ from ncsurf.lattice import (
     render_div,
     zero_class,
 )
+from ncsurf.marking import blow_up
 from ncsurf.presets import PRESETS, get_preset
 from ncsurf.sections import UnclassifiedState, dim_gamma, hom_dims
 from ncsurf.weyl import reflect, reflect_surface
@@ -186,6 +187,28 @@ def test_effective_root_class_has_a_section(k):
         pytest.fail("%d(s - f) should be effective on f2_type" % k)
     if dim_gamma(S, D) < 1:
         pytest.fail("dim Gamma(%d(s - f)) = 0 on f2_type, though the class is effective" % k)
+
+
+def twice_at_one_point():
+    """f0_generic blown up twice at (5, 7): lambda(e1 - e2) = 0, and q has
+    infinite order."""
+    return blow_up(blow_up(get_preset("f0_generic"), 0, [1], (5, 7)), 0, [1], (5, 7))
+
+
+# the same branch with twist a = 0: when q has infinite order the root oracle
+# accepts a root of lambda = 0, and dim_gamma's twisted reflection at it
+# answers 0; the commutative twin of the second surface answers 1
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="is_effective accepts a class on an effective root of lambda = 0, "
+                   "with q of infinite order, to which dim_gamma gives no section")
+@pytest.mark.parametrize("name, text", [("dp9_torsion", "s+f-e2-e3-e5-e8")] + [
+    ("f0_generic twice at (5, 7)", text) for text in ("e1-e2", "2e1-2e2", "3e1-3e2")
+])
+def test_effective_class_at_an_infinite_order_root_has_a_section(name, text):
+    S = twice_at_one_point() if name.startswith("f0_generic") else get_preset(name)
+    D = parse_div(text, S.sig)
+    if is_effective(S, D) and dim_gamma(S, D) < 1:
+        pytest.fail("%s on %s: is_effective accepts it, dim_gamma answers %d" % (text, name, dim_gamma(S, D)))
 
 
 @pytest.mark.parametrize("k", range(4, 9))

@@ -20,7 +20,7 @@ import pytest
 
 from ncsurf import cones, marking, sections, weyl
 from ncsurf.cones import is_effective, is_nef
-from ncsurf.latenum import chamber_interior_class, classes_with_pairing
+from ncsurf.latenum import classes_with_pairing
 from ncsurf.lattice import (
     BudgetExhausted,
     DivClass,
@@ -39,6 +39,8 @@ from ncsurf.lattice import (
 from ncsurf.presets import PRESETS, get_preset
 from ncsurf.sections import UnclassifiedState, dim_gamma
 from ncsurf.weyl import BlowdownError, elementary_transformation, et_surface, reflect, reflect_surface
+
+from shell_oracle import chamber_interior_class
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "section_pool.json"
 

@@ -14,7 +14,7 @@ from ncsurf.lattice import (
     intersect,
     render_div,
 )
-from ncsurf.latenum import chamber_interior_class, classes_with_pairing
+from ncsurf.latenum import classes_with_pairing
 from ncsurf.marking import SurfaceData, blow_up, validate
 from ncsurf.presets import PRESETS, f0_generic, get_preset, m1_generic, m2_generic, m3_generic
 from ncsurf.weyl import (
@@ -28,6 +28,8 @@ from ncsurf.weyl import (
     reflect_surface,
     simple_roots,
 )
+
+from shell_oracle import chamber_interior_class
 
 
 def rand_div(sig, rng, bound=4):
