@@ -20,13 +20,13 @@ chain.  FracElements appear only at the boundary: the arguments of `op`,
 `lead`, `sigma`, `delta` and `apply` cancel each result once, on the way
 out, with `FracField.new`.  Powers go by repeated squaring.
 
-The differential kind keeps its numerators and bases on one native
-kernel, whose arithmetic costs less than sympy's coefficients: `_Poly`,
-sparse dicts from monomials, each packed into one int, to ints or Fractions
-over QQ and to ints mod p over GF(p), in any number of variables.
-`OreAlgebra.differential` builds it from variable names with no sympy
-field; sympy is imported only when a FracElement crosses the boundary.  The
-twists keep sympy's PolyElements, which `_subs` needs."""
+Every kind keeps its numerators and bases on one native kernel, whose
+arithmetic costs less than sympy's coefficients: `_Poly`, sparse dicts from
+monomials, each packed into one int, to ints or Fractions over QQ and to
+ints mod p over GF(p), in any number of variables.  A twist substitutes
+z's slot of the packed monomials (`_subs`).  `OreAlgebra.differential`
+builds d/dz from variable names with no sympy field; sympy is imported
+only when a FracElement crosses the boundary."""
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -65,25 +65,6 @@ def isprime(n):
         else:
             return False
     return True
-
-
-def _subs(P, index, vn, vd):
-    """(P(z -> vn/vd) * vd^d, d) for the polynomial P, where z is the ring
-    generator of that index and d is P's degree in z."""
-    ring = P.ring
-    groups = {}
-    for monom, coeff in P.iterterms():
-        rest = monom[:index] + (0,) + monom[index + 1:]
-        groups.setdefault(monom[index], {})[rest] = coeff
-    d = max(groups, default=0)
-    vpow, dpow = [ring.one], [ring.one]
-    for _ in range(d):
-        vpow.append(vpow[-1] * vn)
-        dpow.append(dpow[-1] * vd)
-    out = ring.zero
-    for j, terms in groups.items():
-        out += ring.from_dict(terms) * vpow[j] * dpow[d - j]
-    return out, d
 
 
 def _rat(x):
@@ -205,6 +186,28 @@ class _Poly:
         return self.quo_ground(self.LC)
 
 
+def _subs(P, index, vn, vd):
+    """(P(z -> vn/vd) * vd^d, d) for the _Poly P, where z is its variable of
+    that index and d is P's degree in z: the terms are grouped by z's slot."""
+    n, p = P.n, P.p
+    shift = _W * (n - 1 - index)
+    mask = _SLOT if index else -1
+    groups = {}
+    for m, c in P.t.items():
+        e = m >> shift & mask
+        groups.setdefault(e, {})[m - (e << shift)] = c
+    d = max(groups, default=0)
+    one = _Poly({0: 1}, n, p)
+    vpow, dpow = [one], [one]
+    for _ in range(d):
+        vpow.append(vpow[-1] * vn)
+        dpow.append(dpow[-1] * vd)
+    out = _Poly({}, n, p)
+    for j, t in groups.items():
+        out += _Poly(t, n, p) * vpow[j] * dpow[d - j]
+    return out, d
+
+
 def _poly(terms, n, p=0):
     """The _Poly of a dict from exponent tuples to coefficients."""
     return _Poly({}, n, p)._new({_pack(m): c for m, c in terms.items()})
@@ -289,8 +292,8 @@ def _over(num, den):
 class OreAlgebra:
     """kind: 'diff' (S = d/dz), 'ashift' (S: z -> z + step), or 'qshift'
     (S: z -> step*z); z_index locates the acted-on variable among F.gens.
-    The 'diff' kind needs F over QQ or GF(p), keeps its coefficients on
-    native polynomials and has their generators in `gens`."""
+    F is over QQ or GF(p); the coefficients live on native polynomials,
+    whose generators are `gens`."""
 
     def __init__(self, F, kind, step=None, z_index=0):
         if kind not in ("diff", "ashift", "qshift"):
@@ -299,19 +302,17 @@ class OreAlgebra:
             raise ValueError("shift algebras need a step element")
         if not 0 <= z_index < len(F.gens):
             raise ValueError("z_index must be in range(%d), not %r" % (len(F.gens), z_index))
-        self.F, self.kind, self.step, self.z_index = F, kind, step, z_index
         dom = F.domain
-        if kind == "diff":
-            if not (dom.is_QQ or dom.is_FiniteField and isprime(dom.mod)):
-                raise ValueError("the differential kind needs QQ or GF(p) coefficients, not %s" % (dom,))
-            self._native(len(F.gens), dom.mod if dom.is_FiniteField else 0)
-        else:
+        if not (dom.is_QQ or dom.is_FiniteField and isprime(dom.mod)):
+            raise ValueError("Ore algebras need QQ or GF(p) coefficients, not %s" % (dom,))
+        self.F, self.kind, self.step, self.z_index = F, kind, step, z_index
+        if kind != "diff":
             s = F(step)
             if kind == "qshift" and not s or any(m[z_index] for P in (s.numer, s.denom) for m, _ in P.iterterms()):
                 raise ValueError("the step %s gives no automorphism: it is 0 or involves z" % (step,))
             self.z = F(F.gens[z_index])
             self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
-            self._zero, self._one = F.ring.zero, F.ring.one
+        self._native(len(F.gens), dom.mod if dom.is_FiniteField else 0)
 
     @classmethod
     def differential(cls, names, p=0, z_index=0):
@@ -330,7 +331,7 @@ class OreAlgebra:
         return alg
 
     def _native(self, n, p):
-        """The diff kind's kernel for n variables over QQ (p = 0) or GF(p)."""
+        """The kernel for n variables over QQ (p = 0) or GF(p)."""
         self._mod = p
         self._zero, self._one = _Poly({}, n, p), _Poly({0: 1}, n, p)
         self.gens = tuple(_Poly({1 << _W * i: 1}, n, p) for i in range(n - 1, -1, -1))
@@ -342,11 +343,6 @@ class OreAlgebra:
 
         return field(self._names, GF(self._mod) if self._mod else QQ)[0]
 
-    @cached_property
-    def _dz(self):
-        """d/dz over F, which runs a twist's delta."""
-        return OreAlgebra(self.F, "diff", z_index=self.z_index)
-
     # -------------------------------------------- the localised boundary
     def _loc(self, g):
         if isinstance(g, _Loc):
@@ -356,9 +352,7 @@ class OreAlgebra:
         if isinstance(g, _Poly):
             return _Loc(g, {})
         g = self.F(g)
-        if self.kind == "diff":
-            return _over(self._from_sympy(g.numer), self._from_sympy(g.denom))
-        return _over(g.numer, g.denom)
+        return _over(self._from_sympy(g.numer), self._from_sympy(g.denom))
 
     def _from_sympy(self, P):
         conv = int if self._mod else (lambda c: _rat(Fraction(int(c.numerator), int(c.denominator))))
@@ -370,7 +364,7 @@ class OreAlgebra:
         return self.F.ring.from_dict({m: conv(c) for m, c in P.items()})
 
     def _quo(self, num, den):
-        """num/den for lists of int coefficients of z^0, z^1, ... (diff kind)."""
+        """num/den for lists of int coefficients of z^0, z^1, ..."""
         shift = _W * (self._one.n - 1 - self.z_index)
         return _over(*(self._zero._new({k << shift: c for k, c in enumerate(cs)}) for cs in (num, den)))
 
@@ -378,10 +372,7 @@ class OreAlgebra:
         den = self._one
         for b, e in x.den.items():
             den *= b ** e
-        num = x.num
-        if self.kind == "diff":
-            num, den = self._to_sympy(num), self._to_sympy(den)
-        return self.F.new(num, den)
+        return self.F.new(self._to_sympy(x.num), self._to_sympy(den))
 
     # --------------------------------------------- localised sigma, delta
     def _shift(self, power):
@@ -393,8 +384,8 @@ class OreAlgebra:
                 val = self.step ** power * self.z
             else:
                 val = self.z / self.step ** (-power)
-            lc, vd = _monic(val.denom)
-            hit = self._shifts[power] = (val.numer.quo_ground(lc), vd)
+            x = self._loc(val)
+            hit = self._shifts[power] = (x.num, next(iter(x.den), self._one))
         return hit
 
     def _sigma(self, x, power):
@@ -444,8 +435,7 @@ class OreAlgebra:
         return self._frac(self._sigma(self._loc(g), power))
 
     def delta(self, g, order=1):
-        alg = self if self.kind == "diff" else self._dz
-        return alg._frac(alg._chain(alg._loc(g), order)[-1])
+        return self._frac(self._chain(self._loc(g), order)[-1])
 
     # operator constructors
     def op(self, terms):

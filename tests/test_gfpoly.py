@@ -168,9 +168,9 @@ def _is_cancelled(F, g):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_twisted_kinds_keep_the_sparse_backend(p):
-    # _subs runs on sympy's PolyElements, the 'diff' kind on ore's own
-    # kernel in any number of variables; both return cancelled fractions
-    # with a monic denominator
+    # every kind runs on ore's own kernel in any number of variables (the
+    # twists substitute into its packed monomials); all return cancelled
+    # fractions with a monic denominator
     F, z = frac_field("z", GF(p))
     rng = random.Random(p)
     for alg in (OreAlgebra(F, "ashift", step=F.one), OreAlgebra(F, "qshift", step=F.one * (p - 1))):

@@ -500,6 +500,8 @@ def _ore_settings():
         ("ashift 1/u", dict(kind="ashift", step=1 / u)),
         ("qshift u", dict(kind="qshift", step=u)),
         ("qshift 1/3", dict(kind="qshift", step=F.one / 3)),
+        ("ashift 1 in u", dict(kind="ashift", step=F.one, z_index=1)),
+        ("qshift z in u", dict(kind="qshift", step=z, z_index=1)),
     ):
         out.append(("QQ(z,u) " + label, F, (z, u), OreAlgebra(F, **kw), pool))
     for p in (2, 3, 5):
@@ -560,10 +562,15 @@ def _power_settings():
     """(label, algebra, operator): diff, ashift and qshift over QQ(z, u), and
     diff over GF(3)(z) and GF(5)(z)."""
     F, z, u = frac_field("z, u", QQ)
+    qs = OreAlgebra(F, "qshift", step=u)
     out = [
         ("QQ(z,u) diff", OreAlgebra(F, "diff"), {0: z / (z + u), 1: u}),
         ("QQ(z,u) ashift u", OreAlgebra(F, "ashift", step=u), {0: 1 / z, 1: 1}),
-        ("QQ(z,u) qshift u", OreAlgebra(F, "qshift", step=u), {-1: 1, 0: 1 / z, 1: u}),
+        ("QQ(z,u) qshift u", qs, {-1: 1, 0: 1 / z, 1: u}),
+        # the settings above take 1/z because the unreduced shifted
+        # denominators of z/(z + 1) grow fast: this one takes about 3 s on a
+        # shared 2-core Xeon
+        ("QQ(z,u) qshift u, z/(z+1)", qs, {-1: 1, 0: z / (z + 1), 1: u}),
     ]
     for p in (3, 5):
         F, z = frac_field("z", GF(p))

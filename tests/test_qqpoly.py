@@ -235,8 +235,11 @@ def test_differential_algebra_takes_native_polynomials():
     assert _same(got, g.diff(ft))
     with pytest.raises(ValueError):
         OreAlgebra.differential("z", 4)
-    with pytest.raises(ValueError):
-        OreAlgebra(frac_field("z", sympy.ZZ)[0], "diff")
+    # every kind refuses ZZ: the twists used to answer 0 for 1/(2z + 1)
+    F, z = frac_field("z", sympy.ZZ)
+    for kw in (dict(kind="diff"), dict(kind="ashift", step=1), dict(kind="qshift", step=2)):
+        with pytest.raises(ValueError):
+            OreAlgebra(F, **kw)
 
 
 # ---------------------------------------------------------- primality
