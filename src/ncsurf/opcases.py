@@ -5,15 +5,15 @@ the difference (`ore` keeps every coefficient as a numerator over an
 unreduced denominator), and `span4_qdiff` by ranks over Q(r, c), eliminating
 on ints that each pack one entry of Z[r, c] (see `_rank`).  Only the
 `SEEDED` cases read `prime`, and draw `trials` random inputs from `seed`.
-Only the twist and FracElement cases (`qweyl`, `qweyl_affine`,
-`additive_pair`, `mellin_pair`, `lowering_degree`) import sympy, in
-`_qq_field`; the others run on `ore`'s native polynomials and on ints."""
+Every case runs on `ore`'s native polynomials, built from variable names,
+and on ints: none imports sympy, which `ore` reads only when a FracElement
+crosses its boundary (here, only in a counterexample's witness)."""
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 import random
 
 from .lattice import InvariantViolation, _Record
-from .ore import OreAlgebra, _add, _equal, _mul, _poly, _pow, isprime
+from .ore import OreAlgebra, _add, _equal, _Loc, _mul, _poly, _pow, isprime
 from .series import TruncSeries
 
 SEEDED = ("frobenius_power", "tau_invariance", "additive_product")
@@ -26,12 +26,6 @@ class Report(_Record, fields=("case", "verdict", "details")):
     @property
     def ok(self):
         return self.verdict == "equal"
-
-
-def _fr_eq(a, b):
-    # FracElement equality is structural (unit factors are not cancelled);
-    # compare by cross-multiplication instead, which takes no gcd
-    return a.numer * b.denom == b.numer * a.denom
 
 
 def _verdict(ok):
@@ -57,47 +51,37 @@ def _check(name, lhs, rhs):
 # Each case returns its checks, a list of (name, ok, witness).
 
 
-def _qq_field(names):
-    """sympy's QQ(names) and its generators: the twist and FracElement cases
-    import sympy here, and no other case does."""
-    from sympy import QQ
-    from sympy.polys.fields import field
-
-    return field(names, QQ)
-
-
 def _case_qweyl(prime, trials, seed):
-    F, z, qs = _qq_field("z, qs")
-    alg = OreAlgebra(F, "qshift", step=qs)
+    alg = OreAlgebra.over("z, qs", "qshift", step="qs")
+    z, qs = alg.gens
     T, X = alg.S(1), alg.mult(z)
     return [_check("T.z = qs.z.T", T * X, (X * T).scale(qs))]
 
 
 def _case_qweyl_affine(prime, trials, seed):
-    F, z, qs = _qq_field("z, qs")
-    alg = OreAlgebra(F, "qshift", step=qs)
+    alg = OreAlgebra.over("z, qs", "qshift", step="qs")
+    z, qs = alg.gens
     x = alg.mult(z)
-    y = alg.op({0: 1 / z, 1: -1 / z})  # z^{-1}(1 - T)
+    y = alg.op({0: alg._quo([1], [0, 1]), 1: alg._quo([-1], [0, 1])})  # z^{-1}(1 - T)
     lhs = y * x
-    rhs = (x * y).scale(qs) + alg.mult(1 - qs)
+    rhs = (x * y).scale(qs) + alg.one() - alg.mult(qs)
     return [_check("y.x = qs.x.y + (1-qs)", lhs, rhs)]
 
 
 def _case_additive_pair(prime, trials, seed):
-    F, z = _qq_field("z")
-    alg = OreAlgebra(F, "ashift", step=F.one)
+    alg = OreAlgebra.over("z", "ashift", step=1)
+    (z,) = alg.gens
     x = alg.mult(z)
     y = alg.mult(z) + alg.S(1)
     return [_check("[y,x] = y-x", y * x - x * y, y - x)]
 
 
 def _case_mellin_pair(prime, trials, seed):
-    F, z = _qq_field("z")
-    sh = OreAlgebra(F, "ashift", step=F.one)
-    x1, y1 = sh.mult(z), sh.S(1)
-    Ft, t = _qq_field("t")
-    df = OreAlgebra(Ft, "diff")
-    x2 = (df.mult(t) * df.S(1)).scale(-Ft.one)  # -t D
+    sh = OreAlgebra.over("z", "ashift", step=1)
+    x1, y1 = sh.mult(sh.gens[0]), sh.S(1)
+    df = OreAlgebra.over("t")
+    (t,) = df.gens
+    x2 = (df.mult(t) * df.S(1)).scale(-1)  # -t D
     y2 = df.mult(t)
     return [
         _check("shift rep: [y,x] = y", y1 * x1 - x1 * y1, y1),
@@ -106,7 +90,7 @@ def _case_mellin_pair(prime, trials, seed):
 
 
 def _case_weyl(prime, trials, seed):
-    alg = OreAlgebra.differential("z")
+    alg = OreAlgebra.over("z")
     (z,) = alg.gens
     D, X = alg.S(1), alg.mult(z)
     one = alg.one()
@@ -117,7 +101,7 @@ def _case_weyl(prime, trials, seed):
 
 
 def _case_middle_convolution(prime, trials, seed):
-    alg = OreAlgebra.differential("z, u")
+    alg = OreAlgebra.over("z, u")
     z, u = alg.gens
     D = alg.S(1)
     M = alg.mult(z - u)
@@ -132,7 +116,7 @@ def _case_middle_convolution(prime, trials, seed):
 @lru_cache(maxsize=16)
 def _gf_diff_algebra(p, name):
     """d/dz over GF(p)(name) and its D, built once per prime and name."""
-    alg = OreAlgebra.differential(name, p)
+    alg = OreAlgebra.over(name, p=p)
     return alg, alg.S(1)
 
 
@@ -297,22 +281,24 @@ def _case_span4_qdiff(prime, trials, seed):
 
 
 def _case_lowering_degree(prime, trials, seed):
-    F, z, r = _qq_field("z, r")
-    qs = OreAlgebra(F, "qshift", step=r)
-    checks = []
+    qs = OreAlgebra.over("z, r", "qshift", step="r")
+    z, r = qs.gens
+    inv = qs._quo([0, 1], [1, 0, -1])  # 1 / (1/z - z)
+
+    def power(g, e):
+        """g^e, localised, for a generator g and any int e."""
+        return _Loc(g ** e, {}) if e >= 0 else _Loc(qs._one, {g: -e})
 
     def lower(g):
         # sigma^(+-1) substitutes z -> r z and z -> z / r
-        return (qs.sigma(g, 1) - qs.sigma(g, -1)) / (1 / z - z)
+        return _add(_mul(qs._sigma(g, 1), inv), _mul(qs._sigma(g, -1), inv, -1))
 
-    checks.append(("L.1 = 0", _fr_eq(lower(F.one), F.zero), None))
+    checks = [("L.1 = 0", _equal(lower(qs._loc(1)), qs._loc(0)), None)]
     for n in range(1, 7):
-        got = lower(z ** n + 1 / z ** n)
-        expect = -(r ** n - 1 / r ** n) * sum(
-            z ** (n - 1 - 2 * k) if n - 1 - 2 * k >= 0 else 1 / z ** (2 * k + 1 - n)
-            for k in range(n)
-        )
-        checks.append(("n=%d" % n, _fr_eq(got, expect), None))
+        got = lower(_add(power(z, n), power(z, -n)))
+        coef = _add(power(r, -n), _Loc(-r ** n, {}))  # -(r^n - 1/r^n)
+        expect = _mul(coef, reduce(_add, (power(z, n - 1 - 2 * k) for k in range(n))))
+        checks.append(("n=%d" % n, _equal(got, expect), None))
     return checks
 
 

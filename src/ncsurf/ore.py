@@ -16,17 +16,19 @@ into each base, and an element is zero exactly when its numerator is.
 None of this takes a gcd, and degrees grow linearly along a derivative
 chain.  FracElements appear only at the boundary: the arguments of `op`,
 `mult`, `scale`, `sigma`, `delta` and `apply` are localised on the way in
-(an int or a polynomial of `gens` skips the field), and `terms`, `coeff`,
-`lead`, `sigma`, `delta` and `apply` cancel each result once, on the way
-out, with `FracField.new`.  Powers go by repeated squaring.
+(an int, a Fraction or a polynomial of `gens` skips the field), and
+`terms`, `coeff`, `lead`, `sigma`, `delta` and `apply` cancel each result
+once, on the way out, with `FracField.new`.  Powers go by repeated squaring.
 
 Every kind keeps its numerators and bases on one native kernel, whose
 arithmetic costs less than sympy's coefficients: `_Poly`, sparse dicts from
 monomials, each packed into one int, to ints or Fractions over QQ and to
-ints mod p over GF(p), in any number of variables.  A twist substitutes
-z's slot of the packed monomials (`_subs`).  `OreAlgebra.differential`
-builds d/dz from variable names with no sympy field; sympy is imported
-only when a FracElement crosses the boundary."""
+ints mod p over GF(p), in any number of variables.  A twist's step is
+localised once, and sigma^k(z) and the substitution into z's slot of the
+packed monomials (`_subs`) run on the kernel too.  `OreAlgebra.over` builds
+every kind from variable names with no sympy field: sympy is imported only
+when a FracElement crosses the boundary, the only code here that reads it
+apart from `isprime` above its deterministic bound."""
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -96,6 +98,16 @@ def _unpack(key, n):
     return tuple(out)
 
 
+def _power(x, n):
+    """x ** n for an int n >= 1, by squaring from the leading bit down."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 @lru_cache(maxsize=None)
 def _guard(n):
     """The top bit of each slot below the top one: set in a product's key
@@ -156,12 +168,7 @@ class _Poly:
         return self._new(t)
 
     def __pow__(self, n):
-        out = self if n else _Poly({0: 1}, self.n, self.p)
-        for bit in bin(n)[3:]:  # by squaring, from the leading bit down
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(self, n) if n else _Poly({0: 1}, self.n, self.p)
 
     def diff(self, i=0):
         shift = _W * (self.n - 1 - i)
@@ -296,58 +303,61 @@ class OreAlgebra:
     whose generators are `gens`."""
 
     def __init__(self, F, kind, step=None, z_index=0):
+        dom = F.domain
+        self.F = F
+        p = dom.mod if dom.is_FiniteField else 0 if dom.is_QQ else dom  # any other domain, for _setup to refuse
+        self._setup([str(x) for x in F.symbols], p, kind, step, z_index)
+
+    @classmethod
+    def over(cls, names, kind="diff", step=None, p=0, z_index=0):
+        """The algebra over QQ(names), or over GF(p)(names) for a prime p,
+        where names is a string such as "z, u" and z is its variable z_index;
+        a twist's step is an int or one of the names.  Its field F, and
+        sympy, are made when a FracElement first crosses the boundary."""
+        alg = cls.__new__(cls)
+        alg._setup(names.replace(",", " ").split(), p, kind, step, z_index)
+        return alg
+
+    def _setup(self, names, p, kind, step, z_index):
+        """The checks, and the kernel for the variables names over QQ (p = 0)
+        or GF(p)."""
         if kind not in ("diff", "ashift", "qshift"):
             raise ValueError("unknown algebra kind %r" % (kind,))
         if kind != "diff" and step is None:
             raise ValueError("shift algebras need a step element")
-        if not 0 <= z_index < len(F.gens):
-            raise ValueError("z_index must be in range(%d), not %r" % (len(F.gens), z_index))
-        dom = F.domain
-        if not (dom.is_QQ or dom.is_FiniteField and isprime(dom.mod)):
-            raise ValueError("Ore algebras need QQ or GF(p) coefficients, not %s" % (dom,))
-        self.F, self.kind, self.step, self.z_index = F, kind, step, z_index
-        if kind != "diff":
-            s = F(step)
-            if kind == "qshift" and not s or any(m[z_index] for P in (s.numer, s.denom) for m, _ in P.iterterms()):
-                raise ValueError("the step %s gives no automorphism: it is 0 or involves z" % (step,))
-            self.z = F(F.gens[z_index])
-            self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
-        self._native(len(F.gens), dom.mod if dom.is_FiniteField else 0)
-
-    @classmethod
-    def differential(cls, names, p=0, z_index=0):
-        """d/dz over QQ(names), or over GF(p)(names) for a prime p, where
-        names is a string such as "z, u" and z is its variable z_index.
-        Its field F, and sympy, are made when a FracElement first crosses
-        the boundary."""
-        if p and not isprime(p):
-            raise ValueError("p must be a prime number, not %r" % (p,))
-        n = len(names.replace(",", " ").split())
+        n = len(names)
         if not 0 <= z_index < n:
             raise ValueError("z_index must be in range(%d), not %r" % (n, z_index))
-        alg = cls.__new__(cls)
-        alg.kind, alg.step, alg.z_index, alg._names = "diff", None, z_index, names
-        alg._native(n, p)
-        return alg
-
-    def _native(self, n, p):
-        """The kernel for n variables over QQ (p = 0) or GF(p)."""
-        self._mod = p
+        if len(set(names)) < n:
+            raise ValueError("the variable names %s repeat" % (", ".join(names),))
+        if p != 0 and not (isinstance(p, int) and isprime(p)):
+            raise ValueError("Ore algebras need QQ or GF(p) coefficients for a prime p, not %s" % (p,))
+        self.kind, self.step, self.z_index, self._names, self._mod = kind, step, z_index, names, p
         self._zero, self._one = _Poly({}, n, p), _Poly({0: 1}, n, p)
         self.gens = tuple(_Poly({1 << _W * i: 1}, n, p) for i in range(n - 1, -1, -1))
+        if kind != "diff":
+            if isinstance(step, str) and step not in names:
+                raise ValueError("the step %r is not one of the names %s" % (step, ", ".join(names)))
+            s = self._step = self._loc(self.gens[names.index(step)] if isinstance(step, str) else step)
+            shift, mask = _W * (n - 1 - z_index), _SLOT if z_index else -1
+            if kind == "qshift" and not s.num or any(m >> shift & mask for P in (s.num, *s.den) for m in P.t):
+                raise ValueError("the step %s gives no automorphism: it is 0 or involves z" % (step,))
+            self._shifts = {}  # power -> (vn, monic vd): sigma^power(z) = vn / vd
 
     @cached_property
     def F(self):
-        from sympy import GF, QQ
+        from sympy import GF, QQ, Symbol
         from sympy.polys.fields import field
 
-        return field(self._names, GF(self._mod) if self._mod else QQ)[0]
+        return field([Symbol(x) for x in self._names], GF(self._mod) if self._mod else QQ)[0]
 
     # -------------------------------------------- the localised boundary
     def _loc(self, g):
         if isinstance(g, _Loc):
             return g
-        if type(g) is int:
+        if isinstance(g, Fraction):  # n d^-1 over GF(p): pow raises ValueError when p divides d
+            g = g.numerator * pow(g.denominator, -1, self._mod) if self._mod else _rat(g)
+        if type(g) is int or isinstance(g, Fraction):
             return _Loc(self._one * g, {})
         if isinstance(g, _Poly):
             return _Loc(g, {})
@@ -368,23 +378,30 @@ class OreAlgebra:
         shift = _W * (self._one.n - 1 - self.z_index)
         return _over(*(self._zero._new({k << shift: c for k, c in enumerate(cs)}) for cs in (num, den)))
 
-    def _frac(self, x):
+    def _den(self, x):
+        """The product of x's denominator."""
         den = self._one
         for b, e in x.den.items():
             den *= b ** e
-        return self.F.new(self._to_sympy(x.num), self._to_sympy(den))
+        return den
+
+    def _frac(self, x):
+        return self.F.new(self._to_sympy(x.num), self._to_sympy(self._den(x)))
 
     # --------------------------------------------- localised sigma, delta
     def _shift(self, power):
         hit = self._shifts.get(power)
         if hit is None:
-            if self.kind == "ashift":
-                val = self.z + power * self.step
+            z, step = self.gens[self.z_index], self._step
+            num, den = step.num, self._den(step)
+            if self.kind == "ashift":  # z + power * step, which is z when p divides power
+                x = _add(_Loc(z, {}), _Loc(num * power, step.den))
+                num, den = x.num, self._den(x)
             elif power >= 0:
-                val = self.step ** power * self.z
+                num, den = num ** power * z, den ** power
             else:
-                val = self.z / self.step ** (-power)
-            x = self._loc(val)
+                num, den = z * den ** -power, num ** -power
+            x = _over(num, den)
             hit = self._shifts[power] = (x.num, next(iter(x.den), self._one))
         return hit
 
@@ -522,12 +539,7 @@ class OreOp:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative operator powers are not supported")
-        out = self if n else self.alg.one()
-        for bit in bin(n)[3:]:  # by squaring, from the leading bit down
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _power(self, n) if n else self.alg.one()
 
     def _apply(self, g):
         alg = self.alg

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsurf import cli
+from ncsurf import cli, opcases
 from ncsurf.lattice import render_div
 from ncsurf.presets import PRESETS, get_preset
 from ncsurf.sections import UnclassifiedState
@@ -475,10 +475,8 @@ def test_import_and_queries_load_no_dataclasses_inspect_or_sympy():
     assert lines == ["3 True equal", "[]"]
 
 
-# (case, prime) of the catalog cases that run on native polynomials and ints
-NATIVE_CASES = [("frobenius_power", 3), ("frobenius_power", 11), ("tau_invariance", None),
-                ("additive_product", None), ("span4_qdiff", None), ("middle_convolution", None),
-                ("weyl", None)]
+# (case, prime): every catalog case runs on native polynomials and ints
+NATIVE_CASES = [("frobenius_power", 3), ("frobenius_power", 11)] + [(case, None) for case in opcases.CASES]
 
 
 def test_native_cases_and_cli_do_not_import_sympy():
@@ -494,11 +492,3 @@ def test_native_cases_and_cli_do_not_import_sympy():
     lines = _fresh_python(code).splitlines()
     assert lines[:len(NATIVE_CASES)] == ["%s equal False" % case for case, _ in NATIVE_CASES]
     assert lines[-1] == "gamma False"
-
-
-def test_twist_case_imports_sympy():
-    code = ("import sys\n"
-            "from ncsurf import opcases\n"
-            "print('sympy' in sys.modules)\n"
-            "print(opcases.run_case('qweyl').verdict, 'sympy' in sys.modules)")
-    assert _fresh_python(code).splitlines() == ["False", "equal True"]

@@ -347,7 +347,7 @@ def test_differential_operators_refuse_negative_powers_through_op():
     # op({-1: 1}) used to build an operator whose product with z was 0 and
     # whose apply(z) read the derivative chain at index -1
     F, z = frac_field("z", QQ)
-    for alg in (OreAlgebra(F, "diff"), OreAlgebra.differential("z"), OreAlgebra.differential("z", 7)):
+    for alg in (OreAlgebra(F, "diff"), OreAlgebra.over("z"), OreAlgebra.over("z", p=7)):
         for terms in ({-1: 1}, {0: 1, -2: 3}):
             with pytest.raises(ValueError):
                 alg.op(terms)
@@ -368,22 +368,34 @@ def test_twist_steps_must_be_automorphisms():
         alg = OreAlgebra(F, kind, step=step, z_index=z_index)
         g = (z + u) / (z * u + 1)
         assert alg.sigma(alg.sigma(g, -1), 1) == g
+    # the same checks on an algebra built from names, whose step is an int
+    # or a name, and whose names must be distinct
+    for names, kind, step, z_index in (("z, u", "qshift", 0, 0), ("z, u", "ashift", "z", 0),
+                                       ("z, u", "qshift", "u", 1), ("z, u", "ashift", "v", 0),
+                                       ("z, z", "ashift", 1, 0), ("z, u, z", "diff", None, 1)):
+        with pytest.raises(ValueError):
+            OreAlgebra.over(names, kind, step=step, z_index=z_index)
+    for kind, step, z_index in (("ashift", "z", 1), ("qshift", "u", 0), ("ashift", 0, 0), ("qshift", -2, 1)):
+        alg = OreAlgebra.over("z, u", kind, step=step, z_index=z_index)
+        g = (z + u) / (z * u + 1)
+        assert alg.sigma(alg.sigma(g, -1), 1) == g
 
 
 def test_z_index_is_range_checked():
-    # differential("z", 7, z_index=1) used to build, and its d/dz ignored
-    # the index; over QQ it raised IndexError only at the first derivative
+    # d/dz from the names "z" over GF(7) with z_index=1 used to build, and
+    # its d/dz ignored the index; over QQ it raised IndexError only at the
+    # first derivative
     F, z, u = frac_field("z, u", QQ)
     for bad in (-1, 2, 7):
         with pytest.raises(ValueError):
-            OreAlgebra.differential("z, u", z_index=bad)
+            OreAlgebra.over("z, u", z_index=bad)
         for kw in (dict(kind="diff"), dict(kind="ashift", step=F.one), dict(kind="qshift", step=F.one * 2)):
             with pytest.raises(ValueError):
                 OreAlgebra(F, z_index=bad, **kw)
     for p in (0, 7):
         with pytest.raises(ValueError):
-            OreAlgebra.differential("z", p, z_index=1)
-    alg = OreAlgebra.differential("z, u", 7, z_index=1)
+            OreAlgebra.over("z", p=p, z_index=1)
+    alg = OreAlgebra.over("z, u", p=7, z_index=1)
     z7, u7 = alg.F.gens
     assert alg.delta(z7 ** 2 * u7 ** 3) == 3 * z7 ** 2 * u7 ** 2
 
@@ -437,13 +449,17 @@ def _ref_subs(F, g, index, val):
 def _ref_sigma(alg, g, power):
     if power == 0 or alg.kind == "diff":
         return g
+    F = alg.F
+    z, step = F.gens[alg.z_index], alg.step
+    # a names-built algebra's step is an int or a name
+    step = F.gens[[str(x) for x in F.symbols].index(step)] if isinstance(step, str) else F(step)
     if alg.kind == "ashift":
-        val = alg.z + power * alg.step
+        val = z + power * step
     elif power >= 0:
-        val = alg.step ** power * alg.z
+        val = step ** power * z
     else:
-        val = alg.z / alg.step ** (-power)
-    return _ref_subs(alg.F, g, alg.z_index, val)
+        val = z / step ** (-power)
+    return _ref_subs(F, g, alg.z_index, val)
 
 
 def _ref_delta(alg, g, order):
@@ -504,6 +520,16 @@ def _ore_settings():
         ("qshift z in u", dict(kind="qshift", step=z, z_index=1)),
     ):
         out.append(("QQ(z,u) " + label, F, (z, u), OreAlgebra(F, **kw), pool))
+    # algebras built from names, with no sympy field until the boundary
+    for label, kw in (
+        ("qshift u", dict(kind="qshift", step="u")),
+        ("ashift 3 in u", dict(kind="ashift", step=3, z_index=1)),
+    ):
+        out.append(("QQ(z,u) names " + label, F, (z, u), OreAlgebra.over("z, u", **kw), pool))
+    F, z = frac_field("z", GF(7))
+    pool = [F.one, z + 1, (z + 1) ** 2, z ** 2 + 3, z ** 7 + 1, F.one * 2]
+    for label, kw in (("ashift 1", dict(kind="ashift", step=1)), ("qshift 3", dict(kind="qshift", step=3))):
+        out.append(("GF(7)(z) names " + label, F, (z,), OreAlgebra.over("z", p=7, **kw), pool))
     for p in (2, 3, 5):
         F, z = frac_field("z", GF(p))
         pool = [F.one, F.one, z + 1, z + 1, (z + 1) ** 2, z ** 2 + z + 1, z ** p + 1]

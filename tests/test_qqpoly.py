@@ -126,7 +126,7 @@ def test_slot_overflow_raises():
     z = _poly({(1 << 70, 1): 1}, 2)
     assert _terms(z * z) == {(1 << 71, 2): 1}
     assert _terms(z.diff(0)) == {((1 << 70) - 1, 1): 1 << 70} and _terms(z.diff(1)) == {(1 << 70, 0): 1}
-    alg = OreAlgebra.differential("z, u")
+    alg = OreAlgebra.over("z, u")
     z, u = alg.gens
     with pytest.raises(OverflowError):
         alg.mult(u) ** (1 << 64)  # squares u^(2^62) on the way
@@ -157,7 +157,7 @@ def test_power_is_the_repeated_product(p):
 def test_lifting_to_a_huge_exponent_squares():
     # a sum lifts a base to the gap between two denominator exponents, here
     # 2^40; by squaring, z^(2^40) takes 40 products of one-term polynomials
-    alg = OreAlgebra.differential("z")
+    alg = OreAlgebra.over("z")
     z = alg.F.gens[0]
     start = time.perf_counter()
     x = (alg.mult(1 / z) ** (1 << 40) + alg.one())._c[0]
@@ -195,7 +195,7 @@ def test_differential_algebra_matches_the_sympy_field(names, p):
     # an algebra built from names makes the same field and the same answers
     # as one built on sympy's field, and every FracElement comes back as the
     # cancelled fraction
-    native = OreAlgebra.differential(names, p)
+    native = OreAlgebra.over(names, p=p)
     F, *gens = frac_field(names, GF(p) if p else QQ)
     assert native.F == F
     ref = OreAlgebra(F, "diff")
@@ -218,15 +218,21 @@ def test_differential_algebra_matches_the_sympy_field(names, p):
 
 
 def test_differential_algebra_takes_native_polynomials():
-    alg = OreAlgebra.differential("z, u")
+    alg = OreAlgebra.over("z, u")
     z, u = alg.gens
     F, fz, fu = frac_field("z, u", QQ)
     assert alg.mult(z - u) == alg.mult(fz - fu)
     assert alg.mult(z * Fraction(1, 2)) == alg.mult(fz / 2)
+    assert alg.mult(Fraction(-3, 4)) == alg.mult(F.one * -3 / 4) and alg.mult(Fraction(6, 3)) == alg.mult(2)
     assert (alg.S(1) * alg.mult(z ** 3)).terms == {0: 3 * fz ** 2, 1: fz ** 3}
-    gf = OreAlgebra.differential("t", 7)
+    gf = OreAlgebra.over("t", p=7)
     (t,) = gf.gens
     assert not gf.delta(t ** 7)
+    # a Fraction constant is n d^-1 mod p: this used to raise sympy's
+    # CoercionFailed, though 1/2 = 4 in GF(7)
+    assert gf.mult(Fraction(1, 2)) == gf.mult(4) and gf.mult(Fraction(-3, 5)) == gf.mult(-3 * 3)
+    with pytest.raises(ValueError):
+        gf.mult(Fraction(1, 7))
     # the boundary returns the cancelled fraction with a monic denominator
     (ft,) = gf.F.gens
     g = (ft ** 2 + 1) / (3 * ft ** 2 + 3 * ft)
@@ -234,7 +240,11 @@ def test_differential_algebra_takes_native_polynomials():
     assert got.denom.LC == 1 and got == gf.F.new(got.numer, got.denom)
     assert _same(got, g.diff(ft))
     with pytest.raises(ValueError):
-        OreAlgebra.differential("z", 4)
+        OreAlgebra.over("z", p=4)
+    # each name is one variable of the field too, where sympy's symbols()
+    # would read "x0:2" as the range x0, x1 (its delta then raised)
+    alg = OreAlgebra.over("x0:2, y")
+    assert [str(x) for x in alg.F.symbols] == ["x0:2", "y"] and alg.delta(alg.F.gens[0] ** 2) == 2 * alg.F.gens[0]
     # every kind refuses ZZ: the twists used to answer 0 for 1/(2z + 1)
     F, z = frac_field("z", sympy.ZZ)
     for kw in (dict(kind="diff"), dict(kind="ashift", step=1), dict(kind="qshift", step=2)):
