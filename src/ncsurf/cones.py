@@ -28,7 +28,6 @@ from .lattice import (
     canonical_class,
     intersect,
     render_div,
-    zero_class,
 )
 from . import latenum
 from .marking import FIBER_CAP, _drop, _root_effective, _surface_table, is_root_effective
@@ -67,11 +66,12 @@ def effective_cert(S, D):
         ok = a >= 0 and D.coeffs[1] + a * d0 >= 0
         return ok, {"subtracted": [], "residue": D, "tie": tie}
     ok, cert, _ = _cone_loop(S, D, stop_on_subtract=False)
-    return ok, cert
+    return ok, cert and {"subtracted": [_new(y, sig) for y in cert[0]], "residue": _new(cert[1], sig)}
 
 
 def is_effective(S, D):
-    return effective_cert(S, D)[0]
+    """effective_cert's answer; for m >= 1 no certificate is built."""
+    return effective_cert(S, D)[0] if S.sig.m == 0 else _cone_loop(S, D, stop_on_subtract=False)[0]
 
 
 def nef_witness(S, D):
@@ -90,11 +90,12 @@ def nef_witness(S, D):
                 return False, comp.cls
         return True, None
     ok, _, witness = _cone_loop(S, D, stop_on_subtract=True)
-    return ok, witness
+    return ok, None if witness is None else _new(witness, sig)
 
 
 def is_nef(S, D):
-    return nef_witness(S, D)[0]
+    """nef_witness's answer; for m >= 1 no witness is built."""
+    return nef_witness(S, D)[0] if S.sig.m == 0 else _cone_loop(S, D, stop_on_subtract=True)[0]
 
 
 def _blocked_subtraction(S, x, alpha):
@@ -129,13 +130,25 @@ def _effective_classes(S, Da, t):
 def _negative_witness(T, row):
     """The nef screen: the first class of T.screen (f, the components, the e_i
     and the f - e_i, all effective) pairing negatively with the Gram row row,
-    or None.  Past it the grade is >= 0: T's grading class
-    A = a*s + b*f - sum(c_i e_i) has 2A = a*Q + (2b - a*kappa)*f +
-    sum((a - 2c_i) e_i) for Q = -K = 2s + kappa*f - sum(e_i), with
-    coefficients >= 0 (marking._surface_table checks them), and
-    Q = sum m_j C_j over the components (marking.validate)."""
-    for y in T.screen:
+    or None; an emptied screen screens nothing.  Only the components are
+    dotted: row.f = row[1], row.e_i = row[i + 1] and row.(f - e_i) =
+    row[1] - row[i + 1] are read off the row.  Past the screen the grade is
+    >= 0: T's grading class A = a*s + b*f - sum(c_i e_i) has 2A = a*Q +
+    (2b - a*kappa)*f + sum((a - 2c_i) e_i) for Q = -K = 2s + kappa*f -
+    sum(e_i), with coefficients >= 0 (marking._surface_table checks them),
+    and Q = sum m_j C_j over the components (marking.validate)."""
+    screen, f, es = T.screen, row[1], row[2:]
+    k = len(screen) - 2 * len(es)  # the e_i start at screen[k]
+    if f < 0 and screen:
+        return screen[0]
+    for y in screen[1:k]:
         if _dot(row, y) < 0:
+            return y
+    for y, c in zip(screen[k:], es):
+        if c < 0:
+            return y
+    for y, c in zip(screen[k + len(es):], es):
+        if c > f:
             return y
     return None
 
@@ -144,9 +157,12 @@ def _cone_loop(S, D, stop_on_subtract):
     """Shared effectiveness/nef loop for m >= 1, on coefficient tuples in S's
     frame: the walks move the frame (weyl._pull_table), not the class.
 
-    Returns (ok, certificate, witness); with stop_on_subtract the first class
-    of the surface table's screen, else the first needed subtraction, that
-    pairs negatively with D is the witness (ok = False)."""
+    Returns (ok, certificate, witness), all tuples: the certificate is
+    (subtracted, residue) when D is effective, else None; with
+    stop_on_subtract the first class of the surface table's screen, else the
+    first needed subtraction, that pairs negatively with D is the witness
+    (ok = False).  effective_cert and nef_witness wrap them as DivClasses,
+    is_effective and is_nef read ok only."""
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
@@ -157,16 +173,15 @@ def _cone_loop(S, D, stop_on_subtract):
     # (m >= 8) reflection groups for negative anticanonical degree.
     level = _dot(table.q_row, x)
     if T.q_nef and level < 0:
-        return False, None, _new(q, sig) if stop_on_subtract else None
+        return False, None, q if stop_on_subtract else None
     # at anticanonical degree 0 with irreducible Q of square 0, a multiple
     # cQ is effective exactly when c >= 0, with c copies of Q as certificate
     if level == 0 and T.irreducible_q and table.q_sq == 0:
         c = _multiple_of(x, q)
         if c is not None:
             if c < 0:
-                return False, None, basis_f(sig) if stop_on_subtract else None
-            cert = {"subtracted": [_new(q, sig)] * c, "residue": zero_class(sig)}
-            return True, cert, None
+                return False, None, table.base[table.f] if stop_on_subtract else None
+            return True, ([q] * c, (0,) * sig.rank), None
     # grade by the dual-interior class of the surface table: every nonzero
     # effective class has grade >= 1, so the residue grade drops by >= 1 per
     # subtraction and a negative grade certifies ineffectivity; the grade
@@ -178,7 +193,7 @@ def _cone_loop(S, D, stop_on_subtract):
     if stop_on_subtract:
         y = _negative_witness(T, row)
         if y is not None:
-            return False, None, _new(y, sig)
+            return False, None, y
         if grade < 0:
             raise InvariantViolation("a class passing the nef screen has a negative grade")
     else:
@@ -197,7 +212,7 @@ def _cone_loop(S, D, stop_on_subtract):
             # listed if new and not refuted by the always-effective classes
             if len(T.fibers) < FIBER_CAP and N not in T.fibers and _negative_witness(T, nrow) is None:
                 T.fibers.append(N)
-            return False, None, _new(N, sig)
+            return False, None, N
         n, j, y = 1, None, None
         if k is not None:
             # an effective simple root pairs negatively; subtract an
@@ -219,7 +234,7 @@ def _cone_loop(S, D, stop_on_subtract):
         if y is None:
             break
         if stop_on_subtract:
-            return False, None, _new(y, sig)
+            return False, None, y
         grade -= n * _drop(T.grading_row, y)
         if grade < 0:
             return False, None, None
@@ -233,8 +248,7 @@ def _cone_loop(S, D, stop_on_subtract):
         total = tuple(map(add, total, y))
     if total != D.coeffs:
         raise InvariantViolation("effectiveness certificate failed its sum check")
-    cert = {"subtracted": [_new(y, sig) for y in subtracted], "residue": _new(x, sig)}
-    return True, cert, None
+    return True, (subtracted, x), None
 
 
 def _multiple_of(x, q):
@@ -249,13 +263,8 @@ def is_ample(S, D):
     D; the orthogonal test enumerates the -1/-2 classes of the definite
     sublattice D-perp plus the components."""
     sig = S.sig
-    if not is_nef(S, D):
+    if not is_nef(S, D) or intersect(D, D) <= 0 or any(intersect(D, comp.cls) == 0 for comp in S.components):
         return False
-    if intersect(D, D) <= 0:
-        return False
-    for comp in S.components:
-        if intersect(D, comp.cls) == 0:
-            return False
     if sig.m == 0:
         sprime, _, _ = minimal_section(S)
         return intersect(D, basis_f(sig)) > 0 and intersect(D, sprime) > 0
@@ -282,22 +291,9 @@ def effective_generators(S, Da, bound):
     sig = S.sig
     if not is_ample(S, Da):
         raise ValueError("reference class %s is not ample" % render_div(Da))
-    out = []
-    seen = set()
-
-    def push(x):
-        if x.coeffs not in seen:
-            seen.add(x.coeffs)
-            out.append(x)
-
-    for comp in S.components:
-        push(comp.cls)
+    out = [comp.cls for comp in S.components]
     if sig.m == 0:
-        sprime, _, _ = minimal_section(S)
-        push(sprime)
-        push(basis_f(sig))
-        return out
-    for t in range(1, bound + 1):
-        for x in _effective_classes(S, Da, t):
-            push(x)
-    return out
+        out += [minimal_section(S)[0], basis_f(sig)]
+    else:
+        out += [x for t in range(1, bound + 1) for x in _effective_classes(S, Da, t)]
+    return list(dict.fromkeys(out))  # the first of equal classes, in order

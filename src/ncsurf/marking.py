@@ -231,7 +231,8 @@ def _neg1_pairings(x):
     return [-c for c in x[2:]] + [x[0] + c for c in x[2:]]
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows caps ncap budget neg1 screen q_nef irreducible_q fibers")
+_SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows comp_steps caps ncap budget neg1_steps screen q_nef "
+                           "irreducible_q fibers")
 
 # the most proven-nef fibers a surface table keeps (_surface_table's fibers):
 # it bounds each screen's scan, and a benchmark pass lists at most 16
@@ -247,9 +248,13 @@ def _surface_table(S):
     effective class has grade >= 1 and each subtraction lowers it (_drop).
     A is a nonnegative combination of Q, f and the e_i, so the nef screen is
     complete (cones._negative_witness); both facts are checked here.  The
-    components come with their Gram rows; caps, ncap and the grade prune
-    make the root search finite, and budget is a time cap on it.  screen
-    lists f, the components, the e_i and the f - e_i: the nef screen.
+    components come with their Gram rows.  comp_steps and neg1_steps hold
+    each component and each always-effective -1-class (the e_i, then the
+    f - e_i) with its grade and component degrees, by which a subtraction
+    lowers a residue's in the root search; caps, ncap and the grade prune
+    make that search finite, and budget is a time cap on it.  screen lists
+    f, the components, the e_i and the f - e_i: the nef screen, which dots
+    the components and reads the other pairings off a Gram row.
     fibers starts empty and is filled by the cone loop, up to FIBER_CAP: the
     fiber P[f] of each cut walk, in S's frame.  That walk reached its
     blowdown structure by reflections at roots the oracle found ineffective
@@ -291,7 +296,12 @@ def _surface_table(S):
     neg1 = _effective_neg1_classes(sig)
     screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
-    return _SurfaceTable(K.coeffs, rowA, comp_rows, caps, ncap, budget, neg1, screen, q_nef, irreducible_q, [])
+
+    def steps(pieces):  # each piece with its grade and its component degrees
+        return tuple((p, _dot(rowA, p.coeffs), tuple([_dot(r, p.coeffs) for _, r in comp_rows])) for p in pieces)
+
+    return _SurfaceTable(K.coeffs, rowA, comp_rows, steps(c.cls for c in comps), caps, ncap, budget, steps(neg1), screen,
+                         q_nef, irreducible_q, [])
 
 
 def _drop(row, y):
@@ -318,24 +328,25 @@ def is_root_effective(S, alpha):
 @lru_cache(maxsize=2048)  # bounded: a benchmark pass asks 30 (cone_sweep) or 441-448 (section_fuzz) roots
 def _root_effective(S, a):
     """is_root_effective on the coefficient tuple a of a class of S.sig: the
-    walks probe with their frame tuples."""
+    walks probe with their frame tuples.  Each residue carries its grade and
+    component degrees, so a candidate is pruned before its tuple is built."""
     sig, T = S.sig, _surface_table(S)
     if _pair(sig, a, a) != -2 or _pair(sig, a, T.K):
         raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(_new(a, sig)))
     # prune via the dual-interior grading: every effective class (and every
     # residue on a successful decomposition path) has nonnegative grade
-    rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
-    if _dot(rowA, a) < 0:
+    comp_steps, caps, ncap, budget = T.comp_steps, T.caps, T.ncap, T.budget
+    grade = _dot(T.grading_row, a)
+    if grade < 0:
         return False, None
     seen = {a}
-    queue = deque([(a, (0,) * len(comp_rows), 0, ())])
+    queue = deque([(a, (0,) * len(caps), 0, (), grade, [_dot(row, a) for _, row in T.comp_rows])])
     steps = 0
     while queue:
-        beta, n, nsub, pieces = queue.popleft()
+        beta, n, nsub, pieces, grade, degs = queue.popleft()
         steps += 1
         if steps > budget:
             raise BudgetExhausted("root effectiveness search", _new(a, sig), steps - 1, budget)
-        degs = [_dot(row, beta) for _, row in comp_rows]
         if not any(beta):  # reached by subtractions: alpha^2 = -2, so alpha != 0
             return True, {"components": n, "a": 0, "d": 1, "pieces": pieces}
         elif not any(degs):
@@ -345,15 +356,17 @@ def _root_effective(S, a):
                 return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}
         # recurse on the components pairing negatively with the residue, then
         # on the always-effective -1-classes that do
-        nexts = [(comp_rows[j][0], n[:j] + (n[j] + 1,) + n[j + 1:], nsub)
+        nexts = [(comp_steps[j], n[:j] + (n[j] + 1,) + n[j + 1:], nsub)
                  for j, d in enumerate(degs) if d < 0 and n[j] < caps[j]]
         if nsub < ncap:
-            nexts += [(c, n, nsub + 1) for c, d in zip(T.neg1, _neg1_pairings(beta)) if d < 0]
-        for c, n2, nsub2 in nexts:
+            nexts += [(p, n, nsub + 1) for p, d in zip(T.neg1_steps, _neg1_pairings(beta)) if d < 0]
+        for (c, cgrade, cdegs), n2, nsub2 in nexts:
+            if grade < cgrade:
+                continue
             b2 = tuple(map(sub, beta, c.coeffs))
-            if b2 not in seen and _dot(rowA, b2) >= 0:
+            if b2 not in seen:
                 seen.add(b2)
-                queue.append((b2, n2, nsub2, pieces + (c,)))
+                queue.append((b2, n2, nsub2, pieces + (c,), grade - cgrade, list(map(sub, degs, cdegs))))
     return False, None
 
 

@@ -41,8 +41,9 @@ from ncsurf.presets import (
     get_preset,
     m1_generic,
     m2_generic,
+    m3_generic,
 )
-from ncsurf.weyl import find_blowdown, in_neg1_orbit
+from ncsurf.weyl import et_surface, find_blowdown, in_neg1_orbit
 
 
 def rand_div(sig, rng, bound=4):
@@ -478,3 +479,66 @@ def test_screened_classes_have_nonnegative_grade(data):
     D = (x, y_min + data.draw(st.integers(0, 3))) + z
     assume(_negative_witness(T, _row(sig, D)) is None)
     assert _dot(T.grading_row, D) >= 0
+
+
+def _agreement_inputs():
+    """The [-2, 2] boxes of m1-m4_generic and of et_surface(m3_generic()),
+    which has odd parity, 150 seeded classes each of dp9_torsion and
+    pvi_m12, and the [-3, 3] boxes of the m = 0 presets."""
+    rng = random.Random(34)
+    out = []
+    for S in [get_preset("m%d_generic" % m) for m in (1, 2, 3, 4)] + [et_surface(m3_generic())]:
+        out += [(S, DivClass(c, S.sig)) for c in itertools.product(range(-2, 3), repeat=S.sig.rank)]
+    for name in ("dp9_torsion", "pvi_m12"):
+        S = get_preset(name)
+        out += [(S, rand_div(S.sig, rng, 3)) for _ in range(150)]
+    for name in sorted(PRESETS):
+        S = get_preset(name)
+        if S.sig.m == 0:
+            out += [(S, DivClass(c, S.sig)) for c in itertools.product(range(-3, 4), repeat=2)]
+    return out
+
+
+def test_bool_entries_agree_with_the_certificate_entries():
+    # is_effective and is_nef build no certificate; both kinds of entry fill
+    # the surface tables' fiber lists, so each pair runs in both orders
+    items = _agreement_inputs()
+    assert {S.sig.parity for S, _ in items} == {"even", "odd"} and min(S.sig.m for S, _ in items) == 0
+    entries = ((is_effective, effective_cert), (is_nef, nef_witness))
+    for bool_first in (True, False):
+        _surface_table.cache_clear()
+        for S, D in items:
+            for plain, certified in entries:
+                if bool_first:
+                    got, want = plain(S, D), certified(S, D)[0]
+                else:
+                    want, got = certified(S, D)[0], plain(S, D)
+                if got is not want:
+                    pytest.fail("%s(%s) on %r is %r, %s says %r (%s first)" % (
+                        plain.__name__, render_div(D), S.sig, got, certified.__name__, want,
+                        "bool" if bool_first else "certificate"))
+
+
+def test_nef_screen_reads_the_dotted_scan():
+    # _negative_witness reads the pairings with f, the e_i and the f - e_i
+    # off the row: it must return the first class of the screen that the
+    # plain dot scan finds, on every preset, at m = 1 and at odd parity
+    rng = random.Random(340)
+    surfaces = [get_preset(n) for n in sorted(PRESETS)] + [et_surface(m3_generic())]
+    surfaces += [_split_q(1, parity, genera, d) for parity in ("even", "odd") for genera in ((0, 0), (1, 1))
+                 for d in (None, 0, 2)]
+    kinds = set()
+    for S in surfaces:
+        sig, T = S.sig, _surface_table(S)
+        kind = ["f"] + ["component"] * len(S.components) + ["e_i"] * sig.m + ["f - e_i"] * sig.m
+        assert len(kind) == len(T.screen)
+        for _ in range(400):
+            x = tuple(rng.randint(-3, 3) for _ in range(sig.rank))
+            row = _row(sig, x)
+            want = next((i for i, y in enumerate(T.screen) if _dot(row, y) < 0), None)
+            got, expected = _negative_witness(T, row), None if want is None else T.screen[want]
+            if got != expected:
+                pytest.fail("screen of %s on %r gives %r, the dot scan %r" % (x, sig, got, expected))
+            kinds.add(None if want is None else kind[want])
+            assert _negative_witness(T._replace(screen=()), row) is None
+    assert kinds == {"f", "component", "e_i", "f - e_i", None}

@@ -453,6 +453,27 @@ def test_root_search_matches_the_reference_search(monkeypatch):
         pytest.fail("no effective root among the %d asked" % len(pairs))
 
 
+def test_root_search_runs_out_where_the_reference_search_does(monkeypatch):
+    # the carried grades and degrees must not change the order of the search:
+    # under small budgets on pvi_m12 both searches stop at the same step of
+    # the same root, or give the same answer
+    S = get_preset("pvi_m12")
+    roots = list(dict.fromkeys(a for R, a in walk_roots(random.Random(19)) if R == S))
+    exhausted, real = 0, marking._surface_table
+    for budget in (1, 2, 3, 5):
+        small = lambda S, budget=budget: real(S)._replace(budget=budget)
+        monkeypatch.setattr(marking, "_surface_table", small)
+        monkeypatch.setitem(globals(), "_surface_table", small)  # read by reference_root_search
+        for alpha in roots:
+            got = outcome(lambda S, alpha: marking._root_effective.__wrapped__(S, alpha.coeffs), S, alpha)
+            want = outcome(reference_root_search, S, alpha)
+            if got != want:
+                pytest.fail("budget %d at %s: %r, the reference search %r" % (budget, render_div(alpha), got, want))
+            exhausted += got[0] == "BudgetExhausted" and budget > 1
+    if not exhausted:
+        pytest.fail("no root ran out of a budget above 1 step")
+
+
 @pytest.mark.parametrize("genera", [(0, 0), (1, 1), (2, 0), (0, 3)])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_closed_form_neg1_pairings_are_the_gram_row_dots(parity, genera):
