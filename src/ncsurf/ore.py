@@ -23,8 +23,8 @@ once, on the way out, with `FracField.new`.  Powers go by repeated squaring.
 Every kind keeps its numerators and bases on one native kernel, whose
 arithmetic costs less than sympy's coefficients: `_Poly`, sparse dicts from
 monomials, each packed into one int, to ints or Fractions over QQ and to
-ints mod p over GF(p), in any number of variables.  A twist's step is
-localised once, and sigma^k(z) and the substitution into z's slot of the
+ints mod p over GF(p), in any number of variables; each result is built
+in normal form as it is computed, and no polynomial changes once built.  A twist's step is localised once, and sigma^k(z) and the substitution into z's slot of the
 packed monomials (`_subs`) run on the kernel too.  `OreAlgebra.over` builds
 every kind from variable names with no sympy field: sympy is imported only
 when a FracElement crosses the boundary, the only code here that reads it
@@ -79,6 +79,7 @@ def _rat(x):
 # below 2^(_W - 1), so that int order is lex order and a product adds keys.
 _W = 64
 _SLOT = (1 << _W) - 1
+_ONE = {0: 1}  # the t of the constant polynomial 1
 
 
 def _pack(m):
@@ -119,9 +120,15 @@ class _Poly:
     """A polynomial in n variables over QQ (p = 0) or GF(p): t maps packed
     monomials (see _pack) to nonzero coefficients, ints or Fractions over
     QQ and ints in [1, p) over GF(p).  LC is the coefficient of the
-    lex-largest monomial, as in sympy, and items() yields exponent tuples."""
+    lex-largest monomial, as in sympy, and items() yields exponent tuples.
 
-    __slots__ = ("t", "n", "p")
+    Sums, negations, derivatives and scalar multiples build their result
+    dict in this normal form in the one pass that computes it, a product in
+    one accumulation and one reduction.  No t changes after construction, so
+    a result may be an operand: x * 1 and 1 * x (for the int 1 or the
+    polynomial 1) return x.  The hash reads t's keys once, on first use."""
+
+    __slots__ = ("t", "n", "p", "_h")
 
     def __init__(self, t, n, p=0):
         self.t, self.n, self.p = t, n, p
@@ -137,29 +144,54 @@ class _Poly:
         return bool(self.t)
 
     def __hash__(self):
-        return hash(frozenset(self.t))
+        try:
+            return self._h
+        except AttributeError:
+            h = self._h = hash(frozenset(self.t))
+            return h
 
     def __eq__(self, other):
         return self.t == (other.t if isinstance(other, _Poly) else self._new({0: other}).t)
 
     def __add__(self, other):
-        t = dict(self.t)
+        t, p = dict(self.t), self.p
+        get = t.get
         for m, c in other.t.items():
-            t[m] = t.get(m, 0) + c
-        return self._new(t)
+            if s := (get(m, 0) + c) % p if p else get(m, 0) + c:
+                t[m] = s
+            else:  # m is a key of self, whose term other's cancels
+                del t[m]
+        return _Poly(t, self.n, p)
 
     def __neg__(self):
-        return self._new({m: -c for m, c in self.t.items()})
+        p = self.p
+        return _Poly({m: p - c for m, c in self.t.items()} if p else {m: -c for m, c in self.t.items()}, self.n, p)
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
-        if not isinstance(other, _Poly):  # a scalar
-            return self._new({m: c * other for m, c in self.t.items()})
+        if isinstance(other, _Poly):
+            return self._prod(other, 1)
+        if other == 1:  # a scalar from here on
+            return self
+        p = self.p
+        if p:
+            return _Poly({m: r for m, c in self.t.items() if (r := c * other % p)}, self.n, p)
+        return _Poly({m: c * other for m, c in self.t.items()} if other else {}, self.n, 0)
+
+    def _prod(self, other, s):
+        """s * self * other for an int s, accumulated in one dict."""
+        if self.p:
+            s %= self.p
+        if not s:
+            return _Poly({}, self.n, self.p)
+        if s == 1 and _ONE in (self.t, other.t):
+            return self if other.t == _ONE else other
         t = {}
         get = t.get
         for m, c in self.t.items():
+            c *= s
             for k, d in other.t.items():
                 mk = m + k
                 t[mk] = get(mk, 0) + c * d
@@ -168,16 +200,18 @@ class _Poly:
         return self._new(t)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative polynomial powers are not supported")
         return _power(self, n) if n else _Poly({0: 1}, self.n, self.p)
 
     def diff(self, i=0):
         shift = _W * (self.n - 1 - i)
-        mask, one = _SLOT if i else -1, 1 << shift
+        mask, one, p = _SLOT if i else -1, 1 << shift, self.p
         t = {}
         for m, c in self.t.items():
-            if e := m >> shift & mask:
-                t[m - one] = c * e
-        return self._new(t)
+            if (e := m >> shift & mask) and (r := c * e % p if p else c * e):
+                t[m - one] = r
+        return _Poly(t, self.n, p)
 
     def items(self):
         return ((_unpack(m, self.n), c) for m, c in self.t.items())
@@ -228,7 +262,7 @@ class _Loc:
 
     def __init__(self, num, den):
         self.num = num
-        self.den = den if num else {}
+        self.den = den if num.t else {}
 
 
 def _lift(x, den):
@@ -242,9 +276,9 @@ def _lift(x, den):
 
 
 def _add(x, y):
-    if not x.num:
+    if not x.num.t:
         return y
-    if not y.num:
+    if not y.num.t:
         return x
     if x.den == y.den:
         return _Loc(x.num + y.num, x.den)
@@ -257,9 +291,7 @@ def _add(x, y):
 
 def _mul(x, y, k=1):
     """k * x * y for an integer k."""
-    num = x.num * y.num
-    if k != 1:
-        num = num * k
+    num = x.num._prod(y.num, k)
     if not (x.den and y.den):
         return _Loc(num, x.den or y.den)
     den = dict(x.den)
@@ -274,12 +306,12 @@ def _pow(x, n):
 
 def _equal(x, y):
     """x == y: the numerator of x - y is zero, with no gcd."""
-    return not _add(x, _Loc(-y.num, y.den)).num
+    return not _add(x, _Loc(-y.num, y.den)).num.t
 
 
 def _acc(out, k, x):
     """out[k] += x in a dict of coefficients."""
-    if x.num:
+    if x.num.t:
         out[k] = _add(out[k], x) if k in out else x
 
 
@@ -435,7 +467,7 @@ class OreAlgebra:
             if db:
                 den = dict(x.den)
                 den[b] = e + 1
-                out = _add(out, _Loc(x.num * db * -e, den))
+                out = _add(out, _Loc(x.num._prod(db, -e), den))
         return out
 
     def _chain(self, x, order):

@@ -43,6 +43,8 @@ class TruncSeries:
         if _entries is None:
             b, _entries = _layout(p, n, prec)[0], [0] * (n * n)
             for k, M in (coeffs or {}).items():
+                if len(M) != n or any(len(row) != n for row in M):
+                    raise ValueError("M_%s is not a %d x %d matrix" % (k, n, n))
                 if 0 <= k <= prec:
                     for i, a in enumerate(a for row in M for a in row):
                         _entries[i] |= (int(a) % p) << b * k
@@ -92,6 +94,8 @@ class TruncSeries:
         return self._reduced(sum(map(mul, A[r:r + n], col)) for r in range(0, n * n, n) for col in cols)
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative series powers are not supported")
         out = TruncSeries.one(self.p, self.n, self.prec)
         for _ in range(e):
             out = out._times(self)

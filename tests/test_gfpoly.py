@@ -81,6 +81,47 @@ def test_kernel_matches_sympy(p, cs, k, n):
         assert hash(a) == hash(b)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from(PRIMES), cs=st.lists(coeff_lists, min_size=2, max_size=2), k=st.integers(-30, 30))
+def test_single_pass_results_in_characteristic_p(p, cs, k):
+    # reduction mod p happens in the pass that builds each result: sums that
+    # cancel mod p, -a as p - c, factors that vanish mod p, and derivatives
+    # of p-th powers; no operand's dict changes, and equal results hash equal
+    R, x = ring("x", GF(p))
+    a, b = (_gfp(l, p) for l in cs)
+    A, B = (_sym(R, t) for t in (a, b))
+    one = _gfp([1], p)
+    before = [list(t.t.items()) for t in (a, b, one)]
+    hashes = [hash(t) for t in (a, b, one)]
+    results = {
+        "a + -a": (a + -a, R.zero),
+        "a + (p-1)a": (a + a * (p - 1), R.zero),
+        "(a + b) - a": ((a + b) - a, B),
+        "-a": (-a, -A),
+        "prod p": (a._prod(b, p), R.zero),
+        "prod -p": (a._prod(b, -p), R.zero),
+        "prod kp": (a._prod(b, k * p), R.zero),
+        "prod k": (a._prod(b, k), A * B * k),
+        "prod -k": (a._prod(b, -k), A * B * -k),
+        "prod 1": (a._prod(b, 1), A * B),
+        "prod 1 + p": (a._prod(b, 1 + p), A * B),
+        "a * 1": (a * 1, A),
+        "1 * a": (one * a, A),
+        "diff a^p": ((a ** p).diff(), R.zero),
+        "diff a^p b": ((a ** p * b).diff(), A ** p * B.diff(x)),
+    }
+    for name, (mine, theirs) in results.items():
+        theirs.strip_zero()
+        assert _normal(mine, p), (name, _coeffs(mine))
+        assert _sym(R, mine) == theirs, (name, _coeffs(mine), theirs)
+        rebuilt = _gfp(_coeffs(mine), p)
+        assert rebuilt == mine and hash(rebuilt) == hash(mine), name
+    assert _coeffs(-a) == tuple((p - c) % p for c in _coeffs(a))
+    assert a * 1 is a and one * b is (one if b == 1 else b)
+    assert [list(t.t.items()) for t in (a, b, one)] == before
+    assert [hash(t) for t in (a, b, one)] == hashes
+
+
 def test_kernel_edge_cases():
     p = 5
     zero, one = _gfp((), p), _gfp((1,), p)

@@ -84,6 +84,51 @@ def _terms(a):
     return dict(a.items())
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 3), p=st.sampled_from(MODULI), k=st.integers(-30, 30))
+def test_single_pass_results_are_normal_and_leave_operands_alone(data, n, p, k):
+    # every operation builds its result in normal form in one pass, changes
+    # no operand's dict, and a product by 1 is the other operand itself
+    R = _ring(n, p)
+    a, b = (data.draw(polys(n, p)) for _ in range(2))
+    one = _poly({(0,) * n: 1}, n, p)
+    A, B = _sym(R, a), _sym(R, b)
+    operands = (a, b, one)
+    before = [list(x.t.items()) for x in operands]
+    hashes = [hash(x) for x in operands]  # cached before any result is built
+    results = {
+        "a + -a": (a + -a, R.zero),
+        "-a + a": (-a + a, R.zero),
+        "(a + b) - b": ((a + b) - b, A),  # cancels on every key of b
+        "b + (a - b)": (b + (a - b), A),
+        "-a": (-a, -A),
+        "a * 1": (a * 1, A),
+        "1 * a": (one * a, A),
+        "a * one": (a * one, A),
+        "prod k": (a._prod(b, k), A * B * k),
+        "prod -k": (a._prod(b, -k), A * B * -k),
+        "prod 1": (a._prod(b, 1), A * B),
+        "prod 0": (a._prod(b, 0), R.zero),
+        "one prod k": (one._prod(a, k), A * k),
+    }
+    if p:
+        results["prod p"] = (a._prod(b, p), R.zero)
+        results["prod 1 + p"] = (a._prod(b, 1 + p), A * B)
+    for i, x in enumerate(R.gens):
+        results["diff %d of a^p" % i] = ((a ** (p or 2)).diff(i), (A ** (p or 2)).diff(x))
+    for name, (mine, theirs) in results.items():
+        theirs.strip_zero()
+        assert _normal(mine), (name, _terms(mine))
+        assert _sym(R, mine) == theirs, (name, _terms(mine), theirs)
+        rebuilt = _poly(_terms(mine), n, p)  # the same polynomial by another route
+        assert rebuilt == mine and hash(rebuilt) == hash(mine), name
+    assert a * 1 is a and a * one is a and a._prod(one, 1) is a
+    assert one * a is (one if a == 1 else a)
+    assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
+    assert [list(x.t.items()) for x in operands] == before
+    assert [hash(x) for x in operands] == hashes
+
+
 def test_kernel_edge_cases():
     zero, one = _poly({}, 2), _poly({(0, 0): 1}, 2)
     x = _poly({(1, 0): 1}, 2)
@@ -152,6 +197,17 @@ def test_power_is_the_repeated_product(p):
             for e in range(7):
                 assert a ** e == product and _normal(a ** e), (n, p, e, _terms(a))
                 product = product * a
+
+
+@pytest.mark.parametrize("p", MODULI + (13,))
+def test_negative_power_raises(p):
+    # the squaring loop read bin(-3) as 7: over GF(7), z ** -3 was z ** 7
+    z = _poly({(1,): 1}, 1, p)
+    for e in (-1, -3, -8):
+        with pytest.raises(ValueError, match="negative polynomial powers"):
+            z ** e
+    with pytest.raises(ValueError, match="negative operator powers"):
+        OreAlgebra.over("z", p=p).S(1) ** -3
 
 
 def test_lifting_to_a_huge_exponent_squares():

@@ -94,6 +94,20 @@ def test_constructor_reduces_its_input():
     assert S.coeffs == {0: ((2,),), 2: ((4,),)}
 
 
+def test_bad_input_raises():
+    # a matrix that is not n x n, at any key, would be read row-major into
+    # the wrong entries (or end in an IndexError); a negative power was 1
+    for n, M in ((3, [[1, 2], [0, 1]]), (1, [[1, 2]]), (2, [[1, 2]]), (2, [[1, 2], [3]]), (1, [])):
+        for k in (0, 1, 3, -1):
+            with pytest.raises(ValueError):
+                TruncSeries(3, n, 2, {k: M})
+    S = TruncSeries(3, 1, 3, {0: [[1]], 1: [[2]]})
+    for e in (-1, -2):
+        with pytest.raises(ValueError):
+            S ** e
+    assert S ** 0 == TruncSeries.one(3, 1, 3) and S ** 2 == S * S
+
+
 def full(p, n, prec):
     """The series with every entry of every M_k at p - 1, where the slot
     bounds of the packed kernel are tightest."""
