@@ -7,10 +7,15 @@ terminal -1-classes e_m and f-e_1, each with its whole multiplicity) that
 pair negatively; acceptance is the dual-monoid condition in the fundamental
 chamber.  Nef queries first screen f, the components, the e_i and f - e_i,
 which is complete: a screened class has nonnegative grade (_negative_witness);
-effectiveness queries first screen the nef fibers of earlier cut walks.
-The walks (weyl._chamber_walk, which dim_gamma runs too) end at the fiber
-cut, the loop (and dim_gamma's) at the grade of the dual-interior class that
-marking._surface_table holds with the other facts of the surface."""
+effectiveness queries first screen the nef fibers of earlier cut walks, and
+is_effective accepts a class that an earlier accepted loop passed through
+(D or a residue: the loop's later subtractions and residue certify it),
+kept in the surface table's effective set up to marking.EFFECTIVE_CAP.
+effective_cert and the nef entries read no such set, so certificates and
+witnesses do not depend on earlier queries.  The walks (weyl._chamber_walk,
+which dim_gamma runs too) end at the fiber cut, the loop (and dim_gamma's)
+at the grade of the dual-interior class that marking._surface_table holds
+with the other facts of the surface."""
 
 from operator import add
 
@@ -30,7 +35,7 @@ from .lattice import (
     render_div,
 )
 from . import latenum
-from .marking import FIBER_CAP, _drop, _root_effective, _surface_table, is_root_effective
+from .marking import EFFECTIVE_CAP, FIBER_CAP, _drop, _root_effective, _surface_table, is_root_effective
 from .weyl import _chamber_walk, _pull_table, in_neg1_orbit
 
 
@@ -70,8 +75,10 @@ def effective_cert(S, D):
 
 
 def is_effective(S, D):
-    """effective_cert's answer; for m >= 1 no certificate is built."""
-    return effective_cert(S, D)[0] if S.sig.m == 0 else _cone_loop(S, D, stop_on_subtract=False)[0]
+    """effective_cert's answer; for m >= 1 no certificate is built, and a
+    class that an earlier accepted loop proved effective is accepted with no
+    walk (_cone_loop's answer_only)."""
+    return effective_cert(S, D)[0] if S.sig.m == 0 else _cone_loop(S, D, stop_on_subtract=False, answer_only=True)[0]
 
 
 def nef_witness(S, D):
@@ -153,7 +160,7 @@ def _negative_witness(T, row):
     return None
 
 
-def _cone_loop(S, D, stop_on_subtract):
+def _cone_loop(S, D, stop_on_subtract, answer_only=False):
     """Shared effectiveness/nef loop for m >= 1, on coefficient tuples in S's
     frame: the walks move the frame (weyl._pull_table), not the class.
 
@@ -162,7 +169,15 @@ def _cone_loop(S, D, stop_on_subtract):
     stop_on_subtract the first class of the surface table's screen, else the
     first needed subtraction, that pairs negatively with D is the witness
     (ok = False).  effective_cert and nef_witness wrap them as DivClasses,
-    is_effective and is_nef read ok only."""
+    is_effective and is_nef read ok only.
+
+    An accepted effectiveness loop records D and the residue after each
+    subtraction in the surface table's effective set (up to EFFECTIVE_CAP),
+    once the certificate's sum check passes: the later subtractions and the
+    residue certify each.  With answer_only (is_effective) a member of the
+    set is accepted, D before the fiber screen and a residue right after
+    its subtraction; the certificate then ends at that member instead of a
+    chamber residue."""
     sig = S.sig
     x = _coeffs(D, sig)
     table = _pull_table(sig)
@@ -189,6 +204,9 @@ def _cone_loop(S, D, stop_on_subtract):
     grade = _dot(T.grading_row, x)
     if grade < 0 and not stop_on_subtract:
         return False, None, None
+    known = T.effective if answer_only else ()
+    if x in known:
+        return True, ([], x), None
     row = _row(sig, x)
     if stop_on_subtract:
         y = _negative_witness(T, row)
@@ -203,7 +221,7 @@ def _cone_loop(S, D, stop_on_subtract):
         for N in T.fibers:
             if _dot(row, N) < 0:
                 return False, None, None
-    P, word, subtracted = list(table.base), [], []
+    P, word, subtracted, chain = list(table.base), [], [], [x]
     v = [_dot(row, p) for p in P]  # x.P[j]: moved by gram after a frame class, else dotted again
     while True:
         cut, k = _chamber_walk(S, x, table, P, v, word)
@@ -240,14 +258,20 @@ def _cone_loop(S, D, stop_on_subtract):
             return False, None, None
         subtracted += [y] * n
         x = _axpy(x, -n, y)
+        chain.append(x)
+        if x in known:
+            break
         row = _row(sig, x)
         v = [_dot(row, p) for p in P] if j is None else [a - n * c for a, c in zip(v, table.gram[j])]
-    # in the chamber, nonnegative on extras and all components: accept
+    # in the chamber, nonnegative on extras and all components (or at a
+    # proven-effective residue): accept
     total = x
     for y in subtracted:
         total = tuple(map(add, total, y))
     if total != D.coeffs:
         raise InvariantViolation("effectiveness certificate failed its sum check")
+    if not stop_on_subtract:
+        T.effective.update(chain[:EFFECTIVE_CAP - len(T.effective)])
     return True, (subtracted, x), None
 
 

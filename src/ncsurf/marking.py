@@ -232,11 +232,14 @@ def _neg1_pairings(x):
 
 
 _SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows comp_steps caps ncap budget neg1_steps screen q_nef "
-                           "irreducible_q fibers")
+                           "irreducible_q fibers effective")
 
 # the most proven-nef fibers a surface table keeps (_surface_table's fibers):
 # it bounds each screen's scan, and a benchmark pass lists at most 16
 FIBER_CAP = 32
+# the most proven-effective classes a surface table keeps (its effective
+# set): a cone_sweep pass records at most 1,373 on one surface (m3_generic)
+EFFECTIVE_CAP = 2048
 
 
 @lru_cache(maxsize=256)  # bounded: one entry per surface asked about
@@ -262,7 +265,19 @@ def _surface_table(S):
     (Harbourne, Trans. AMS 349, 1997); an effective class pairs >= 0 with
     each, whichever queries put it there.  A fiber pairing negatively with a
     class of screen is not nef, so some root of its walk was effective after
-    all (it happens on pvi_m12); it is not listed."""
+    all (it happens on pvi_m12); it is not listed.
+    effective starts empty and is filled by the effectiveness loop, up to
+    EFFECTIVE_CAP coefficient tuples in S's frame: when it accepts a class D
+    and its certificate passes the sum check, D and the residue after each
+    subtraction.  Each is effective: the subtractions after it (components,
+    effective-root pieces, terminal -1-classes) and the accepted residue
+    add up to it.  Only is_effective reads the set (a member is accepted
+    with no walk); the certificate and nef entries do not, so certificates
+    and witnesses do not depend on earlier queries.  A full set takes
+    131,288 + 2,048 * (56 + 8 * rank) bytes by sys.getsizeof while the
+    coefficients are small ints (0.33 MB on m3_generic, 0.48 MB on
+    pvi_m12, rank 14), so the 256 cached tables hold at most 122 MB of
+    them at rank 14."""
     from . import weyl  # local import: weyl imports marking
 
     sig, comps = S.sig, S.components
@@ -301,7 +316,7 @@ def _surface_table(S):
         return tuple((p, _dot(rowA, p.coeffs), tuple([_dot(r, p.coeffs) for _, r in comp_rows])) for p in pieces)
 
     return _SurfaceTable(K.coeffs, rowA, comp_rows, steps(c.cls for c in comps), caps, ncap, budget, steps(neg1), screen,
-                         q_nef, irreducible_q, [])
+                         q_nef, irreducible_q, [], set())
 
 
 def _drop(row, y):

@@ -20,6 +20,8 @@ stays below 2^b; b is the bit length of the largest of three slot bounds:
 from functools import lru_cache
 from operator import add, mul
 
+from .lattice import _as_int
+
 
 @lru_cache(maxsize=256)
 def _layout(p, n, prec):
@@ -43,11 +45,16 @@ class TruncSeries:
         if _entries is None:
             b, _entries = _layout(p, n, prec)[0], [0] * (n * n)
             for k, M in (coeffs or {}).items():
+                k = _as_int(k)
                 if len(M) != n or any(len(row) != n for row in M):
                     raise ValueError("M_%s is not a %d x %d matrix" % (k, n, n))
+                flat = [a for row in M for a in row]
+                ints = list(map(int, flat))
+                if ints != flat:  # _as_int raises the error, at the first bad entry
+                    list(map(_as_int, flat))
                 if 0 <= k <= prec:
-                    for i, a in enumerate(a for row in M for a in row):
-                        _entries[i] |= (int(a) % p) << b * k
+                    for i, a in enumerate(ints):
+                        _entries[i] |= (a % p) << b * k
         self._e = tuple(_entries)
 
     def _reduced(self, raw):

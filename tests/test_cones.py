@@ -33,7 +33,7 @@ from ncsurf.lattice import (
     render_div,
     zero_class,
 )
-from ncsurf.marking import MarkingGroup, QComponent, SurfaceData, _surface_table, validate
+from ncsurf.marking import EFFECTIVE_CAP, MarkingGroup, QComponent, SurfaceData, _surface_table, validate
 from ncsurf.presets import (
     PRESETS,
     f0_generic,
@@ -372,15 +372,15 @@ def _screen_inputs():
     return out
 
 
-def test_fiber_screen_does_not_change_an_answer():
-    # is_effective with every surface table's fiber list emptied before each
-    # query (no screen) against two query orders in which the lists fill up;
-    # every accepted class must pair >= 0 with every listed (nef) fiber
-    items = _screen_inputs()
+def _screened_orders(items, clear, screen):
+    """is_effective on items with clear(T) run on every surface table before
+    each query (the baseline), then in two query orders that fill the
+    tables up: the answers must agree.  Yields each order's label and the
+    baseline answers, with the tables as that order left them."""
     _surface_table.cache_clear()
     plain = []
     for S, D in items:
-        _surface_table(S).fibers.clear()
+        clear(_surface_table(S))
         plain.append(is_effective(S, D))
     order = list(range(len(items)))
     for label in ("input order", "reversed order"):
@@ -391,8 +391,23 @@ def test_fiber_screen_does_not_change_an_answer():
         diff = [i for i in order if screened[i] != plain[i]]
         if diff:
             S, D = items[diff[0]]
-            pytest.fail("%s: %d of %d answers change with the fiber screen, first %s (%s without it)"
-                        % (label, len(diff), len(items), render_div(D), plain[diff[0]]))
+            pytest.fail("%s: %d of %d answers change with the %s, first %s (%s without it)"
+                        % (label, len(diff), len(items), screen, render_div(D), plain[diff[0]]))
+        yield label, plain
+        order.reverse()
+
+
+def test_fiber_screen_does_not_change_an_answer():
+    # is_effective with every surface table's fiber list (and effective set,
+    # the other screen) emptied before each query against two query orders
+    # in which the lists fill up; every accepted class must pair >= 0 with
+    # every listed (nef) fiber
+    def clear(T):
+        T.fibers.clear()
+        T.effective.clear()
+
+    items = _screen_inputs()
+    for label, plain in _screened_orders(items, clear, "fiber screen"):
         filled = 0
         for (S, D), ok in zip(items, plain):
             fibers = _surface_table(S).fibers
@@ -401,7 +416,43 @@ def test_fiber_screen_does_not_change_an_answer():
                 pytest.fail("%s: accepted %s pairs negatively with a listed fiber" % (label, render_div(D)))
         if not filled:
             pytest.fail("%s: no cut walk listed a fiber, so the screen was not exercised" % label)
-        order.reverse()
+
+
+def test_effective_screen_does_not_change_an_answer():
+    # is_effective with every surface table's effective set emptied before
+    # each query against two query orders in which the sets fill up; every
+    # surface must record, and every recorded class must be accepted by
+    # effective_cert, which reads no set
+    items = _screen_inputs()
+    surfaces = {S for S, _ in items}
+    for label, _ in _screened_orders(items, lambda T: T.effective.clear(), "effective screen"):
+        recorded = [(S, x) for S in surfaces for x in _surface_table(S).effective]
+        if len({S for S, _ in recorded}) < len(surfaces):
+            pytest.fail("%s: some surface recorded no accepted loop" % label)
+        for S, x in recorded:
+            if not effective_cert(S, DivClass(x, S.sig))[0]:
+                pytest.fail("%s: recorded %s is not effective" % (label, render_div(DivClass(x, S.sig))))
+
+
+def test_effective_set_stays_at_its_cap():
+    # the whole [-4, 4] box of m3_generic passes through more accepted
+    # residues than EFFECTIVE_CAP: the set fills to the cap and stays there,
+    # later accepted classes go unrecorded, and every answer is
+    # effective_cert's (which reads no set)
+    S = get_preset("m3_generic")
+    _surface_table.cache_clear()
+    T, full, unrecorded = _surface_table(S), False, 0
+    for x in itertools.product(range(-4, 5), repeat=S.sig.rank):
+        D = DivClass(x, S.sig)
+        got = is_effective(S, D)
+        if got is not effective_cert(S, D)[0]:
+            pytest.fail("is_effective(%s) is %s with the effective set, not effective_cert's" % (render_div(D), got))
+        if len(T.effective) > EFFECTIVE_CAP:
+            pytest.fail("the effective set holds %d classes, past its cap" % len(T.effective))
+        if full and got and x not in T.effective:
+            unrecorded += 1
+        full = len(T.effective) == EFFECTIVE_CAP
+    assert full and unrecorded > 1000
 
 
 def _split_q(m, parity, genera, d):
@@ -517,6 +568,29 @@ def test_bool_entries_agree_with_the_certificate_entries():
                     pytest.fail("%s(%s) on %r is %r, %s says %r (%s first)" % (
                         plain.__name__, render_div(D), S.sig, got, certified.__name__, want,
                         "bool" if bool_first else "certificate"))
+
+
+def test_certificates_and_witnesses_do_not_depend_on_earlier_queries():
+    # effective_cert and nef_witness read no effective set, and the fiber
+    # screen only rejects: each certificate and witness is the same with the
+    # surface table emptied before the query as after every class went
+    # through is_effective, which puts each accepted class in the set
+    items = _agreement_inputs()
+    _surface_table.cache_clear()
+    cold = []
+    for S, D in items:
+        T = _surface_table(S)
+        T.fibers.clear()
+        T.effective.clear()
+        cold.append((effective_cert(S, D), nef_witness(S, D)))
+    _surface_table.cache_clear()
+    for S, D in items:
+        is_effective(S, D)
+    assert all(_surface_table(S).effective for S, _ in items if S.sig.m >= 1)
+    for (S, D), want in zip(items, cold):
+        got = (effective_cert(S, D), nef_witness(S, D))
+        if got != want:
+            pytest.fail("%s on %r: %r after is_effective, %r cold" % (render_div(D), S.sig, got, want))
 
 
 def test_nef_screen_reads_the_dotted_scan():

@@ -101,6 +101,13 @@ def test_bad_input_raises():
         for k in (0, 1, 3, -1):
             with pytest.raises(ValueError):
                 TruncSeries(3, n, 2, {k: M})
+    # a non-integer entry was truncated (2.7 to 2, '3' to 3) and a
+    # non-integer key ended in a TypeError from the slot shift; a key out
+    # of 0..prec is dropped, but its matrix is still checked
+    for k, a, bad in ((0, 2.7, 2.7), (0, '3', '3'), (0.5, 1, 0.5), ('1', 1, '1'), (9, 2.5, 2.5), (-1, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="%r is not an integer" % (bad,)):
+            TruncSeries(5, 1, 2, {k: [[a]]})
+    assert TruncSeries(5, 1, 2, {2.0: [[3.0]], 9: [[1]], -1: [[1]]}) == TruncSeries(5, 1, 2, {2: [[3]]})
     S = TruncSeries(3, 1, 3, {0: [[1]], 1: [[2]]})
     for e in (-1, -2):
         with pytest.raises(ValueError):
