@@ -107,20 +107,15 @@ def is_nef(S, D):
 
 def _blocked_subtraction(S, x, alpha):
     """What to subtract when an effective root alpha pairs negatively with x
-    (tuples in S's frame): an irreducible piece of alpha's decomposition that
+    (tuples in S's frame): the first piece of alpha's decomposition that
     itself pairs negatively (subtracting a reducible root whole would
-    over-subtract)."""
-    sig = S.sig
+    over-subtract), else alpha.  A -2 piece p != alpha needs no further
+    split: a component's own search ends at its first state after p, a
+    marked residue's at p itself, so p's pieces are (p,) or ()."""
     eff, wit = _root_effective(S, alpha)
     if not eff:
         raise InvariantViolation("blocked root is not effective")
-    K = canonical_class(sig)
-    for p in wit.get("pieces") or ():
-        if _pair(sig, x, p.coeffs) < 0:
-            if p.coeffs != alpha and intersect(p, p) == -2 and intersect(p, K) == 0:
-                return _blocked_subtraction(S, x, p.coeffs)
-            return p.coeffs
-    return alpha
+    return next((p.coeffs for p in wit["pieces"] if _pair(S.sig, x, p.coeffs) < 0), alpha)
 
 
 def _effective_classes(S, Da, t):
@@ -184,8 +179,8 @@ def _cone_loop(S, D, stop_on_subtract, answer_only=False):
     q, T = table.q, _surface_table(S)
     # Q is fixed by every root reflection, and when Q is nef it pairs >= 0
     # with every effective-cone generator; then D.Q < 0 forces D ineffective
-    # (with Q itself as a nef witness).  This bounds the walk on the infinite
-    # (m >= 8) reflection groups for negative anticanonical degree.
+    # (with Q itself as a nef witness): a quick rejection, as _chamber_walk
+    # bounds its own walk.
     level = _dot(table.q_row, x)
     if T.q_nef and level < 0:
         return False, None, q if stop_on_subtract else None

@@ -94,14 +94,14 @@ class _Frozen(_Record):
 class LatticeSignature(_Frozen, fields=("m", "parity", "genera")):
     __slots__ = ("m", "parity", "genera", "rank", "s_sq", "_hash")
     def __init__(self, m, parity, genera=(0, 0)):  # parity: 'even' or 'odd'
+        m, (g0, g1) = _as_int(m), map(_as_int, genera)
         if m < 0:
             raise ValueError("m must be >= 0")
         if parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        g0, g1 = genera
         if g0 < 0 or g1 < 0:
             raise ValueError("genera must be nonnegative")
-        self._init(m, parity, (int(g0), int(g1)))
+        self._init(m, parity, (g0, g1))
         # the pairing reads only these two (see _pair and _row)
         _set(self, "rank", m + 2)
         _set(self, "s_sq", 0 if parity == "even" else -1)

@@ -37,7 +37,7 @@ from .lattice import (
 class MarkingGroup(_Frozen, fields=("free_rank", "torsion")):
     __slots__ = ("free_rank", "torsion", "_hash")
     def __init__(self, free_rank, torsion=()):
-        torsion = tuple(int(n) for n in torsion)
+        free_rank, torsion = _as_int(free_rank), tuple(map(_as_int, torsion))
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
         if any(n < 2 for n in torsion):
@@ -74,7 +74,7 @@ class MarkingGroup(_Frozen, fields=("free_rank", "torsion")):
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
 
     def smul(self, k, x):
-        return self.reduce(tuple(int(k) * a for a in x))
+        return self.reduce(tuple(_as_int(k) * a for a in x))
 
     def eq(self, x, y):
         return self.reduce(x) == self.reduce(y)
@@ -125,6 +125,7 @@ def _multiples(P, x, q):
 class QComponent(_Frozen, fields=("cls", "mult")):
     __slots__ = ("cls", "mult")
     def __init__(self, cls, mult):
+        mult = _as_int(mult)
         if mult < 1:
             raise ValueError("component multiplicity must be >= 1")
         self._init(cls, mult)
@@ -231,8 +232,8 @@ def _neg1_pairings(x):
     return [-c for c in x[2:]] + [x[0] + c for c in x[2:]]
 
 
-_SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows comp_steps caps ncap budget neg1_steps screen q_nef "
-                           "irreducible_q fibers effective")
+_SurfaceTable = namedtuple("_SurfaceTable", "K grading_row comp_rows comp_steps budget neg1_steps screen q_nef irreducible_q "
+                           "fibers effective")
 
 # the most proven-nef fibers a surface table keeps (_surface_table's fibers):
 # it bounds each screen's scan, and a benchmark pass lists at most 16
@@ -254,8 +255,10 @@ def _surface_table(S):
     components come with their Gram rows.  comp_steps and neg1_steps hold
     each component and each always-effective -1-class (the e_i, then the
     f - e_i) with its grade and component degrees, by which a subtraction
-    lowers a residue's in the root search; caps, ncap and the grade prune
-    make that search finite, and budget is a time cap on it.  screen lists
+    lowers a residue's in the root search.  neg1_steps is empty when no
+    component has C.K > 0 (the K-count below).  The grade bounds the
+    search's depth; budget is a time cap on its width, and BudgetExhausted
+    reports where it stopped.  screen lists
     f, the components, the e_i and the f - e_i: the nef screen, which dots
     the components and reads the other pairings off a Gram row.
     fibers starts empty and is filled by the cone loop, up to FIBER_CAP: the
@@ -298,25 +301,23 @@ def _surface_table(S):
     # 2A = a*Q + (2b - a*kappa)*f + sum((a - 2c_i) e_i) for Q = 2s + kappa*f - sum(e_i)
     if a < 2 * max(cs, default=0) or 2 * b < a * table.q[1]:
         raise InvariantViolation("grading class fails to decompose over Q, f and the e_i")
-    # a root can only contain each component of Q with small multiplicity;
-    # cap the search so it stays total on looping configurations
-    caps = tuple(2 * c.mult + 2 for c in comps)
-    # pairing with K: 0 = alpha.K = sum n_j (C_j.K) - (#-1 classes), so the
-    # component caps bound how many -1 classes a decomposition can use
+    # pairing with K: 0 = alpha.K = sum n_j (C_j.K) - (#-1 classes), as the
+    # accepted residue pairs 0 with Q; with no C_j.K > 0 a decomposition
+    # uses no -1-class, and the search tries none
     K = canonical_class(sig)
-    ncap = sum(cap * max(intersect(c.cls, K), 0) for cap, c in zip(caps, comps))
+    neg1 = _effective_neg1_classes(sig)
+    neg1_steps = neg1 if any(intersect(c.cls, K) > 0 for c in comps) else ()
     budget = max(64, 64 * sig.m * (1 + sum(c.mult for c in comps)))
     q_nef = all(_dot(table.q_row, c.cls.coeffs) >= 0 for c in comps)
     irreducible_q = len(comps) == 1 and comps[0].mult == 1 and comps[0].cls.coeffs == table.q
-    neg1 = _effective_neg1_classes(sig)
     screen = (basis_f(sig).coeffs,) + tuple(c.cls.coeffs for c in comps) + tuple(c.coeffs for c in neg1)
     comp_rows = tuple((c.cls, _row(sig, c.cls.coeffs)) for c in comps)
 
     def steps(pieces):  # each piece with its grade and its component degrees
         return tuple((p, _dot(rowA, p.coeffs), tuple([_dot(r, p.coeffs) for _, r in comp_rows])) for p in pieces)
 
-    return _SurfaceTable(K.coeffs, rowA, comp_rows, steps(c.cls for c in comps), caps, ncap, budget, steps(neg1), screen,
-                         q_nef, irreducible_q, [], set())
+    return _SurfaceTable(K.coeffs, rowA, comp_rows, steps(c.cls for c in comps), budget, steps(neg1_steps), screen, q_nef,
+                         irreducible_q, [], set())
 
 
 def _drop(row, y):
@@ -344,21 +345,23 @@ def is_root_effective(S, alpha):
 def _root_effective(S, a):
     """is_root_effective on the coefficient tuple a of a class of S.sig: the
     walks probe with their frame tuples.  Each residue carries its grade and
-    component degrees, so a candidate is pruned before its tuple is built."""
+    component degrees, so a candidate is pruned before its tuple is built:
+    every residue on a successful path has grade >= 0, and each subtraction
+    lowers it by >= 1, which bounds the search.  It tries the -1-classes of
+    neg1_steps, none where the K-count rules them out; budget is a time cap,
+    and BudgetExhausted reports the root where the search stopped."""
     sig, T = S.sig, _surface_table(S)
     if _pair(sig, a, a) != -2 or _pair(sig, a, T.K):
         raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(_new(a, sig)))
-    # prune via the dual-interior grading: every effective class (and every
-    # residue on a successful decomposition path) has nonnegative grade
-    comp_steps, caps, ncap, budget = T.comp_steps, T.caps, T.ncap, T.budget
+    comp_steps, neg1_steps, budget = T.comp_steps, T.neg1_steps, T.budget
     grade = _dot(T.grading_row, a)
     if grade < 0:
         return False, None
     seen = {a}
-    queue = deque([(a, (0,) * len(caps), 0, (), grade, [_dot(row, a) for _, row in T.comp_rows])])
+    queue = deque([(a, (0,) * len(comp_steps), (), grade, [_dot(row, a) for _, row in T.comp_rows])])
     steps = 0
     while queue:
-        beta, n, nsub, pieces, grade, degs = queue.popleft()
+        beta, n, pieces, grade, degs = queue.popleft()
         steps += 1
         if steps > budget:
             raise BudgetExhausted("root effectiveness search", _new(a, sig), steps - 1, budget)
@@ -371,17 +374,16 @@ def _root_effective(S, a):
                 return True, {"components": n, "a": wit[0], "d": wit[1], "pieces": out}
         # recurse on the components pairing negatively with the residue, then
         # on the always-effective -1-classes that do
-        nexts = [(comp_steps[j], n[:j] + (n[j] + 1,) + n[j + 1:], nsub)
-                 for j, d in enumerate(degs) if d < 0 and n[j] < caps[j]]
-        if nsub < ncap:
-            nexts += [(p, n, nsub + 1) for p, d in zip(T.neg1_steps, _neg1_pairings(beta)) if d < 0]
-        for (c, cgrade, cdegs), n2, nsub2 in nexts:
+        nexts = [(comp_steps[j], n[:j] + (n[j] + 1,) + n[j + 1:]) for j, d in enumerate(degs) if d < 0]
+        if neg1_steps:
+            nexts += [(p, n) for p, d in zip(neg1_steps, _neg1_pairings(beta)) if d < 0]
+        for (c, cgrade, cdegs), n2 in nexts:
             if grade < cgrade:
                 continue
             b2 = tuple(map(sub, beta, c.coeffs))
             if b2 not in seen:
                 seen.add(b2)
-                queue.append((b2, n2, nsub2, pieces + (c,), grade - cgrade, list(map(sub, degs, cdegs))))
+                queue.append((b2, n2, pieces + (c,), grade - cgrade, list(map(sub, degs, cdegs))))
     return False, None
 
 

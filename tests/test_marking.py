@@ -41,6 +41,7 @@ from ncsurf.marking import (
 )
 from ncsurf.presets import PRESETS, f0_generic, f0_commutative, f2_type, get_preset, m2_generic
 from ncsurf.weyl import is_neg1_effective, is_neg1_irreducible
+from shell_oracle import root_shell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -339,14 +340,19 @@ def test_moduli_stack_dim():
 def reference_root_search(S, alpha):
     """The root search as it was before its pairings with the always-effective
     -1-classes were read off the coefficients: checked intersections for the
-    root test, and one Gram-row dot per -1-class and search state."""
+    root test, and one Gram-row dot per -1-class and search state.  It keeps
+    the caps that the search had before the grade and the K-count bounded
+    it: each component at most 2*mult + 2 times, and at most ncap
+    -1-classes."""
     K = canonical_class(S.sig)
     if intersect(alpha, alpha) != -2 or intersect(alpha, K) != 0:
         raise ValueError("%s is not a root (need alpha^2 = -2 and alpha.K = 0)" % render_div(alpha))
     sig = S.sig
     T = _surface_table(S)
     neg1_rows = [(c, _row(sig, c.coeffs)) for c in _effective_neg1_classes(sig)]
-    rowA, comp_rows, caps, ncap, budget = T.grading_row, T.comp_rows, T.caps, T.ncap, T.budget
+    caps = tuple(2 * c.mult + 2 for c in S.components)
+    ncap = sum(cap * max(intersect(c.cls, K), 0) for cap, c in zip(caps, S.components))
+    rowA, comp_rows, budget = T.grading_row, T.comp_rows, T.budget
     if _dot(rowA, alpha.coeffs) < 0:
         return False, None
     seen = {alpha.coeffs}
@@ -428,6 +434,34 @@ def walk_roots(rng, words=40):
     return out
 
 
+def shell_roots():
+    """The roots of the rho-shells t <= 8 (t <= 12 on pvi_m12) and their
+    negatives on every preset with m >= 1, and the t <= 8 ones on four
+    seeded chains of 2-4 blowups of f0_generic, each with a repeated
+    position."""
+    surfaces, rng = [], random.Random(37)
+    for name in sorted(PRESETS):
+        S = get_preset(name)
+        if S.sig.m >= 1:
+            surfaces.append((S, 12 if name == "pvi_m12" else 8))
+    for _ in range(4):
+        S, p, r = f0_generic(), (rng.randrange(1, 50), rng.randrange(1, 50)), (rng.randrange(1, 50), rng.randrange(1, 50))
+        for pos in [p, p] + [rng.choice((p, r)) for _ in range(rng.randint(0, 2))]:
+            S = blow_up(S, 0, [1] + [0] * (len(S.components) - 1), pos)
+        surfaces.append((S, 8))
+    return [(S, DivClass(x, S.sig)) for S, top in surfaces for t in range(top + 1)
+            for r in root_shell(S.sig, t) for x in (r, tuple(-c for c in r))]
+
+
+@pytest.fixture(scope="module")
+def asked_roots():
+    """The (surface, root) pairs the root search is compared on: the
+    benchmark pass roots, the walk roots and the shell roots."""
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = benchmark_pass_roots(mp) + walk_roots(random.Random(19)) + shell_roots()
+    return list(dict.fromkeys(pairs))
+
+
 def outcome(search, S, alpha):
     try:
         ok, wit = search(S, alpha)
@@ -438,19 +472,40 @@ def outcome(search, S, alpha):
     return ok, (wit["a"], wit["d"], wit["components"], tuple(p.coeffs for p in wit["pieces"]))
 
 
-def test_root_search_matches_the_reference_search(monkeypatch):
-    pairs = list(dict.fromkeys(benchmark_pass_roots(monkeypatch) + walk_roots(random.Random(19))))
-    if len({S for S, _ in pairs if _surface_table(S).ncap > 0}) == 0:
+def test_root_search_matches_the_reference_search(asked_roots):
+    pairs = asked_roots
+    if not any(_surface_table(S).neg1_steps for S, _ in pairs):
         pytest.fail("no asked surface lets the search use the -1-classes")
-    wrong = []
+    wrong, effective = [], 0
     for S, alpha in pairs:
         got, want = outcome(lambda S, alpha: marking._root_effective.__wrapped__(S, alpha.coeffs), S, alpha), outcome(reference_root_search, S, alpha)
         if got != want:
             wrong.append((S.sig, render_div(alpha), got, want))
+        effective += want[0] is True
     if wrong:
         pytest.fail("%d of %d roots differ from the reference search, first %r" % (len(wrong), len(pairs), wrong[0]))
-    if not any(o[0] is True for o in (outcome(reference_root_search, S, a) for S, a in pairs)):
+    if not effective:
         pytest.fail("no effective root among the %d asked" % len(pairs))
+
+
+def test_root_pieces_of_square_minus_2_need_no_split(asked_roots):
+    # cones._blocked_subtraction subtracts a witness piece whole: a piece
+    # p != alpha that is a root must be its own witness, with pieces () or (p,)
+    checked = 0
+    for S, alpha in asked_roots:
+        ok, wit = is_root_effective(S, alpha)
+        if not ok:
+            continue
+        K = canonical_class(S.sig)
+        for p in wit["pieces"]:
+            if p == alpha or intersect(p, p) != -2 or intersect(p, K) != 0:
+                continue
+            checked += 1
+            ok, pwit = is_root_effective(S, p)
+            if not ok or pwit["pieces"] not in ((), (p,)):
+                pytest.fail("piece %s of the root %s: %r, %r" % (render_div(p), render_div(alpha), ok, pwit))
+    if not checked:
+        pytest.fail("no effective root has a piece of square -2")
 
 
 def test_root_search_runs_out_where_the_reference_search_does(monkeypatch):

@@ -193,6 +193,20 @@ def test_divclass_coerces_its_coefficients():
     assert div(SIG, 1, 0, -1) == D
 
 
+def test_integer_fields_are_coerced():
+    sig = LatticeSignature(2.0, "even", (Fraction(2, 2), True))
+    group, comp = MarkingGroup(1.0, (Fraction(6, 2),)), QComponent(D, 2.0)
+    assert (sig.m, sig.genera, sig.rank, group.ngens, group.torsion, comp.mult) == (2, (1, 1), 4, 2, (3,), 2)
+    assert all(type(n) is int for n in (sig.m, *sig.genera, group.free_rank, *group.torsion, comp.mult))
+
+
+def test_group_scalars_are_integers():
+    group = MarkingGroup(1, (4,))
+    assert group.smul(Fraction(6, 2), (1, 3)) == (3, 1)
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        group.smul(2.5, (2, 0))
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: DivClass((1.7, 2, 3), SIG), ValueError, "1.7 is not an integer"),
     (lambda: DivClass((1.5, None, 3), SIG), ValueError, "1.5 is not an integer"),
@@ -207,9 +221,15 @@ def test_divclass_coerces_its_coefficients():
     (lambda: LatticeSignature(-1, "even"), ValueError, "m must be >= 0"),
     (lambda: LatticeSignature(1, "neither"), ValueError, "parity must be 'even' or 'odd'"),
     (lambda: LatticeSignature(1, "odd", (0, -1)), ValueError, "genera must be nonnegative"),
+    (lambda: LatticeSignature(2.5, "even"), ValueError, "2.5 is not an integer"),
+    (lambda: LatticeSignature(2, "even", (0.5, 0)), ValueError, "0.5 is not an integer"),
+    (lambda: LatticeSignature(2, "even", (0, "1")), ValueError, "'1' is not an integer"),
     (lambda: MarkingGroup(-1), ValueError, "free rank must be >= 0"),
+    (lambda: MarkingGroup(1.5), ValueError, "1.5 is not an integer"),
+    (lambda: MarkingGroup(1, (2.5,)), ValueError, "2.5 is not an integer"),
     (lambda: MarkingGroup(0, (1,)), ValueError, "torsion orders must be >= 2"),
     (lambda: QComponent(D, 0), ValueError, "component multiplicity must be >= 1"),
+    (lambda: QComponent(-D, 1.5), ValueError, "1.5 is not an integer"),
     (lambda: SurfaceData(SIG0, (), MarkingGroup(1), (1, 2), ((0,), (1,))), ValueError,
      "element has 2 coordinates, group needs 1"),
 ])
